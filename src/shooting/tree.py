@@ -4,6 +4,23 @@ Nodes live in flat parallel arrays rather than linked objects: fitting
 appends in preorder, prediction descends all rows at once level by level.
 Split ties resolve to the lowest feature index, then the lowest threshold,
 so refitting on identical data reproduces the identical structure.
+
+Growth sorts each feature once per tree, not once per node. The root holds
+an (n_features, m) matrix of row ids, row f in stable value order of
+feature f. A split keeps the first n_left entries of the chosen feature's
+row and filters every row of the matrix by that row set, so each child
+inherits its rows already in value order and every feature row has the
+same length. The split search then runs over all candidate features at
+once: row-wise prefix sums of y and y^2, the SSE of each cut, infeasible
+cuts set to inf, and one flat argmin, whose first-minimum rule is the tie
+break above.
+
+The trees are those of a per-node stable argsort, bit for bit. A node's
+row ids are always in increasing order (the root is arange, each child a
+filter of its parent), so a stable sort of the node's values orders ties
+by row id, which is the global stable order filtered to the node. The
+prefix sums therefore add the same values in the same sequence, and node
+totals and leaf means are sums of y over the node's rows in row order.
 """
 
 from __future__ import annotations
@@ -62,45 +79,35 @@ class RegressionTree:
 
 
 def _best_split(
-    x: np.ndarray, y: np.ndarray, candidates: np.ndarray, min_leaf: int
-) -> tuple[int, float] | None:
-    """Lowest total child SSE over (feature, midpoint threshold) pairs.
+    xs: np.ndarray, ys: np.ndarray, total1: float, total2: float, min_leaf: int
+) -> tuple[int, int] | None:
+    """Lowest total child SSE over every candidate feature and cut at once.
 
-    Returns None when no candidate position keeps both children at
-    min_leaf rows. SSE per side comes from prefix sums of y and y^2.
+    Row r of xs/ys holds one candidate feature's node values and targets in
+    value order. Position p cuts left = [0..p], right = [p+1..]; it is
+    feasible between distinct values with min_leaf rows on each side. SSE
+    per side comes from row-wise prefix sums of y and y^2. Returns (r, p)
+    of the first minimum in row-major order, so the lowest feature and
+    then the lowest threshold win ties, or None when nothing is feasible.
     """
-    m = y.size
-    total1 = float(y.sum())
-    total2 = float((y * y).sum())
-    best_sse = np.inf
-    best: tuple[int, float] | None = None
-    for f in candidates:
-        xv = x[:, f]
-        order = np.argsort(xv, kind="stable")
-        xs = xv[order]
-        ys = y[order]
-        # positions p split into left = [0..p], right = [p+1..m-1]
-        distinct = xs[:-1] < xs[1:]
-        sizes_left = np.arange(1, m)
-        feasible = distinct & (sizes_left >= min_leaf) & (m - sizes_left >= min_leaf)
-        if not feasible.any():
-            continue
-        pos = np.nonzero(feasible)[0]
-        c1 = np.cumsum(ys)[pos]
-        c2 = np.cumsum(ys * ys)[pos]
-        nl = pos + 1.0
-        nr = m - nl
-        sse = (c2 - c1 * c1 / nl) + (total2 - c2 - (total1 - c1) ** 2 / nr)
-        k = int(np.argmin(sse))
-        if sse[k] < best_sse:
-            p = int(pos[k])
-            thr = 0.5 * (xs[p] + xs[p + 1])
-            if thr >= xs[p + 1]:
-                # midpoint rounded up to the right value; pin to the left one
-                thr = xs[p]
-            best_sse = float(sse[k])
-            best = (int(f), float(thr))
-    return best
+    n, m = ys.shape
+    lo, hi = min_leaf - 1, m - min_leaf  # feasible positions p in [lo, hi)
+    if n == 0 or lo >= hi:
+        return None
+    head = ys[:, :hi]
+    c1 = np.cumsum(head, axis=1)[:, lo:]
+    c2 = np.cumsum(head * head, axis=1)[:, lo:]
+    nl = np.arange(lo + 1, hi + 1, dtype=float)
+    nr = m - nl
+    sse = (c2 - c1 * c1 / nl) + (total2 - c2 - (total1 - c1) ** 2 / nr)
+    distinct = xs[:, lo:hi] < xs[:, lo + 1 : hi + 1]
+    # fit_tree's overflow guard keeps sse free of NaN, so argmin's first
+    # minimum is the tie-break: lowest feature row, then lowest position
+    k = int(np.argmin(np.where(distinct, sse, np.inf)))
+    if not distinct.flat[k]:
+        return None
+    r, p = divmod(k, hi - lo)
+    return r, lo + p
 
 
 def fit_tree(features, targets, params: TreeParams = TreeParams()) -> RegressionTree:
@@ -109,7 +116,7 @@ def fit_tree(features, targets, params: TreeParams = TreeParams()) -> Regression
     Splitting stops at max_depth, below min_samples_split, at exactly
     constant targets, or when min_samples_leaf leaves no feasible cut.
     """
-    x = np.ascontiguousarray(features, dtype=float)
+    x = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
     if x.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
@@ -119,11 +126,17 @@ def fit_tree(features, targets, params: TreeParams = TreeParams()) -> Regression
         raise ValueError("cannot fit a tree on zero rows")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
+    with np.errstate(over="ignore"):
+        # bounds every prefix-sum term of the SSE, (sum y)^2 <= m * sum y^2
+        if not np.isfinite(y.size * float(np.sum(y * y))):
+            raise ValueError("targets too large: squared-error sums overflow")
     n = x.shape[1]
     sub = params.feature_subsample
     rng = None
     if sub is not None and sub < n:
         rng = np.random.default_rng(params.rng_seed)
+    xt = np.ascontiguousarray(x.T)
+    goes_left = np.zeros(y.size, dtype=bool)
 
     feat: list[int] = []
     thr: list[float] = []
@@ -141,12 +154,21 @@ def fit_tree(features, targets, params: TreeParams = TreeParams()) -> Regression
         return len(feat) - 1
 
     root = new_node()
-    stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(y.size), 0)]
+    # a node carries its rows in increasing order and, per feature, the same
+    # rows in stable value order
+    stack: list[tuple[int, np.ndarray, np.ndarray, int]] = [
+        (root, np.arange(y.size), np.argsort(xt, axis=1, kind="stable"), 0)
+    ]
     while stack:
-        node, idx, depth = stack.pop()
+        node, idx, order, depth = stack.pop()
         max_depth_seen = max(max_depth_seen, depth)
+        if idx.size == 1:
+            # min_samples_split >= 2 keeps it a leaf; the mean of one value is it
+            value[node] = float(y[idx[0]])
+            continue
         ysub = y[idx]
-        value[node] = float(ysub.mean())
+        total1 = float(ysub.sum())
+        value[node] = total1 / idx.size  # ysub.mean(), bit for bit
         if params.max_depth is not None and depth >= params.max_depth:
             continue
         if idx.size < params.min_samples_split:
@@ -155,22 +177,44 @@ def fit_tree(features, targets, params: TreeParams = TreeParams()) -> Regression
             continue
         if rng is not None:
             candidates = np.sort(rng.choice(n, size=sub, replace=False))
+            sorted_rows = order[candidates]
         else:
             candidates = np.arange(n)
-        split = _best_split(x[idx], ysub, candidates, params.min_samples_leaf)
+            sorted_rows = order
+        xs = xt[candidates[:, None], sorted_rows]
+        split = _best_split(
+            xs, y[sorted_rows], total1, float((ysub * ysub).sum()),
+            params.min_samples_leaf,
+        )
         if split is None:
             continue
-        f, t = split
-        go_left = x[idx, f] <= t
-        feat[node] = f
+        r, p = split
+        below, above = float(xs[r, p]), float(xs[r, p + 1])
+        t = 0.5 * (below + above)
+        if not below <= t < above:
+            # the midpoint rounded up to above, or below + above overflowed
+            # or is -inf + inf; pin to below so the threshold routes exactly
+            # the first n_left rows
+            t = below
+        n_left = p + 1
+        # the cut keeps the first n_left rows of the split feature's order;
+        # filtering every feature's order by them keeps each in value order
+        goes_left[sorted_rows[r, :n_left]] = True
+        in_left = goes_left[order]
+        left_order = order[in_left].reshape(n, n_left)
+        right_order = order[~in_left].reshape(n, idx.size - n_left)
+        row_left = goes_left[idx]
+        left_idx, right_idx = idx[row_left], idx[~row_left]
+        goes_left[left_idx] = False
+        feat[node] = int(candidates[r])
         thr[node] = t
         left_child = new_node()
         right_child = new_node()
         left[node] = left_child
         right[node] = right_child
         # push right first so preorder (left before right) pops out
-        stack.append((right_child, idx[~go_left], depth + 1))
-        stack.append((left_child, idx[go_left], depth + 1))
+        stack.append((right_child, right_idx, right_order, depth + 1))
+        stack.append((left_child, left_idx, left_order, depth + 1))
 
     return RegressionTree(
         feature=np.array(feat, dtype=np.int64),
@@ -203,10 +247,3 @@ def predict_tree(tree: RegressionTree, features) -> np.ndarray:
         go_left = x[rows, tree.feature[at]] <= tree.threshold[at]
         node[rows] = np.where(go_left, tree.left[at], tree.right[at])
     return tree.value[node]
-
-
-def training_sse(tree: RegressionTree, features, targets) -> float:
-    """Sum of squared training errors, handy for stopping diagnostics."""
-    pred = predict_tree(tree, features)
-    resid = np.asarray(targets, dtype=float) - pred
-    return float(resid @ resid)
