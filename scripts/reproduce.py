@@ -36,50 +36,24 @@ def main() -> int:
         default=str(REPO_ROOT / "results"),
         help="output directory (default: results/)",
     )
-    parser.add_argument("--seed", default="0", help="master seed for every stage")
-    parser.add_argument(
-        "--trials", default="32", help="benchmark trial count (default 32)"
-    )
+    parser.add_argument("--seed", help="master seed for every stage (default: the CLI's)")
+    parser.add_argument("--trials", help="benchmark trial count (default: the CLI's)")
     args = parser.parse_args()
     out = Path(args.out)
+    # forward only what was given, so the CLI's defaults are stated once
+    seed = [] if args.seed is None else ["--seed", args.seed]
+    trials = [] if args.trials is None else ["--trials", args.trials]
 
     stages = [
         (
             "benchmark",
-            [
-                "benchmark",
-                "--data",
-                args.data,
-                "--trials",
-                args.trials,
-                "--seed",
-                args.seed,
-                "--out",
-                str(out / "benchmark"),
-            ],
+            ["benchmark", "--data", args.data, *trials, *seed, "--out", str(out / "benchmark")],
         ),
         (
             "nu_curve",
-            [
-                "nu-curve",
-                "--data",
-                args.data,
-                "--seed",
-                args.seed,
-                "--out",
-                str(out / "nu_curve"),
-            ],
+            ["nu-curve", "--data", args.data, *seed, "--out", str(out / "nu_curve")],
         ),
-        (
-            "pca_diag",
-            [
-                "pca-diag",
-                "--seed",
-                args.seed,
-                "--out",
-                str(out / "pca_diag"),
-            ],
-        ),
+        ("pca_diag", ["pca-diag", *seed, "--out", str(out / "pca_diag")]),
     ]
     for name, argv in stages:
         print(f"== {name} ==", flush=True)

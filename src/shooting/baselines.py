@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Dataset
 from .rng import BOOTSTRAP_STREAM, TREE_STREAM, derive_seed, make_rng
-from .tree import RegressionTree, TreeParams, fit_tree, predict_tree
+from .tree import (
+    RegressionTree,
+    TreeParams,
+    check_features,
+    fit_tree,
+    predict_tree,
+    row_means,
+)
 
 
 @dataclass(frozen=True)
@@ -73,9 +79,8 @@ def fit_rf(train: Dataset, config: RFConfig = RFConfig()) -> RandomForest:
 
 def predict_rf(model: RandomForest, features) -> np.ndarray:
     """Mean of the tree outputs, exact so tree order cannot matter."""
-    x = np.asarray(features, dtype=float)
-    columns = np.column_stack([predict_tree(t, x) for t in model.trees])
-    return np.array([math.fsum(row) for row in columns]) / len(model.trees)
+    x = check_features(features, model.n_features)
+    return row_means(np.column_stack([predict_tree(t, x) for t in model.trees]))
 
 
 def fit_gbm(train: Dataset, config: GBMConfig = GBMConfig()) -> GradientBoosting:
@@ -97,7 +102,7 @@ def fit_gbm(train: Dataset, config: GBMConfig = GBMConfig()) -> GradientBoosting
 
 def predict_gbm(model: GradientBoosting, features) -> np.ndarray:
     """Base value plus the learning-rate-scaled stage corrections in order."""
-    x = np.asarray(features, dtype=float)
+    x = check_features(features, model.n_features)
     out = np.full(x.shape[0], model.base_value)
     for tree in model.trees:
         out = out + model.learning_rate * predict_tree(tree, x)

@@ -64,8 +64,6 @@ EXIT_NUMERIC = 4
 MODEL_ORDER = ["SR", "GBM", "RF"]
 HIST_BINS = 10
 
-_SEED_BOUND = 2**64
-
 
 class CLIError(Exception):
     def __init__(self, code: int, message: str):
@@ -77,127 +75,82 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _conv_int(key: str):
-    def conv(v):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise CLIError(EXIT_CONFIG, f"config key {key!r} must be an integer")
-        return v
-
-    return conv
-
-
-def _conv_float(key: str):
-    def conv(v):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise CLIError(EXIT_CONFIG, f"config key {key!r} must be a number")
-        return float(v)
-
-    return conv
-
-
-def _conv_str(key: str):
-    def conv(v):
-        if not isinstance(v, str):
-            raise CLIError(EXIT_CONFIG, f"config key {key!r} must be a string")
-        return v
-
-    return conv
-
-
-def _conv_bool(key: str):
-    def conv(v):
-        if not isinstance(v, bool):
-            raise CLIError(EXIT_CONFIG, f"config key {key!r} must be true or false")
-        return v
-
-    return conv
-
-
-def _conv_nu(key: str):
-    def conv(v):
-        if v == "auto":
-            return "auto"
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or float(v) < 0:
-            raise CLIError(
-                EXIT_CONFIG, f"config key {key!r} must be 'auto' or a float >= 0"
-            )
-        return float(v)
-
-    return conv
-
-
-def _conv_weight(key: str):
-    def conv(v):
-        if v == "balanced":
-            return "balanced"
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or float(v) < 0:
-            raise CLIError(
-                EXIT_CONFIG, f"config key {key!r} must be 'balanced' or a float >= 0"
-            )
-        return float(v)
-
-    return conv
-
-
-def _flag_nu(text: str):
-    if text == "auto":
-        return "auto"
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected 'auto' or a float") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("nu must be >= 0")
-    return value
-
-
-def _flag_weight(text: str):
-    if text == "balanced":
-        return "balanced"
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected 'balanced' or a float") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("weight must be >= 0")
-    return value
-
-
-# key -> (converter factory, default); keys double as config-file keys
-_COMMON = {
-    "data": (_conv_str, None),
-    "seed": (_conv_int, 0),
-    "k": (_conv_int, 100),
-    "out": (_conv_str, "."),
+# kind -> (parse a flag's text, config value types, what a value must be)
+_KINDS = {
+    "int": (int, (int,), "an integer"),
+    "float": (float, (int, float), "a number"),
+    "str": (str, (str,), "a string"),
+    "bool": (None, (bool,), "true or false"),
 }
+
+# key -> (kind, default, bound, help). Each key is both a --flag and a
+# config-file key. The default is always accepted, so a word default such
+# as "auto" is a keyword of a numeric option. The bound, an interval,
+# applies to numbers from either source.
+_COMMON = {
+    "data": ("str", None, None, "whitespace-delimited fuel-economy file"),
+    "seed": ("int", 0, f"({-2**64}, {2**64})", "master seed"),
+    "k": ("int", 100, "[1, inf)", "estimator count for all models"),
+    "out": ("str", ".", None, "output directory"),
+}
+
+
+def _synth(m: int, n: int) -> dict:
+    return {
+        "synth-m": ("int", m, "[4, inf)", "synthetic rows when no --data"),
+        "synth-n": ("int", n, "[1, inf)", "synthetic feature count"),
+        "synth-noise": ("float", 1.0, "[0, inf)", "synthetic noise sd"),
+    }
+
+
+_NU = ("float", "auto", "[0, inf)", "'auto' or a fixed value")
+_WEIGHT = ("float", "balanced", "[0, inf)", "'balanced' or a weight on the magnitude term")
 OPTIONS = {
     "benchmark": {
         **_COMMON,
-        "trials": (_conv_int, 32),
+        "trials": ("int", 32, "[1, inf)", "number of train/val trials"),
         # 0.5 reproduces the reference table's score bands; smaller
         # validation shares push RF above its reported range
-        "val-fraction": (_conv_float, 0.5),
-        "nu": (_conv_nu, "auto"),
-        "magnitude-weight": (_conv_weight, "balanced"),
+        "val-fraction": ("float", 0.5, "(0, 1)", "validation share"),
+        "nu": _NU,
+        "magnitude-weight": _WEIGHT,
     },
     "nu-curve": {
         **_COMMON,
-        "val-fraction": (_conv_float, 0.25),
-        "points": (_conv_int, 33),
-        "magnitude-weight": (_conv_weight, "balanced"),
-        "synth-m": (_conv_int, 200),
-        "synth-n": (_conv_int, 5),
-        "synth-noise": (_conv_float, 1.0),
+        "val-fraction": ("float", 0.25, "(0, 1)", "validation share"),
+        "points": ("int", 33, "[2, inf)", "sweep grid size"),
+        "magnitude-weight": _WEIGHT,
+        **_synth(200, 5),
     },
     "pca-diag": {
         **_COMMON,
-        "nu": (_conv_nu, "auto"),
-        "oracle": (_conv_bool, False),
-        "synth-m": (_conv_int, 100),
-        "synth-n": (_conv_int, 2),
-        "synth-noise": (_conv_float, 1.0),
+        "nu": _NU,
+        "oracle": ("bool", False, None, "replace tree estimates with exact gradients"),
+        **_synth(100, 2),
     },
 }
+COMMANDS = {
+    "benchmark": "fit SR/GBM/RF over repeated splits and summarize",
+    "nu-curve": "sweep nu and emit objective terms plus validation MSE",
+    "pca-diag": "project estimator trajectories onto the first PC",
+}
+
+
+def _flag_type(kind: str, default):
+    parse = _KINDS[kind][0]
+
+    def flag(text: str):
+        return text if text == default else parse(text)
+
+    flag.__name__ = kind  # argparse names it in "invalid <kind> value"
+    return flag
+
+
+def _in_bound(value, bound: str) -> bool:
+    lo, hi = (float(end) for end in bound[1:-1].split(","))
+    above = value >= lo if bound[0] == "[" else value > lo
+    below = value <= hi if bound[-1] == "]" else value < hi
+    return above and below
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,52 +159,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gradient-ensemble regression benchmark and diagnostics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(cmd, help_text):
+    for cmd, help_text in COMMANDS.items():
         p = sub.add_parser(cmd, help=help_text)
         p.add_argument("--config", help="flat JSON file with flag-named keys")
-        opts = OPTIONS[cmd]
-        if "data" in opts:
-            p.add_argument("--data", help="whitespace-delimited fuel-economy file")
-        if "trials" in opts:
-            p.add_argument("--trials", type=int, help="number of train/val trials")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
-        if "val-fraction" in opts:
-            default_vf = opts["val-fraction"][1]
-            p.add_argument(
-                "--val-fraction",
-                type=float,
-                help=f"validation share (default {default_vf})",
-            )
-        p.add_argument("--k", type=int, help="estimator count for all models")
-        if "nu" in opts:
-            p.add_argument("--nu", type=_flag_nu, help="'auto' or a fixed value >= 0")
-        if "magnitude-weight" in opts:
-            p.add_argument(
-                "--magnitude-weight",
-                type=_flag_weight,
-                help="'balanced' or an explicit weight on the magnitude term",
-            )
-        if "points" in opts:
-            p.add_argument("--points", type=int, help="sweep grid size (default 33)")
-        if "oracle" in opts:
-            p.add_argument(
-                "--oracle",
-                action="store_true",
-                default=None,
-                help="replace tree estimates with exact gradients",
-            )
-        if "synth-m" in opts:
-            p.add_argument("--synth-m", type=int, help="synthetic rows when no --data")
-            p.add_argument("--synth-n", type=int, help="synthetic feature count")
-            p.add_argument("--synth-noise", type=float, help="synthetic noise sd")
-        p.add_argument("--out", help="output directory (default .)")
-        return p
-
-    add("benchmark", "fit SR/GBM/RF over repeated splits and summarize")
-    add("nu-curve", "sweep nu and emit objective terms plus validation MSE")
-    add("pca-diag", "project estimator trajectories onto the first PC")
+        for key, (kind, default, _, text) in OPTIONS[cmd].items():
+            if default is not None:
+                text = f"{text} (default {default})"
+            if kind == "bool":
+                p.add_argument(
+                    f"--{key}", dest=key, action="store_true", default=None, help=text
+                )
+            else:
+                p.add_argument(
+                    f"--{key}", dest=key, type=_flag_type(kind, default), help=text
+                )
     return parser
+
+
+def _config_value(key: str, kind: str, default, value):
+    _, types, what = _KINDS[kind]
+    if type(value) is type(default) and value == default:
+        return value
+    if not isinstance(value, types) or isinstance(value, bool) != (kind == "bool"):
+        if isinstance(default, str) and kind != "str":
+            what = f"{default!r} or {what}"
+        raise CLIError(EXIT_CONFIG, f"config key {key!r} must be {what}")
+    if kind == "float":
+        try:
+            return float(value)
+        except OverflowError:
+            raise CLIError(EXIT_CONFIG, f"config key {key!r} is too large") from None
+    return value
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
@@ -272,39 +210,16 @@ def resolve_options(args: argparse.Namespace) -> dict:
         if unknown:
             raise CLIError(EXIT_CONFIG, f"unknown config keys: {', '.join(unknown)}")
     merged = {}
-    for key, (conv_factory, default) in table.items():
-        flag_value = getattr(args, key.replace("-", "_"))
-        if flag_value is not None:
-            merged[key] = flag_value
-        elif key in file_values:
-            merged[key] = conv_factory(key)(file_values[key])
-        else:
-            merged[key] = default
-    _validate(args.command, merged)
+    for key, (kind, default, bound, _) in table.items():
+        value = getattr(args, key)
+        if value is None and key in file_values:
+            value = _config_value(key, kind, default, file_values[key])
+        if value is None:
+            value = default
+        if bound and not isinstance(value, str) and not _in_bound(value, bound):
+            raise CLIError(EXIT_CONFIG, f"{key} must lie in {bound}")
+        merged[key] = value
     return merged
-
-
-def _validate(command: str, cfg: dict) -> None:
-    seed = cfg["seed"]
-    if not -_SEED_BOUND < seed < _SEED_BOUND:
-        raise CLIError(EXIT_CONFIG, "seed must fit in 64 bits")
-    if cfg["k"] < 1:
-        raise CLIError(EXIT_CONFIG, "k must be >= 1")
-    if "trials" in cfg and cfg["trials"] < 1:
-        raise CLIError(EXIT_CONFIG, "trials must be >= 1")
-    if "val-fraction" in cfg and not 0.0 < cfg["val-fraction"] < 1.0:
-        raise CLIError(EXIT_CONFIG, "val-fraction must lie in (0, 1)")
-    if "points" in cfg and cfg["points"] < 2:
-        raise CLIError(EXIT_CONFIG, "points must be >= 2")
-    if "synth-m" in cfg:
-        if cfg["synth-m"] < 4:
-            raise CLIError(EXIT_CONFIG, "synth-m must be >= 4")
-        if cfg["synth-n"] < 1:
-            raise CLIError(EXIT_CONFIG, "synth-n must be >= 1")
-        if cfg["synth-noise"] < 0:
-            raise CLIError(EXIT_CONFIG, "synth-noise must be >= 0")
-    if command == "benchmark" and cfg["data"] is None:
-        raise CLIError(EXIT_CONFIG, "benchmark requires --data (or 'data' in config)")
 
 
 def _load_dataset(cfg: dict) -> Dataset:
@@ -350,6 +265,8 @@ def _sr_config(cfg: dict) -> SRConfig:
 
 
 def run_benchmark(cfg: dict) -> int:
+    if cfg["data"] is None:
+        raise CLIError(EXIT_CONFIG, "benchmark requires --data (or 'data' in config)")
     d = _load_dataset(cfg)
     out = _ensure_out(cfg)
     reports = []
@@ -454,7 +371,7 @@ def run_pca_diag(cfg: dict) -> int:
     ens = fit_shooting(d, _sr_config(cfg))
     initial = initial_vectors(ens, d.features)
     if cfg["oracle"]:
-        terminal, _ = oracle_predict(ens.linear, ens.offsets, ens.nu, d)
+        terminal, _ = oracle_predict(initial, d.target)
     else:
         terminal = predict_per_estimator(ens, d.features)
     diag = project_trajectories(initial, terminal, d.target)

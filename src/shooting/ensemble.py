@@ -29,7 +29,14 @@ from .nuopt import (
     minimize_nu,
 )
 from .rng import TREE_STREAM, derive_seed
-from .tree import RegressionTree, TreeParams, fit_tree, predict_tree
+from .tree import (
+    RegressionTree,
+    TreeParams,
+    check_features,
+    fit_tree,
+    predict_tree,
+    row_means,
+)
 
 DEFAULT_NU_SEARCH = (DEFAULT_NU_LO, DEFAULT_NU_HI, DEFAULT_GRID_POINTS, DEFAULT_NU_TOL)
 
@@ -64,8 +71,12 @@ class SRConfig:
 
 @dataclass(frozen=True)
 class ShootingEnsemble:
-    linear: LinearModel
-    offsets: OffsetSet
+    """What prediction reads: OLS coefficients B (intercept first), the
+    (p, k) offset draws D, nu and one tree per draw. nu_diagnostics is
+    fit-time only and never persisted."""
+
+    coefficients: np.ndarray
+    offsets: np.ndarray
     nu: float
     trees: tuple[RegressionTree, ...]
     nu_diagnostics: NuResult | None = None
@@ -76,7 +87,7 @@ class ShootingEnsemble:
 
     @property
     def n_features(self) -> int:
-        return self.linear.coefficients.size - 1
+        return self.coefficients.size - 1
 
 
 def gradient_targets(
@@ -87,12 +98,6 @@ def gradient_targets(
         raise ValueError("offset projection rows do not match the dataset")
     z = augment(d.features) @ linear.coefficients - d.target
     return z[:, None] + nu * offsets.projected
-
-
-def _row_means(columns: np.ndarray) -> np.ndarray:
-    # exact accumulation makes the mean invariant to estimator order
-    k = columns.shape[1]
-    return np.array([math.fsum(row) for row in columns]) / k
 
 
 def fit_shooting(train: Dataset, config: SRConfig = SRConfig()) -> ShootingEnsemble:
@@ -140,19 +145,19 @@ def fit_shooting(train: Dataset, config: SRConfig = SRConfig()) -> ShootingEnsem
         )
         for i in range(config.k)
     )
-    return ShootingEnsemble(linear, offsets, nu, trees, diagnostics)
+    return ShootingEnsemble(linear.coefficients, offsets.offsets, nu, trees, diagnostics)
 
 
 def initial_vectors(ensemble: ShootingEnsemble, features) -> np.ndarray:
     """Per-estimator linear predictions X(B + nu*D_i) on arbitrary features."""
     x = augment(features)
-    base = x @ ensemble.linear.coefficients
-    return base[:, None] + ensemble.nu * (x @ ensemble.offsets.offsets)
+    base = x @ ensemble.coefficients
+    return base[:, None] + ensemble.nu * (x @ ensemble.offsets)
 
 
 def predict_per_estimator(ensemble: ShootingEnsemble, features) -> np.ndarray:
     """Column i: initial vector i minus tree i's gradient estimate."""
-    x = np.asarray(features, dtype=float)
+    x = check_features(features, ensemble.n_features)
     initial = initial_vectors(ensemble, x)
     for i, tree in enumerate(ensemble.trees):
         initial[:, i] -= predict_tree(tree, x)
@@ -161,23 +166,19 @@ def predict_per_estimator(ensemble: ShootingEnsemble, features) -> np.ndarray:
 
 def predict(ensemble: ShootingEnsemble, features) -> np.ndarray:
     """Mean of the per-estimator corrected predictions."""
-    return _row_means(predict_per_estimator(ensemble, features))
+    return row_means(predict_per_estimator(ensemble, features))
 
 
-def oracle_predict(
-    linear: LinearModel, offsets: OffsetSet, nu: float, d: Dataset
-) -> tuple[np.ndarray, np.ndarray]:
+def oracle_predict(initial, target) -> tuple[np.ndarray, np.ndarray]:
     """Replace every tree with the exact gradient; all estimates collapse to Y.
 
+    initial holds the (m, k) initial vectors on the rows of target.
     Returns (per_estimator, aggregate). The subtraction is carried out
     rather than shortcut to Y so the identity is demonstrated, not assumed.
     """
-    x = augment(d.features)
-    base = x @ linear.coefficients
-    initial = base[:, None] + nu * (x @ offsets.offsets)
-    exact_gradient = initial - d.target[:, None]
+    exact_gradient = initial - target[:, None]
     per_estimator = initial - exact_gradient
-    return per_estimator, _row_means(per_estimator)
+    return per_estimator, row_means(per_estimator)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,15 @@ rows the data has. Population (1/m) covariances throughout; correlations
 are invariant to that choice, the cached magnitude sums rely on it being
 fixed.
 
-Sign note: the expansion below scores the columns z - nu*XD_i, which are
-the gradient targets one would get from the sign-flipped offset draws
--D_i. Offsets are mean-zero normal, so -D_i is exactly as probable as
-D_i and the two orientations are statistically interchangeable; the
-minus-sign form is kept because the cross terms read straight off it.
+The expansion below scores the columns z - nu*XD_i, while the gradient
+targets are z + nu*XD_i. On the training rows the sign does not matter:
+z = XB - Y is minus the OLS residual, so it is orthogonal to the column
+space of the intercept-augmented X, and XD_i lies in that space. The
+cross terms c_zi and sum_zx therefore vanish up to rounding. What is
+left scales with the residual variance s^2 (z through |z|^2, the draws
+D_i through their covariance s^2 (X'X)^-1), and both terms of the
+objective are invariant to that scale, so the tuned nu depends on X and
+the seed, not on Y.
 """
 
 from __future__ import annotations
@@ -56,8 +60,6 @@ class NuCache:
     sum_zz: float
     sum_zx: np.ndarray
     sum_xx: np.ndarray
-    mean_z: float
-    mean_x: np.ndarray
     m: int
     constant_columns: np.ndarray
 
@@ -90,10 +92,8 @@ def build_cache(z, projected_offsets) -> NuCache:
         raise ValueError("need at least 2 offset columns")
     if np.ptp(z) == 0.0:
         raise DegenerateCorrelationError("z is constant; correlations undefined")
-    mean_z = float(z.mean())
-    mean_x = x.mean(axis=0)
-    zc = z - mean_z
-    xc = x - mean_x
+    zc = z - z.mean()
+    xc = x - x.mean(axis=0)
     c_zz = float(zc @ zc) / m
     c_zi = (zc @ xc) / m
     c_ij = (xc.T @ xc) / m
@@ -106,8 +106,6 @@ def build_cache(z, projected_offsets) -> NuCache:
         sum_zz=float(z @ z),
         sum_zx=z @ x,
         sum_xx=x.T @ x,
-        mean_z=mean_z,
-        mean_x=mean_x,
         m=m,
         constant_columns=constant,
     )

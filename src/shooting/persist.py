@@ -3,11 +3,21 @@
 Floats ride through json's shortest-repr round trip untouched, so a
 loaded model predicts bit-for-bit like the saved one. Writes go to a
 temp file in the target directory followed by an atomic rename.
+
+A document holds only what prediction reads. Loading checks it against
+the shape fit_tree builds: node arrays of one length, child indices after
+their parent's, each node but the root the child of exactly one node,
+feature indices below n_features, leaves with no children and no
+threshold, finite numbers, the stored depth, at least one tree, every
+tree as wide as the model and, for the ensemble, (p, k) offsets. So a
+loaded model never indexes outside its arrays or stops on an internal
+node; any document that fails a check raises PersistError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -15,96 +25,143 @@ import numpy as np
 
 from .baselines import GradientBoosting, RandomForest
 from .ensemble import ShootingEnsemble
-from .linear import LinearModel, OffsetSet
 from .tree import LEAF, RegressionTree
 
 FORMAT_NAME = "shooting-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class PersistError(ValueError):
     """Unrecognized or malformed model document."""
 
 
-def _tree_to_dict(tree: RegressionTree) -> dict:
-    thresholds = [
-        None if f == LEAF else t for f, t in zip(tree.feature, tree.threshold)
-    ]
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": thresholds,
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "value": tree.value.tolist(),
-        "depth": tree.depth,
-        "n_features": tree.n_features,
-    }
+def _int(value) -> int:
+    if type(value) is not int:
+        raise PersistError(f"expected an integer, got {value!r}")
+    return value
 
 
-def _tree_from_dict(d: dict) -> RegressionTree:
-    thresholds = np.array(
-        [np.nan if t is None else t for t in d["threshold"]], dtype=float
-    )
-    return RegressionTree(
-        feature=np.array(d["feature"], dtype=np.int64),
-        threshold=thresholds,
-        left=np.array(d["left"], dtype=np.int64),
-        right=np.array(d["right"], dtype=np.int64),
-        value=np.array(d["value"], dtype=float),
-        depth=int(d["depth"]),
-        n_features=int(d["n_features"]),
-    )
+def _ints(values) -> np.ndarray:
+    arr = np.array(values)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind != "i"):
+        raise PersistError("expected a list of integers")
+    return arr.astype(np.int64)
 
 
-def _linear_to_dict(model: LinearModel) -> dict:
-    return {
-        "coefficients": model.coefficients.tolist(),
-        "residual_variance": model.residual_variance,
-        "covariance": model.covariance.tolist(),
-        "covariance_factor": model.covariance_factor.tolist(),
-        "jitter": model.jitter,
-    }
+def _number(value) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise PersistError(f"expected a finite number, got {value!r}")
+    return float(value)
 
 
-def _linear_from_dict(d: dict) -> LinearModel:
-    return LinearModel(
-        coefficients=np.array(d["coefficients"], dtype=float),
-        residual_variance=float(d["residual_variance"]),
-        covariance=np.array(d["covariance"], dtype=float),
-        covariance_factor=np.array(d["covariance_factor"], dtype=float),
-        jitter=float(d["jitter"]),
-    )
+def _finite(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise PersistError("expected finite numbers")
+    return arr
+
+
+def _trees(docs) -> tuple:
+    return tuple(_decode(RegressionTree, _TREE, doc) for doc in docs)
+
+
+# class field -> decoder; np.array(..., dtype=float) reads null as nan
+_TREE = {
+    "feature": _ints,
+    "threshold": lambda values: np.array(values, dtype=float),
+    "left": _ints,
+    "right": _ints,
+    "value": _finite,
+    "depth": _int,
+    "n_features": _int,
+}
+# kind -> (class, field decoders); "trees" is common to all kinds
+_KINDS = {
+    "shooting": (
+        ShootingEnsemble,
+        {"coefficients": _finite, "offsets": _finite, "nu": _number, "trees": _trees},
+    ),
+    "rf": (RandomForest, {"n_features": _int, "trees": _trees}),
+    "gbm": (
+        GradientBoosting,
+        {"base_value": _number, "learning_rate": _number, "n_features": _int, "trees": _trees},
+    ),
+}
+
+
+def _encode(obj, fields) -> dict:
+    doc = {}
+    for name in fields:
+        value = getattr(obj, name)
+        if isinstance(value, tuple):
+            value = [_encode(tree, _TREE) for tree in value]
+        elif isinstance(value, np.ndarray):
+            # JSON has no nan: a leaf's nan threshold is written as null
+            value = np.where(np.isnan(value), None, value).tolist()
+        doc[name] = value
+    return doc
+
+
+def _decode(cls, fields, doc):
+    if set(doc) != set(fields):
+        raise PersistError(f"expected the fields {sorted(fields)}, got {sorted(doc)}")
+    return cls(**{name: decode(doc[name]) for name, decode in fields.items()})
+
+
+def _check_tree(tree: RegressionTree, n_features: int) -> None:
+    n = tree.feature.size
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    if n == 0 or any(np.shape(a) != (n,) for a in arrays):
+        raise PersistError("node arrays must be non-empty and of equal length")
+    if tree.n_features != n_features:
+        raise PersistError(
+            f"tree has {tree.n_features} features, the model {n_features}"
+        )
+    leaf = tree.feature == LEAF
+    if not (
+        np.all(tree.left[leaf] == LEAF)
+        and np.all(tree.right[leaf] == LEAF)
+        and np.all(np.isnan(tree.threshold[leaf]))
+    ):
+        raise PersistError("a leaf has a child or a threshold")
+    node = np.nonzero(~leaf)[0]
+    feature, left, right = tree.feature[node], tree.left[node], tree.right[node]
+    if not np.all((0 <= feature) & (feature < n_features)):
+        raise PersistError("feature index out of range")
+    if not np.all((node < left) & (left < n) & (node < right) & (right < n)):
+        raise PersistError("child index not after its parent or out of range")
+    if np.any(np.bincount(np.concatenate([left, right]), minlength=n)[1:] != 1):
+        raise PersistError("every node but the root needs exactly one parent")
+    if np.any(np.isnan(tree.threshold[node])):
+        raise PersistError("internal node without a threshold")
+    depth, level = -1, np.zeros(1, dtype=np.int64)
+    while level.size:
+        depth += 1
+        level = np.concatenate([tree.left[level], tree.right[level]])
+        level = level[level != LEAF]
+    if depth != tree.depth:
+        raise PersistError(f"stored depth {tree.depth} is not the tree's {depth}")
+
+
+def _check_model(model) -> None:
+    if not model.trees:
+        raise PersistError("model has no trees")
+    if isinstance(model, ShootingEnsemble):
+        if np.ndim(model.coefficients) != 1:
+            raise PersistError("coefficients must be a vector")
+        p = model.coefficients.size
+        if np.shape(model.offsets) != (p, model.k):
+            raise PersistError(f"offsets must have shape ({p}, {model.k})")
+    for tree in model.trees:
+        _check_tree(tree, model.n_features)
 
 
 def model_to_dict(model) -> dict:
-    if isinstance(model, ShootingEnsemble):
-        kind = "shooting"
-        body = {
-            "linear": _linear_to_dict(model.linear),
-            "offsets": {
-                "offsets": model.offsets.offsets.tolist(),
-                "projected": model.offsets.projected.tolist(),
-            },
-            "nu": model.nu,
-            "trees": [_tree_to_dict(t) for t in model.trees],
-        }
-    elif isinstance(model, RandomForest):
-        kind = "rf"
-        body = {
-            "trees": [_tree_to_dict(t) for t in model.trees],
-            "n_features": model.n_features,
-        }
-    elif isinstance(model, GradientBoosting):
-        kind = "gbm"
-        body = {
-            "base_value": model.base_value,
-            "learning_rate": model.learning_rate,
-            "trees": [_tree_to_dict(t) for t in model.trees],
-            "n_features": model.n_features,
-        }
-    else:
-        raise PersistError(f"cannot serialize {type(model).__name__}")
-    return {"format": FORMAT_NAME, "format_version": FORMAT_VERSION, "kind": kind, "model": body}
+    for kind, (cls, fields) in _KINDS.items():
+        if isinstance(model, cls):
+            body = _encode(model, fields)
+            return {"format": FORMAT_NAME, "format_version": FORMAT_VERSION, "kind": kind, "model": body}
+    raise PersistError(f"cannot serialize {type(model).__name__}")
 
 
 def model_from_dict(doc: dict):
@@ -116,33 +173,14 @@ def model_from_dict(doc: dict):
     body = doc.get("model")
     if not isinstance(body, dict):
         raise PersistError("missing model body")
+    if kind not in _KINDS:
+        raise PersistError(f"unknown model kind {kind!r}")
     try:
-        if kind == "shooting":
-            return ShootingEnsemble(
-                linear=_linear_from_dict(body["linear"]),
-                offsets=OffsetSet(
-                    offsets=np.array(body["offsets"]["offsets"], dtype=float),
-                    projected=np.array(body["offsets"]["projected"], dtype=float),
-                ),
-                nu=float(body["nu"]),
-                trees=tuple(_tree_from_dict(t) for t in body["trees"]),
-                nu_diagnostics=None,
-            )
-        if kind == "rf":
-            return RandomForest(
-                trees=tuple(_tree_from_dict(t) for t in body["trees"]),
-                n_features=int(body["n_features"]),
-            )
-        if kind == "gbm":
-            return GradientBoosting(
-                base_value=float(body["base_value"]),
-                learning_rate=float(body["learning_rate"]),
-                trees=tuple(_tree_from_dict(t) for t in body["trees"]),
-                n_features=int(body["n_features"]),
-            )
-    except (KeyError, TypeError) as exc:
+        model = _decode(*_KINDS[kind], body)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PersistError(f"malformed {kind} document: {exc}") from exc
-    raise PersistError(f"unknown model kind {kind!r}")
+    _check_model(model)
+    return model
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -25,6 +25,7 @@ totals and leaf means are sums of y over the node's rows in row order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,16 +228,37 @@ def fit_tree(features, targets, params: TreeParams = TreeParams()) -> Regression
     )
 
 
-def predict_tree(tree: RegressionTree, features) -> np.ndarray:
-    """Route each row to its leaf (<= goes left) and return leaf means."""
+def _matrix(features, n_features: int) -> np.ndarray:
     x = np.asarray(features, dtype=float)
     if x.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
-    if x.shape[1] != tree.n_features:
+    if x.shape[1] != n_features:
         raise ValueError(
             f"feature count {x.shape[1]} does not match training dimension "
-            f"{tree.n_features}"
+            f"{n_features}"
         )
+    return x
+
+
+def check_features(features, n_features: int) -> np.ndarray:
+    """The features as a float matrix; ValueError unless 2-D, n_features
+    columns wide and finite. A model's predict calls this once: a NaN or
+    inf would otherwise route right at every node, silently."""
+    x = _matrix(features, n_features)
+    if not np.isfinite(x).all():
+        raise ValueError("features must be finite")
+    return x
+
+
+def row_means(columns: np.ndarray) -> np.ndarray:
+    """Mean of each row, accumulated exactly so column order cannot matter."""
+    k = columns.shape[1]
+    return np.array([math.fsum(row) for row in columns]) / k
+
+
+def predict_tree(tree: RegressionTree, features) -> np.ndarray:
+    """Route each row to its leaf (<= goes left) and return leaf means."""
+    x = _matrix(features, tree.n_features)
     node = np.zeros(x.shape[0], dtype=np.int64)
     for _ in range(tree.depth + 1):
         internal = tree.feature[node] != LEAF

@@ -128,7 +128,8 @@ def test_criterion_03_oracle_redundancy():
         nu = float(rng.choice([0.0, 0.5, 5.0]))
         k = int(rng.choice([1, 3, 10]))
         offsets = sample_offsets(linear, d.features, k, case)
-        per, agg = oracle_predict(linear, offsets, nu, d)
+        base = (augment(d.features) @ linear.coefficients)[:, None]
+        per, agg = oracle_predict(base + nu * offsets.projected, d.target)
         worst = max(worst, float(np.abs(per - d.target[:, None]).max()))
         worst = max(worst, float(np.abs(agg - d.target).max()))
     elapsed = time.perf_counter() - start

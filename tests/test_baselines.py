@@ -11,12 +11,15 @@ from shooting import (
     Dataset,
     GBMConfig,
     RFConfig,
+    SRConfig,
     TreeParams,
     fit_gbm,
     fit_rf,
+    fit_shooting,
     fit_tree,
     make_synthetic,
     mse,
+    predict,
     predict_gbm,
     predict_rf,
     predict_tree,
@@ -153,3 +156,24 @@ def test_constant_target_collapses_both_models():
     q = np.zeros((5, 2))
     assert np.array_equal(predict_rf(forest, q), np.full(5, 3.0))
     assert np.array_equal(predict_gbm(gbm, q), np.full(5, 3.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_every_predict_rejects_nonfinite_features(bad):
+    # a NaN or inf feature routes right at every split, so without the
+    # check the forest and boosting return finite numbers that mean nothing
+    d = small_data(seed=8)
+    models = [
+        (predict, fit_shooting(d, SRConfig(k=3, seed=8))),
+        (predict_rf, fit_rf(d, RFConfig(n_trees=3, seed=8))),
+        (predict_gbm, fit_gbm(d, GBMConfig(n_stages=3, seed=8))),
+    ]
+    x = make_synthetic(6, 3, 1.0, 9).features
+    x[4, 1] = bad
+    for predict_fn, model in models:
+        with pytest.raises(ValueError, match="finite"):
+            predict_fn(model, x)
+        with pytest.raises(ValueError, match="feature count"):
+            predict_fn(model, x[:, :2])
+        with pytest.raises(ValueError, match="2-D"):
+            predict_fn(model, x[0])

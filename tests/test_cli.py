@@ -215,9 +215,69 @@ def test_invalid_val_fraction(tmp_path, capsys):
 
 
 def test_invalid_nu_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["benchmark", "--data", "x", "--nu", "-2"])
-    assert exc.value.code == 2  # argparse's own usage failure
+    code = run(["benchmark", "--data", "x", "--nu", "-2"])
+    assert code == EXIT_CONFIG == 2  # the range check flags and config share
+    assert "nu" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ option table
+
+# one out-of-bound value per bounded key
+OUT_OF_BOUND = {
+    "seed": 2**64,
+    "k": 0,
+    "trials": 0,
+    "val-fraction": 1.0,
+    "points": 1,
+    "synth-m": 3,
+    "synth-n": 0,
+    "synth-noise": -0.5,
+    "nu": -1.0,
+    "magnitude-weight": -1.0,
+}
+
+
+def resolve(argv):
+    return cli.resolve_options(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("command", sorted(cli.OPTIONS))
+def test_every_option_is_a_flag_and_a_config_key(tmp_path, command):
+    table = cli.OPTIONS[command]
+    defaults = {key: default for key, (_, default, _, _) in table.items()}
+    cfg = tmp_path / "defaults.json"
+    cfg.write_text(json.dumps(defaults))
+    assert resolve([command, "--config", str(cfg)]) == defaults
+
+    argv, want = [command], {}
+    for key, (kind, default, _, _) in table.items():
+        if kind == "bool":
+            argv.append(f"--{key}")
+            want[key] = True
+        else:
+            want[key] = "d.data" if default is None else default
+            argv += [f"--{key}", str(want[key])]
+    assert resolve(argv) == want
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(c, k) for c, t in sorted(cli.OPTIONS.items()) for k, opt in t.items() if opt[2]],
+)
+def test_flag_and_config_share_the_bound(tmp_path, capsys, command, key):
+    value = OUT_OF_BOUND[key]
+    assert run([command, f"--{key}", str(value)]) == EXIT_CONFIG == 2
+    flag_err = capsys.readouterr().err
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert run([command, "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == flag_err
+    assert f"{key} must lie in" in flag_err
+
+
+def test_every_bound_has_an_out_of_bound_case():
+    bounded = {k for t in cli.OPTIONS.values() for k, opt in t.items() if opt[2]}
+    assert bounded == set(OUT_OF_BOUND)
 
 
 # ------------------------------------------------------------- config file
@@ -258,6 +318,14 @@ def test_config_wrong_type(tmp_path, capsys):
     code = run(["benchmark", "--config", str(cfg)])
     assert code == EXIT_CONFIG
     assert "must be an integer" in capsys.readouterr().err
+
+
+def test_config_number_too_large_for_a_float(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"synth-noise": 1' + "0" * 400 + "}")
+    code = run(["pca-diag", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert "'synth-noise' is too large" in capsys.readouterr().err
 
 
 def test_config_missing_file(tmp_path, capsys):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shooting import (
     GBMConfig,
@@ -69,7 +72,7 @@ def test_document_shape_and_leaf_thresholds(train):
     model = fit_rf(train, RFConfig(n_trees=2, seed=3))
     doc = model_to_dict(model)
     assert doc["format"] == "shooting-model"
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
     assert doc["kind"] == "rf"
     tree = doc["model"]["trees"][0]
     for f, t in zip(tree["feature"], tree["threshold"]):
@@ -142,3 +145,107 @@ def test_save_overwrites_previous_model(tmp_path, train, query):
     loaded = load_model(str(path))
     assert len(loaded.trees) == 3
     assert np.array_equal(predict_rf(loaded, query), predict_rf(b, query))
+
+
+@pytest.fixture(scope="module")
+def saved(train, query):
+    """kind -> (document, predict function, predictions of the fitted model)."""
+    models = {
+        "shooting": (fit_shooting(train, SRConfig(k=3, seed=5)), predict),
+        "rf": (fit_rf(train, RFConfig(n_trees=3, seed=5)), predict_rf),
+        "gbm": (fit_gbm(train, GBMConfig(n_stages=3, seed=5)), predict_gbm),
+    }
+    return {
+        kind: (model_to_dict(model), fn, fn(model, query))
+        for kind, (model, fn) in models.items()
+    }
+
+
+# values no field accepts: wrong type, wrong shape, not finite or too large
+WRONG = ["x", {}, None, [], [[1.0]], True, float("nan"), 10**400]
+# values no node entry accepts; numpy reads a JSON true in an array as 1
+WRONG_ENTRY = ["x", {}, None, [], [1.0], float("nan"), 10**400]
+
+
+def mutate(doc: dict, data) -> None:
+    """One corruption that no document written by save_model contains.
+
+    Changes that keep a document well formed, such as another in-range
+    feature, another internal threshold or another leaf value, change the
+    predictions legitimately and are not drawn; an internal node's value,
+    which prediction never reads, is.
+    """
+    body = doc["model"]
+    tree = data.draw(st.sampled_from(body["trees"]))
+    n = len(tree["feature"])
+    j = data.draw(st.integers(0, n - 1))
+    leaf = tree["feature"][j] == -1
+    what = data.draw(
+        st.sampled_from(
+            ["child", "feature", "threshold", "value", "depth", "tree width",
+             "model width", "short array", "drop last node", "drop key",
+             "wrong value", "no trees", "kind"]
+        )
+    )
+    if what == "child":
+        side = data.draw(st.sampled_from(["left", "right"]))
+        tree[side][j] = data.draw(st.integers(-3, n + 3))
+    elif what == "feature":
+        width = tree["n_features"]
+        tree["feature"][j] = data.draw(
+            st.integers(-4, -1) | st.integers(width, width + 3)
+        )
+    elif what == "threshold":
+        tree["threshold"][j] = data.draw(
+            st.floats(-10, 10) if leaf else st.sampled_from(WRONG_ENTRY)
+        )
+    elif what == "value":
+        tree["value"][j] = data.draw(
+            st.sampled_from(WRONG_ENTRY) if leaf else st.floats(-1e6, 1e6)
+        )
+    elif what == "depth":
+        tree["depth"] = data.draw(st.integers(-2, tree["depth"] + 3))
+    elif what == "tree width":
+        tree["n_features"] = data.draw(st.integers(-1, 6))
+    elif what == "model width":
+        if "coefficients" in body:
+            body["coefficients"].pop(data.draw(st.integers(0, 3)))
+        else:
+            body["n_features"] = data.draw(st.integers(-1, 6))
+    elif what == "short array":
+        field = data.draw(st.sampled_from(["feature", "threshold", "left", "right", "value"]))
+        del tree[field][j]
+    elif what == "drop last node":
+        for field in ["feature", "threshold", "left", "right", "value"]:
+            tree[field].pop()
+    elif what == "drop key":
+        target = data.draw(st.sampled_from([body, tree]))
+        del target[data.draw(st.sampled_from(sorted(target)))]
+    elif what == "wrong value":
+        target = data.draw(st.sampled_from([body, tree]))
+        target[data.draw(st.sampled_from(sorted(target)))] = data.draw(st.sampled_from(WRONG))
+    elif what == "no trees":
+        body["trees"] = []
+    else:
+        doc["kind"] = data.draw(st.sampled_from(["shooting", "rf", "gbm"]))
+
+
+@given(kind=st.sampled_from(["shooting", "rf", "gbm"]), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_mutated_documents_fail_or_predict_identically(saved, query, kind, data):
+    doc, predict_fn, expected = saved[kind]
+    doc = copy.deepcopy(doc)
+    mutate(doc, data)
+    try:
+        loaded = model_from_dict(doc)
+    except PersistError:
+        return
+    assert np.array_equal(predict_fn(loaded, query), expected)
+
+
+def test_offsets_shape_checked(train):
+    doc = model_to_dict(fit_shooting(train, SRConfig(k=3, seed=5)))
+    for row in doc["model"]["offsets"]:
+        row.pop()
+    with pytest.raises(PersistError, match="offsets must have shape"):
+        model_from_dict(doc)
