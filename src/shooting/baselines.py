@@ -2,27 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .rng import BOOTSTRAP_STREAM, TREE_STREAM, derive_seed, make_rng
-from .tree import (
-    RegressionTree,
-    TreeParams,
-    check_features,
-    fit_tree,
-    predict_tree,
-    row_means,
-)
+from .rng import BOOTSTRAP_STREAM, make_rng
+from .tree import RegressionTree, check_features, fit_tree, predict_tree, row_means
 
 
 @dataclass(frozen=True)
 class RFConfig:
+    """n_trees fully grown trees, each on its own bootstrap resample."""
+
     n_trees: int = 100
-    bootstrap: bool = True
-    tree_params: TreeParams = TreeParams()
     seed: int = 0
 
     def __post_init__(self):
@@ -32,9 +25,14 @@ class RFConfig:
 
 @dataclass(frozen=True)
 class GBMConfig:
+    """n_stages trees of depth at most max_depth (None: unlimited).
+
+    Boosting draws no random numbers, so seed is accepted and never read.
+    """
+
     n_stages: int = 100
     learning_rate: float = 0.1
-    tree_params: TreeParams = TreeParams(max_depth=3)
+    max_depth: int | None = 3
     seed: int = 0
 
     def __post_init__(self):
@@ -65,15 +63,8 @@ def fit_rf(train: Dataset, config: RFConfig = RFConfig()) -> RandomForest:
     m = train.n_rows
     trees = []
     for i in range(config.n_trees):
-        if config.bootstrap:
-            idx = make_rng(config.seed, BOOTSTRAP_STREAM, i).integers(0, m, size=m)
-            xt, yt = x[idx], y[idx]
-        else:
-            xt, yt = x, y
-        params = replace(
-            config.tree_params, rng_seed=derive_seed(config.seed, TREE_STREAM, i)
-        )
-        trees.append(fit_tree(xt, yt, params))
+        idx = make_rng(config.seed, BOOTSTRAP_STREAM, i).integers(0, m, size=m)
+        trees.append(fit_tree(x[idx], y[idx]))
     return RandomForest(tuple(trees), train.n_features)
 
 
@@ -90,11 +81,8 @@ def fit_gbm(train: Dataset, config: GBMConfig = GBMConfig()) -> GradientBoosting
     base = float(y.mean())
     current = np.full(train.n_rows, base)
     trees = []
-    for i in range(config.n_stages):
-        params = replace(
-            config.tree_params, rng_seed=derive_seed(config.seed, TREE_STREAM, i)
-        )
-        tree = fit_tree(x, y - current, params)
+    for _ in range(config.n_stages):
+        tree = fit_tree(x, y - current, config.max_depth)
         trees.append(tree)
         current = current + config.learning_rate * predict_tree(tree, x)
     return GradientBoosting(base, config.learning_rate, tuple(trees), train.n_features)

@@ -11,34 +11,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .linear import LinearModel, OffsetSet, augment, fit_ols, sample_offsets
 from .nuopt import (
-    DEFAULT_GRID_POINTS,
-    DEFAULT_NU_HI,
-    DEFAULT_NU_LO,
-    DEFAULT_NU_TOL,
     DegenerateCorrelationError,
     NuResult,
     balanced_magnitude_weight,
     build_cache,
     minimize_nu,
 )
-from .rng import TREE_STREAM, derive_seed
-from .tree import (
-    RegressionTree,
-    TreeParams,
-    check_features,
-    fit_tree,
-    predict_tree,
-    row_means,
-)
-
-DEFAULT_NU_SEARCH = (DEFAULT_NU_LO, DEFAULT_NU_HI, DEFAULT_GRID_POINTS, DEFAULT_NU_TOL)
+from .tree import RegressionTree, check_features, fit_tree, predict_tree, row_means
 
 # nu used when the correlation objective is degenerate (perfect linear fit)
 FALLBACK_NU = 1.0
@@ -46,7 +32,8 @@ FALLBACK_NU = 1.0
 
 @dataclass(frozen=True)
 class SRConfig:
-    """Ensemble settings. nu None means tune it; a float fixes it.
+    """Ensemble settings: k fully grown trees. nu None means tune it over
+    nuopt's default search; a float fixes it.
 
     magnitude_weight None applies the balanced weight (magnitude term
     rescaled to the correlation term's nu=0 value); 1.0 gives the raw
@@ -55,9 +42,7 @@ class SRConfig:
 
     k: int = 100
     nu: float | None = None
-    tree_params: TreeParams = TreeParams()
     seed: int = 0
-    nu_search: tuple[float, float, int, float] = DEFAULT_NU_SEARCH
     magnitude_weight: float | None = None
 
     def __post_init__(self):
@@ -127,8 +112,7 @@ def fit_shooting(train: Dataset, config: SRConfig = SRConfig()) -> ShootingEnsem
                 if config.magnitude_weight is None
                 else config.magnitude_weight
             )
-            lo, hi, grid_points, tol = config.nu_search
-            diagnostics = minimize_nu(cache, lo, hi, grid_points, tol, weight)
+            diagnostics = minimize_nu(cache, magnitude_weight=weight)
             nu = diagnostics.nu
         except DegenerateCorrelationError as exc:
             warnings.warn(
@@ -137,14 +121,7 @@ def fit_shooting(train: Dataset, config: SRConfig = SRConfig()) -> ShootingEnsem
             )
             nu = FALLBACK_NU
     targets = gradient_targets(linear, offsets, nu, train)
-    trees = tuple(
-        fit_tree(
-            train.features,
-            targets[:, i],
-            replace(config.tree_params, rng_seed=derive_seed(config.seed, TREE_STREAM, i)),
-        )
-        for i in range(config.k)
-    )
+    trees = tuple(fit_tree(train.features, targets[:, i]) for i in range(config.k))
     return ShootingEnsemble(linear.coefficients, offsets.offsets, nu, trees, diagnostics)
 
 
@@ -248,13 +225,3 @@ def project_trajectories(initial, terminal, target) -> PCADiagnostics:
         target_coord=float(target @ axis),
     )
 
-
-def pca_project_diagnostics(ensemble: ShootingEnsemble, d: Dataset) -> PCADiagnostics:
-    """Project initial vectors, terminal vectors, and Y onto their first PC."""
-    if d.n_rows < 2:
-        raise ValueError("need at least 2 rows for a principal axis")
-    return project_trajectories(
-        initial_vectors(ensemble, d.features),
-        predict_per_estimator(ensemble, d.features),
-        d.target,
-    )

@@ -8,10 +8,10 @@ A document holds only what prediction reads. Loading checks it against
 the shape fit_tree builds: node arrays of one length, child indices after
 their parent's, each node but the root the child of exactly one node,
 feature indices below n_features, leaves with no children and no
-threshold, finite numbers, the stored depth, at least one tree, every
-tree as wide as the model and, for the ensemble, (p, k) offsets. So a
-loaded model never indexes outside its arrays or stops on an internal
-node; any document that fails a check raises PersistError.
+threshold, finite numbers and no booleans, the stored depth, at least one
+tree, every tree as wide as the model and, for the ensemble, (p, k)
+offsets. So a loaded model never indexes outside its arrays or stops on
+an internal node; any document that fails a check raises PersistError.
 """
 
 from __future__ import annotations
@@ -41,8 +41,20 @@ def _int(value) -> int:
     return value
 
 
+def _numbers(values):
+    """values, unless a JSON true or false sits in them (also in nested
+    lists): numpy would read it as 1 or 0 and the model would load."""
+    types = set(map(type, values)) if isinstance(values, list) else set()
+    if bool in types:
+        raise PersistError("expected numbers, got a boolean")
+    if list in types:
+        for row in values:
+            _numbers(row)
+    return values
+
+
 def _ints(values) -> np.ndarray:
-    arr = np.array(values)
+    arr = np.array(_numbers(values))
     if arr.ndim != 1 or (arr.size and arr.dtype.kind != "i"):
         raise PersistError("expected a list of integers")
     return arr.astype(np.int64)
@@ -55,7 +67,7 @@ def _number(value) -> float:
 
 
 def _finite(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    arr = np.array(_numbers(values), dtype=float)
     if not np.all(np.isfinite(arr)):
         raise PersistError("expected finite numbers")
     return arr
@@ -68,7 +80,7 @@ def _trees(docs) -> tuple:
 # class field -> decoder; np.array(..., dtype=float) reads null as nan
 _TREE = {
     "feature": _ints,
-    "threshold": lambda values: np.array(values, dtype=float),
+    "threshold": lambda values: np.array(_numbers(values), dtype=float),
     "left": _ints,
     "right": _ints,
     "value": _finite,

@@ -12,10 +12,11 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 # Stream tags keep generators derived from the same user seed from colliding.
+# Tag 4 is retired (trees draw nothing); the others keep their numbers so
+# every stream's draws are unchanged.
 SPLIT_STREAM = 1
 SYNTH_STREAM = 2
 OFFSET_STREAM = 3
-TREE_STREAM = 4
 BOOTSTRAP_STREAM = 5
 TRIAL_STREAM = 6
 

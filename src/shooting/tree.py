@@ -5,14 +5,20 @@ appends in preorder, prediction descends all rows at once level by level.
 Split ties resolve to the lowest feature index, then the lowest threshold,
 so refitting on identical data reproduces the identical structure.
 
+Every feature is searched at every node, and max_depth is the only growth
+limit: a node splits unless it holds one row, sits at max_depth, has
+exactly constant targets, or no feature has two distinct values to cut
+between. Any cut between distinct values is feasible, so a leaf may hold
+a single row. Fitting draws no random numbers.
+
 Growth sorts each feature once per tree, not once per node. The root holds
 an (n_features, m) matrix of row ids, row f in stable value order of
 feature f. A split keeps the first n_left entries of the chosen feature's
 row and filters every row of the matrix by that row set, so each child
 inherits its rows already in value order and every feature row has the
-same length. The split search then runs over all candidate features at
-once: row-wise prefix sums of y and y^2, the SSE of each cut, infeasible
-cuts set to inf, and one flat argmin, whose first-minimum rule is the tie
+same length. The split search then runs over all features at once:
+row-wise prefix sums of y and y^2, the SSE of each cut, infeasible cuts
+set to inf, and one flat argmin, whose first-minimum rule is the tie
 break above.
 
 The trees are those of a per-node stable argsort, bit for bit. A node's
@@ -31,27 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 LEAF = -1
-
-
-@dataclass(frozen=True)
-class TreeParams:
-    """Growth limits. max_depth None and feature_subsample None mean unlimited/all."""
-
-    max_depth: int | None = None
-    min_samples_leaf: int = 1
-    min_samples_split: int = 2
-    feature_subsample: int | None = None
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be None or >= 0")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if self.feature_subsample is not None and self.feature_subsample < 1:
-            raise ValueError("feature_subsample must be None or >= 1")
 
 
 @dataclass(frozen=True)
@@ -80,43 +65,44 @@ class RegressionTree:
 
 
 def _best_split(
-    xs: np.ndarray, ys: np.ndarray, total1: float, total2: float, min_leaf: int
+    xs: np.ndarray, ys: np.ndarray, total1: float, total2: float
 ) -> tuple[int, int] | None:
-    """Lowest total child SSE over every candidate feature and cut at once.
+    """Lowest total child SSE over every feature and cut at once.
 
-    Row r of xs/ys holds one candidate feature's node values and targets in
-    value order. Position p cuts left = [0..p], right = [p+1..]; it is
-    feasible between distinct values with min_leaf rows on each side. SSE
-    per side comes from row-wise prefix sums of y and y^2. Returns (r, p)
-    of the first minimum in row-major order, so the lowest feature and
-    then the lowest threshold win ties, or None when nothing is feasible.
+    Row f of xs/ys holds feature f's node values and targets in value
+    order. Position p cuts left = [0..p], right = [p+1..]; it is feasible
+    between distinct values, p in [0, m-1). SSE per side comes from
+    row-wise prefix sums of y and y^2. Returns (f, p) of the first minimum
+    in row-major order, so the lowest feature and then the lowest
+    threshold win ties, or None when nothing is feasible.
     """
     n, m = ys.shape
-    lo, hi = min_leaf - 1, m - min_leaf  # feasible positions p in [lo, hi)
-    if n == 0 or lo >= hi:
+    if n == 0:
         return None
-    head = ys[:, :hi]
-    c1 = np.cumsum(head, axis=1)[:, lo:]
-    c2 = np.cumsum(head * head, axis=1)[:, lo:]
-    nl = np.arange(lo + 1, hi + 1, dtype=float)
+    head = ys[:, :-1]
+    c1 = np.cumsum(head, axis=1)
+    c2 = np.cumsum(head * head, axis=1)
+    nl = np.arange(1, m, dtype=float)
     nr = m - nl
     sse = (c2 - c1 * c1 / nl) + (total2 - c2 - (total1 - c1) ** 2 / nr)
-    distinct = xs[:, lo:hi] < xs[:, lo + 1 : hi + 1]
+    distinct = xs[:, :-1] < xs[:, 1:]
     # fit_tree's overflow guard keeps sse free of NaN, so argmin's first
-    # minimum is the tie-break: lowest feature row, then lowest position
+    # minimum is the tie-break: lowest feature, then lowest position
     k = int(np.argmin(np.where(distinct, sse, np.inf)))
     if not distinct.flat[k]:
         return None
-    r, p = divmod(k, hi - lo)
-    return r, lo + p
+    return divmod(k, m - 1)
 
 
-def fit_tree(features, targets, params: TreeParams = TreeParams()) -> RegressionTree:
+def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
     """Grow a tree top-down; every leaf predicts the mean of its rows.
 
-    Splitting stops at max_depth, below min_samples_split, at exactly
-    constant targets, or when min_samples_leaf leaves no feasible cut.
+    A node stays a leaf when it holds one row, sits at max_depth (None
+    means no limit), has exactly constant targets, or has no two distinct
+    values in any feature to cut between.
     """
+    if max_depth is not None and max_depth < 0:
+        raise ValueError("max_depth must be None or >= 0")
     x = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
     if x.ndim != 2:
@@ -132,11 +118,8 @@ def fit_tree(features, targets, params: TreeParams = TreeParams()) -> Regression
         if not np.isfinite(y.size * float(np.sum(y * y))):
             raise ValueError("targets too large: squared-error sums overflow")
     n = x.shape[1]
-    sub = params.feature_subsample
-    rng = None
-    if sub is not None and sub < n:
-        rng = np.random.default_rng(params.rng_seed)
     xt = np.ascontiguousarray(x.T)
+    feature_ids = np.arange(n)[:, None]
     goes_left = np.zeros(y.size, dtype=bool)
 
     feat: list[int] = []
@@ -164,33 +147,22 @@ def fit_tree(features, targets, params: TreeParams = TreeParams()) -> Regression
         node, idx, order, depth = stack.pop()
         max_depth_seen = max(max_depth_seen, depth)
         if idx.size == 1:
-            # min_samples_split >= 2 keeps it a leaf; the mean of one value is it
+            # nothing to split; the mean of one value is the value
             value[node] = float(y[idx[0]])
             continue
         ysub = y[idx]
         total1 = float(ysub.sum())
         value[node] = total1 / idx.size  # ysub.mean(), bit for bit
-        if params.max_depth is not None and depth >= params.max_depth:
-            continue
-        if idx.size < params.min_samples_split:
+        if max_depth is not None and depth >= max_depth:
             continue
         if ysub.min() == ysub.max():
             continue
-        if rng is not None:
-            candidates = np.sort(rng.choice(n, size=sub, replace=False))
-            sorted_rows = order[candidates]
-        else:
-            candidates = np.arange(n)
-            sorted_rows = order
-        xs = xt[candidates[:, None], sorted_rows]
-        split = _best_split(
-            xs, y[sorted_rows], total1, float((ysub * ysub).sum()),
-            params.min_samples_leaf,
-        )
+        xs = xt[feature_ids, order]
+        split = _best_split(xs, y[order], total1, float((ysub * ysub).sum()))
         if split is None:
             continue
-        r, p = split
-        below, above = float(xs[r, p]), float(xs[r, p + 1])
+        f, p = split
+        below, above = float(xs[f, p]), float(xs[f, p + 1])
         t = 0.5 * (below + above)
         if not below <= t < above:
             # the midpoint rounded up to above, or below + above overflowed
@@ -200,14 +172,14 @@ def fit_tree(features, targets, params: TreeParams = TreeParams()) -> Regression
         n_left = p + 1
         # the cut keeps the first n_left rows of the split feature's order;
         # filtering every feature's order by them keeps each in value order
-        goes_left[sorted_rows[r, :n_left]] = True
+        goes_left[order[f, :n_left]] = True
         in_left = goes_left[order]
         left_order = order[in_left].reshape(n, n_left)
         right_order = order[~in_left].reshape(n, idx.size - n_left)
         row_left = goes_left[idx]
         left_idx, right_idx = idx[row_left], idx[~row_left]
         goes_left[left_idx] = False
-        feat[node] = int(candidates[r])
+        feat[node] = f
         thr[node] = t
         left_child = new_node()
         right_child = new_node()

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from shooting import (
-    TreeParams,
     augment,
     build_cache,
     correlation_at,
@@ -254,7 +253,7 @@ def test_criterion_08_tree_root_oracle():
         x = np.round(rng.standard_normal((m, n)) * 2, 1)  # induce ties
         y = rng.standard_normal(m)
         best = brute_force_root_sse(x, y)
-        tree = fit_tree(x, y, TreeParams(max_depth=1))
+        tree = fit_tree(x, y, max_depth=1)
         if tree.feature[0] == -1:
             # greedy declined to split; legal only when no cut exists
             assert not np.isfinite(best)

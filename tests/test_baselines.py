@@ -10,9 +10,9 @@ import pytest
 from shooting import (
     Dataset,
     GBMConfig,
+    RandomForest,
     RFConfig,
     SRConfig,
-    TreeParams,
     fit_gbm,
     fit_rf,
     fit_shooting,
@@ -24,32 +24,34 @@ from shooting import (
     predict_rf,
     predict_tree,
 )
+from shooting.rng import BOOTSTRAP_STREAM, make_rng
 
 
 def small_data(seed=0, m=40, n=3):
     return make_synthetic(m, n, 1.0, seed)
 
 
-def test_single_tree_no_bootstrap_equals_plain_tree():
+def test_rf_tree_is_plain_tree_on_its_bootstrap_rows():
+    # tree i is a fully grown tree on the rows of bootstrap stream i and
+    # nothing else: structures must agree node for node
     d = small_data()
-    forest = fit_rf(d, RFConfig(n_trees=1, bootstrap=False))
-    plain = fit_tree(d.features, d.target, TreeParams())
-    # the forest's tree gets a derived seed, but with all features in play
-    # the seed never matters; structures must agree node for node
-    assert np.array_equal(forest.trees[0].feature, plain.feature)
-    assert np.array_equal(forest.trees[0].threshold, plain.threshold, equal_nan=True)
-    q = make_synthetic(15, 3, 1.0, 5).features
-    assert np.array_equal(predict_rf(forest, q), predict_tree(plain, q))
+    forest = fit_rf(d, RFConfig(n_trees=3, seed=4))
+    for i, tree in enumerate(forest.trees):
+        rows = make_rng(4, BOOTSTRAP_STREAM, i).integers(0, d.n_rows, size=d.n_rows)
+        plain = fit_tree(d.features[rows], d.target[rows])
+        assert np.array_equal(tree.feature, plain.feature)
+        assert np.array_equal(tree.threshold, plain.threshold, equal_nan=True)
+        assert np.array_equal(tree.value, plain.value)
 
 
 def test_identical_trees_average_exactly():
-    # without bootstrap every tree is the same; a power-of-two count makes
-    # (k*v)/k exact, so the forest must match one tree bit for bit
+    # a power-of-two count of one tree makes (k*v)/k exact, so the forest
+    # must match the tree bit for bit
     d = small_data(seed=2)
-    forest = fit_rf(d, RFConfig(n_trees=8, bootstrap=False))
+    tree = fit_tree(d.features, d.target)
+    forest = RandomForest((tree,) * 8, d.n_features)
     q = make_synthetic(25, 3, 1.0, 7).features
-    single = predict_tree(forest.trees[0], q)
-    assert np.array_equal(predict_rf(forest, q), single)
+    assert np.array_equal(predict_rf(forest, q), predict_tree(tree, q))
 
 
 def test_rf_deterministic_and_trees_differ():
@@ -96,9 +98,7 @@ def test_gbm_full_rate_single_deep_stage_is_exact():
     # learning rate 1 with one unlimited tree: mean start plus a tree on
     # the residuals reproduces every training target
     d = small_data(seed=6)
-    model = fit_gbm(
-        d, GBMConfig(n_stages=1, learning_rate=1.0, tree_params=TreeParams())
-    )
+    model = fit_gbm(d, GBMConfig(n_stages=1, learning_rate=1.0, max_depth=None))
     assert model.base_value == pytest.approx(float(d.target.mean()), rel=1e-12)
     pred = predict_gbm(model, d.features)
     assert np.abs(pred - d.target).max() <= 1e-9
@@ -128,6 +128,18 @@ def test_gbm_deterministic():
     b = fit_gbm(d, GBMConfig(n_stages=12, seed=3))
     q = make_synthetic(20, 3, 1.0, 31).features
     assert np.array_equal(predict_gbm(a, q), predict_gbm(b, q))
+
+
+def test_gbm_trees_ignore_the_seed():
+    # boosting draws nothing, so the seed cannot reach a tree
+    d = small_data(seed=9)
+    a = fit_gbm(d, GBMConfig(n_stages=12, seed=0))
+    b = fit_gbm(d, GBMConfig(n_stages=12, seed=1))
+    assert a.base_value == b.base_value
+    for s, t in zip(a.trees, b.trees, strict=True):
+        assert np.array_equal(s.feature, t.feature)
+        assert np.array_equal(s.threshold, t.threshold, equal_nan=True)
+        assert np.array_equal(s.value, t.value)
 
 
 def test_gbm_prediction_composes_stages_in_order():

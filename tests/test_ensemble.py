@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 from shooting import (
     Dataset,
     SRConfig,
-    TreeParams,
     augment,
+    ensemble,
     fit_ols,
     fit_shooting,
+    fit_tree,
     gradient_targets,
     initial_vectors,
     make_synthetic,
     oracle_predict,
-    pca_project_diagnostics,
     predict,
     predict_per_estimator,
     project_trajectories,
@@ -120,11 +120,13 @@ def test_tuned_nu_ignores_the_target(mpg, split_seed, y_seed, log_scale, shift):
     # depends on X and the seed only. The search takes the same branches
     # for any Y, so nu is asserted bit-equal; no near-tie has turned up.
     train, _ = split(mpg, 0.5, split_seed)
-    # one-leaf trees: only the tuning is under test, and it precedes them
-    config = SRConfig(seed=split_seed, tree_params=TreeParams(max_depth=0))
+    config = SRConfig(seed=split_seed)
     y = 10.0**log_scale * np.random.default_rng(y_seed).standard_normal(train.n_rows)
     noise = Dataset(train.features, y + shift, train.feature_names)
-    assert fit_shooting(noise, config).nu == fit_shooting(train, config).nu
+    with pytest.MonkeyPatch.context() as patch:
+        # one-leaf trees: only the tuning is under test, and it precedes them
+        patch.setattr(ensemble, "fit_tree", lambda x, y: fit_tree(x, y, max_depth=0))
+        assert fit_shooting(noise, config).nu == fit_shooting(train, config).nu
 
 
 def test_fixed_nu_skips_tuning():
@@ -257,7 +259,11 @@ def test_fitted_ensemble_terminal_coords_near_target():
     # vector sits on Y and shares Y's projected coordinate
     d = make_synthetic(50, 2, 1.0, seed=19)
     model = fit_shooting(d, SRConfig(k=5, seed=19))
-    diag = pca_project_diagnostics(model, d)
+    diag = project_trajectories(
+        initial_vectors(model, d.features),
+        predict_per_estimator(model, d.features),
+        d.target,
+    )
     assert diag.initial_coords.shape == (5,)
     assert diag.terminal_coords.shape == (5,)
     assert np.abs(diag.terminal_coords - diag.target_coord).max() <= 1e-6
@@ -270,5 +276,3 @@ def test_config_validation():
         SRConfig(nu=-1.0)
     with pytest.raises(ValueError):
         SRConfig(magnitude_weight=-0.1)
-    cfg = SRConfig(tree_params=TreeParams(max_depth=2))
-    assert cfg.tree_params.max_depth == 2

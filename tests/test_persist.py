@@ -163,7 +163,7 @@ def saved(train, query):
 
 # values no field accepts: wrong type, wrong shape, not finite or too large
 WRONG = ["x", {}, None, [], [[1.0]], True, float("nan"), 10**400]
-# values no node entry accepts; numpy reads a JSON true in an array as 1
+# values no node entry accepts; booleans have their own mutation below
 WRONG_ENTRY = ["x", {}, None, [], [1.0], float("nan"), 10**400]
 
 
@@ -184,7 +184,7 @@ def mutate(doc: dict, data) -> None:
         st.sampled_from(
             ["child", "feature", "threshold", "value", "depth", "tree width",
              "model width", "short array", "drop last node", "drop key",
-             "wrong value", "no trees", "kind"]
+             "wrong value", "no trees", "boolean", "kind"]
         )
     )
     if what == "child":
@@ -226,6 +226,14 @@ def mutate(doc: dict, data) -> None:
         target[data.draw(st.sampled_from(sorted(target)))] = data.draw(st.sampled_from(WRONG))
     elif what == "no trees":
         body["trees"] = []
+    elif what == "boolean":
+        # numpy would read it as 1 or 0; any number array, the ensemble's
+        # coefficients and rows of D included
+        arrays = [tree[field] for field in ["feature", "threshold", "left", "right", "value"]]
+        if "coefficients" in body:
+            arrays += [body["coefficients"], *body["offsets"]]
+        entries = data.draw(st.sampled_from(arrays))
+        entries[data.draw(st.integers(0, len(entries) - 1))] = data.draw(st.booleans())
     else:
         doc["kind"] = data.draw(st.sampled_from(["shooting", "rf", "gbm"]))
 

@@ -14,7 +14,6 @@ from shooting import (
     RFConfig,
     RegressionTree,
     SRConfig,
-    TreeParams,
     baselines,
     ensemble,
     fit_gbm,
@@ -58,27 +57,23 @@ def candidate_thresholds(col: np.ndarray):
     return out
 
 
-def _reference_best_split(
-    x: np.ndarray, y: np.ndarray, candidates: np.ndarray, min_leaf: int
-) -> tuple[int, float] | None:
+def _reference_best_split(x: np.ndarray, y: np.ndarray) -> tuple[int, float] | None:
     """Per-feature split search on a fresh stable argsort of the node's rows."""
     m = y.size
     total1 = float(y.sum())
     total2 = float((y * y).sum())
     best_sse = np.inf
     best: tuple[int, float] | None = None
-    for f in candidates:
+    for f in range(x.shape[1]):
         xv = x[:, f]
         order = np.argsort(xv, kind="stable")
         xs = xv[order]
         ys = y[order]
         # positions p split into left = [0..p], right = [p+1..m-1]
         distinct = xs[:-1] < xs[1:]
-        sizes_left = np.arange(1, m)
-        feasible = distinct & (sizes_left >= min_leaf) & (m - sizes_left >= min_leaf)
-        if not feasible.any():
+        if not distinct.any():
             continue
-        pos = np.nonzero(feasible)[0]
+        pos = np.nonzero(distinct)[0]
         c1 = np.cumsum(ys)[pos]
         c2 = np.cumsum(ys * ys)[pos]
         nl = pos + 1.0
@@ -91,24 +86,19 @@ def _reference_best_split(
             if thr >= xs[p + 1]:
                 thr = xs[p]
             best_sse = float(sse[k])
-            best = (int(f), float(thr))
+            best = (f, float(thr))
     return best
 
 
-def reference_fit_tree(features, targets, params: TreeParams = TreeParams()):
+def reference_fit_tree(features, targets, max_depth=None):
     """The grower fit_tree must match bit for bit: it sorts at every node.
 
-    Same control flow, stopping rules and preorder feature_subsample draws
-    as fit_tree, with each node's rows re-sorted per feature and routed by
-    comparing against the threshold.
+    Same control flow and stopping rules as fit_tree, with each node's rows
+    re-sorted per feature and routed by comparing against the threshold.
     """
     x = np.ascontiguousarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
     n = x.shape[1]
-    sub = params.feature_subsample
-    rng = None
-    if sub is not None and sub < n:
-        rng = np.random.default_rng(params.rng_seed)
     feat, thr, left, right, value = [], [], [], [], []
     max_depth_seen = 0
 
@@ -126,19 +116,11 @@ def reference_fit_tree(features, targets, params: TreeParams = TreeParams()):
         max_depth_seen = max(max_depth_seen, depth)
         ysub = y[idx]
         value[node] = float(ysub.mean())
-        if params.max_depth is not None and depth >= params.max_depth:
-            continue
-        if idx.size < params.min_samples_split:
+        if max_depth is not None and depth >= max_depth:
             continue
         if ysub.min() == ysub.max():
             continue
-        if rng is not None:
-            candidates = np.sort(rng.choice(n, size=sub, replace=False))
-        else:
-            candidates = np.arange(n)
-        found = _reference_best_split(
-            x[idx], ysub, candidates, params.min_samples_leaf
-        )
+        found = _reference_best_split(x[idx], ysub)
         if found is None:
             continue
         f, t = found
@@ -237,14 +219,10 @@ def test_midpoint_overflow_keeps_split_consistent(lo, hi):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        TreeParams(max_depth=-1)
-    with pytest.raises(ValueError):
-        TreeParams(min_samples_leaf=0)
-    with pytest.raises(ValueError):
-        TreeParams(min_samples_split=1)
-    with pytest.raises(ValueError):
-        TreeParams(feature_subsample=0)
+    x, y = np.arange(3.0).reshape(3, 1), np.arange(3.0)
+    with pytest.raises(ValueError, match="max_depth"):
+        fit_tree(x, y, max_depth=-1)
+    assert fit_tree(x, y, max_depth=0).n_nodes == 1
 
 
 def test_predict_dimension_mismatch():
@@ -298,7 +276,7 @@ def test_root_split_matches_brute_force(seed):
     n = int(rng.integers(1, 3))
     x = rng.standard_normal((m, n))
     y = rng.standard_normal(m)
-    tree = fit_tree(x, y, TreeParams(max_depth=2))
+    tree = fit_tree(x, y, max_depth=2)
     ties = brute_force_split_set(x, y)
     if not ties:
         assert tree.n_nodes == 1
@@ -319,25 +297,31 @@ def test_training_loss_non_increasing_in_depth(seed, depth):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((30, 2))
     y = rng.standard_normal(30)
-    shallow = fit_tree(x, y, TreeParams(max_depth=depth))
-    deep = fit_tree(x, y, TreeParams(max_depth=depth + 1))
+    shallow = fit_tree(x, y, max_depth=depth)
+    deep = fit_tree(x, y, max_depth=depth + 1)
     sse_shallow = float(((y - predict_tree(shallow, x)) ** 2).sum())
     sse_deep = float(((y - predict_tree(deep, x)) ** 2).sum())
     assert sse_deep <= sse_shallow + 1e-9
 
 
-@given(seed=st.integers(0, 10_000), min_leaf=st.integers(1, 5))
+@given(seed=st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
-def test_leaves_respect_min_samples(seed, min_leaf):
+def test_duplicate_rows_share_one_leaf_holding_their_mean(seed):
+    # a bootstrap resample repeats rows; no cut separates copies of a row,
+    # so a fully grown tree ends each row's copies, and only them, in one
+    # leaf whose value is the mean of their different targets
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((25, 2))
+    distinct = rng.standard_normal((25, 2))
+    rows = rng.integers(0, 25, size=25)
+    x = distinct[rows]
     y = rng.standard_normal(25)
-    tree = fit_tree(x, y, TreeParams(min_samples_leaf=min_leaf))
+    tree = fit_tree(x, y)
     leaf_of_row = _leaf_index(tree, x)
-    counts = np.bincount(leaf_of_row, minlength=tree.n_nodes)
-    for node in range(tree.n_nodes):
-        if tree.feature[node] == LEAF:
-            assert counts[node] >= min_leaf
+    for r in np.unique(rows):
+        copies = rows == r
+        leaf = leaf_of_row[copies][0]
+        assert np.array_equal(leaf_of_row == leaf, copies)
+        assert tree.value[leaf] == pytest.approx(y[copies].mean(), rel=1e-12)
 
 
 def _leaf_index(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
@@ -359,7 +343,7 @@ def test_leaf_values_are_sample_means(seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((20, 2))
     y = rng.standard_normal(20)
-    tree = fit_tree(x, y, TreeParams(max_depth=3))
+    tree = fit_tree(x, y, max_depth=3)
     leaf_of_row = _leaf_index(tree, x)
     for node in np.unique(leaf_of_row):
         assert tree.value[node] == pytest.approx(y[leaf_of_row == node].mean())
@@ -376,19 +360,8 @@ def test_depth_cap_respected(seed, cap):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((30, 2))
     y = rng.standard_normal(30)
-    tree = fit_tree(x, y, TreeParams(max_depth=cap))
+    tree = fit_tree(x, y, max_depth=cap)
     assert tree.depth <= cap
-
-
-def test_feature_subsample_deterministic():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((40, 6))
-    y = rng.standard_normal(40)
-    params = TreeParams(feature_subsample=2, rng_seed=17)
-    a = fit_tree(x, y, params)
-    b = fit_tree(x, y, params)
-    assert np.array_equal(a.feature, b.feature)
-    assert np.array_equal(a.threshold, b.threshold, equal_nan=True)
 
 
 # ------------------------------------------------- presort vs per-node sort
@@ -400,16 +373,11 @@ def test_feature_subsample_deterministic():
     n=st.integers(0, 4),
     decimals=st.integers(0, 2),
     bootstrap=st.booleans(),
-    min_leaf=st.integers(1, 4),
-    min_split=st.integers(2, 4),
     max_depth=st.sampled_from([None, 0, 1, 3]),
-    subsample=st.one_of(st.none(), st.integers(1, 4)),
-    rng_seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=300, deadline=None)
 def test_presorted_growth_matches_per_node_sort(
-    seed, m, n, decimals, bootstrap, min_leaf, min_split, max_depth, subsample,
-    rng_seed,
+    seed, m, n, decimals, bootstrap, max_depth
 ):
     rng = np.random.default_rng(seed)
     # rounding makes ties, resampling makes duplicate rows
@@ -418,14 +386,9 @@ def test_presorted_growth_matches_per_node_sort(
     if bootstrap:
         rows = rng.integers(0, m, size=m)
         x, y = x[rows], y[rows]
-    params = TreeParams(
-        max_depth=max_depth,
-        min_samples_leaf=min_leaf,
-        min_samples_split=min_split,
-        feature_subsample=subsample,
-        rng_seed=rng_seed,
+    assert_same_tree(
+        fit_tree(x, y, max_depth), reference_fit_tree(x, y, max_depth)
     )
-    assert_same_tree(fit_tree(x, y, params), reference_fit_tree(x, y, params))
 
 
 def test_models_grow_reference_trees(mpg, monkeypatch):
