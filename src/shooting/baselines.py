@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .data import Dataset
 from .rng import BOOTSTRAP_STREAM, make_rng
-from .tree import RegressionTree, check_features, fit_tree, predict_tree, row_means
+from .tree import (
+    Forest,
+    RegressionTree,
+    check_features,
+    fit_tree,
+    pack_forest,
+    predict_tree,
+    row_means,
+)
 
 
 @dataclass(frozen=True)
@@ -47,6 +56,11 @@ class RandomForest:
     trees: tuple[RegressionTree, ...]
     n_features: int
 
+    @cached_property
+    def forest(self) -> Forest:
+        """The trees packed for predict: built on first use, never saved."""
+        return pack_forest(self.trees)
+
 
 @dataclass(frozen=True)
 class GradientBoosting:
@@ -54,6 +68,11 @@ class GradientBoosting:
     learning_rate: float
     trees: tuple[RegressionTree, ...]
     n_features: int
+
+    @cached_property
+    def forest(self) -> Forest:
+        """The trees packed for predict: built on first use, never saved."""
+        return pack_forest(self.trees)
 
 
 def fit_rf(train: Dataset, config: RFConfig = RFConfig()) -> RandomForest:
@@ -71,7 +90,10 @@ def fit_rf(train: Dataset, config: RFConfig = RFConfig()) -> RandomForest:
 def predict_rf(model: RandomForest, features) -> np.ndarray:
     """Mean of the tree outputs, exact so tree order cannot matter."""
     x = check_features(features, model.n_features)
-    return row_means(np.column_stack([predict_tree(t, x) for t in model.trees]))
+    out = np.empty(x.shape[0])
+    for rows, values in model.forest.leaves(x):
+        out[rows] = row_means(values.T)
+    return out
 
 
 def fit_gbm(train: Dataset, config: GBMConfig = GBMConfig()) -> GradientBoosting:
@@ -92,6 +114,8 @@ def predict_gbm(model: GradientBoosting, features) -> np.ndarray:
     """Base value plus the learning-rate-scaled stage corrections in order."""
     x = check_features(features, model.n_features)
     out = np.full(x.shape[0], model.base_value)
-    for tree in model.trees:
-        out = out + model.learning_rate * predict_tree(tree, x)
+    for rows, values in model.forest.leaves(x):
+        block = out[rows]  # a view: the stages add into out in place
+        for stage in values:
+            block += model.learning_rate * stage
     return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .nuopt import (
     build_cache,
     minimize_nu,
 )
-from .tree import RegressionTree, check_features, fit_tree, predict_tree, row_means
+from .tree import Forest, RegressionTree, check_features, fit_tree, pack_forest, row_means
 
 # nu used when the correlation objective is degenerate (perfect linear fit)
 FALLBACK_NU = 1.0
@@ -73,6 +74,11 @@ class ShootingEnsemble:
     @property
     def n_features(self) -> int:
         return self.coefficients.size - 1
+
+    @cached_property
+    def forest(self) -> Forest:
+        """The trees packed for predict: built on first use, never saved."""
+        return pack_forest(self.trees)
 
 
 def gradient_targets(
@@ -128,16 +134,19 @@ def fit_shooting(train: Dataset, config: SRConfig = SRConfig()) -> ShootingEnsem
 def initial_vectors(ensemble: ShootingEnsemble, features) -> np.ndarray:
     """Per-estimator linear predictions X(B + nu*D_i) on arbitrary features."""
     x = augment(features)
-    base = x @ ensemble.coefficients
-    return base[:, None] + ensemble.nu * (x @ ensemble.offsets)
+    # in place, so a predict holds one (rows, k) matrix, not three
+    initial = x @ ensemble.offsets
+    initial *= ensemble.nu
+    initial += (x @ ensemble.coefficients)[:, None]
+    return initial
 
 
 def predict_per_estimator(ensemble: ShootingEnsemble, features) -> np.ndarray:
     """Column i: initial vector i minus tree i's gradient estimate."""
     x = check_features(features, ensemble.n_features)
     initial = initial_vectors(ensemble, x)
-    for i, tree in enumerate(ensemble.trees):
-        initial[:, i] -= predict_tree(tree, x)
+    for rows, values in ensemble.forest.leaves(x):
+        initial[rows] -= values.T
     return initial
 
 

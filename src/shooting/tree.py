@@ -1,7 +1,7 @@
 """Axis-aligned regression trees grown by greedy squared-error reduction.
 
 Nodes live in flat parallel arrays rather than linked objects: fitting
-appends in preorder, prediction descends all rows at once level by level.
+appends in preorder, prediction walks a packed forest (below).
 Split ties resolve to the lowest feature index, then the lowest threshold,
 so refitting on identical data reproduces the identical structure.
 
@@ -27,6 +27,17 @@ filter of its parent), so a stable sort of the node's values orders ties
 by row id, which is the global stable order filtered to the node. The
 prefix sums therefore add the same values in the same sequence, and node
 totals and leaf means are sums of y over the node's rows in row order.
+
+Prediction packs a model's trees into one Forest: the node arrays joined
+end to end, deepest tree first, each internal node with a two-wide child
+table indexed by the comparison x <= threshold, and each leaf a self-loop,
+so a row that reached its leaf stays there. One walk moves a (trees, rows)
+node-index matrix down every tree at once, one step per level of the
+deepest tree, and level d touches only the trees deeper than d. Rows go
+through in blocks of BLOCK_ROWS, so the matrix stays small for any number
+of rows. Leaf values come back in tree order, so each model keeps its own
+reduction order and its predictions are those of one walk per tree, bit
+for bit. predict_tree is the one-tree case of the same walk.
 """
 
 from __future__ import annotations
@@ -37,6 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 LEAF = -1
+# rows per block of a forest walk, so the (trees, rows) node-index matrix
+# stays small however many rows are predicted
+BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -200,7 +214,10 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
     )
 
 
-def _matrix(features, n_features: int) -> np.ndarray:
+def check_features(features, n_features: int) -> np.ndarray:
+    """The features as a float matrix; ValueError unless 2-D, n_features
+    columns wide and finite. Every predict calls this once: a NaN or inf
+    would otherwise route right at every node, silently."""
     x = np.asarray(features, dtype=float)
     if x.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
@@ -209,14 +226,6 @@ def _matrix(features, n_features: int) -> np.ndarray:
             f"feature count {x.shape[1]} does not match training dimension "
             f"{n_features}"
         )
-    return x
-
-
-def check_features(features, n_features: int) -> np.ndarray:
-    """The features as a float matrix; ValueError unless 2-D, n_features
-    columns wide and finite. A model's predict calls this once: a NaN or
-    inf would otherwise route right at every node, silently."""
-    x = _matrix(features, n_features)
     if not np.isfinite(x).all():
         raise ValueError("features must be finite")
     return x
@@ -228,16 +237,74 @@ def row_means(columns: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row) for row in columns]) / k
 
 
+@dataclass(frozen=True)
+class Forest:
+    """Trees packed into one node array, walked together.
+
+    Trees sit end to end, deepest first, with their node indices shifted
+    to the packed positions. Node i moves on to child[2 * i + (x <= t)],
+    so child[2 * i] is its right child and child[2 * i + 1] its left; a
+    leaf points both at itself and reads feature 0, so a row that reached
+    its leaf stays there. active[d] counts the trees deeper than d, which
+    are the first active[d] trees. slot[i] is tree i's position in the
+    packed order.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    child: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    active: tuple[int, ...]
+    slot: np.ndarray
+
+    def leaves(self, x: np.ndarray):
+        """Yield (rows, values) for each block of BLOCK_ROWS rows of x, a
+        checked feature matrix: values[i] holds tree i's leaf values."""
+        p = x.shape[1]
+        flat = x.ravel()
+        for start in range(0, x.shape[0], BLOCK_ROWS):
+            n = min(BLOCK_ROWS, x.shape[0] - start)
+            block = flat[start * p : (start + n) * p]
+            row_base = np.arange(n) * p
+            # node[j, r]: where row r stands in packed tree j
+            node = np.repeat(self.roots[:, None], n, axis=1)
+            for a in self.active:
+                at = node[:a]
+                go_left = block[self.feature[at] + row_base] <= self.threshold[at]
+                node[:a] = self.child[2 * at + go_left]
+            yield slice(start, start + n), self.value[node[self.slot]]
+
+
+def pack_forest(trees) -> Forest:
+    """One Forest holding the trees; leaf values come back in tree order."""
+    order = sorted(range(len(trees)), key=lambda i: -trees[i].depth)
+    packed = [trees[i] for i in order]
+    sizes = [tree.n_nodes for tree in packed]
+    roots = np.cumsum([0, *sizes[:-1]])
+    shift = np.repeat(roots, sizes)
+    feature = np.concatenate([tree.feature for tree in packed])
+    internal = feature != LEAF
+    left = np.concatenate([tree.left for tree in packed]) + shift
+    right = np.concatenate([tree.right for tree in packed]) + shift
+    own = np.arange(feature.size)
+    child = np.column_stack([np.where(internal, right, own), np.where(internal, left, own)])
+    depths = [tree.depth for tree in packed]  # deepest first
+    return Forest(
+        feature=np.where(internal, feature, 0),
+        threshold=np.concatenate([tree.threshold for tree in packed]),
+        child=child.ravel(),
+        value=np.concatenate([tree.value for tree in packed]),
+        roots=roots,
+        active=tuple(sum(depth > d for depth in depths) for d in range(depths[0])),
+        slot=np.argsort(order),
+    )
+
+
 def predict_tree(tree: RegressionTree, features) -> np.ndarray:
     """Route each row to its leaf (<= goes left) and return leaf means."""
-    x = _matrix(features, tree.n_features)
-    node = np.zeros(x.shape[0], dtype=np.int64)
-    for _ in range(tree.depth + 1):
-        internal = tree.feature[node] != LEAF
-        if not internal.any():
-            break
-        rows = np.nonzero(internal)[0]
-        at = node[rows]
-        go_left = x[rows, tree.feature[at]] <= tree.threshold[at]
-        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
-    return tree.value[node]
+    x = check_features(features, tree.n_features)
+    out = np.empty(x.shape[0])
+    for rows, values in pack_forest((tree,)).leaves(x):
+        out[rows] = values[0]
+    return out

@@ -173,12 +173,14 @@ def test_constant_target_collapses_both_models():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_every_predict_rejects_nonfinite_features(bad):
     # a NaN or inf feature routes right at every split, so without the
-    # check the forest and boosting return finite numbers that mean nothing
+    # check a tree, the forest and boosting return finite numbers that mean
+    # nothing
     d = small_data(seed=8)
     models = [
         (predict, fit_shooting(d, SRConfig(k=3, seed=8))),
         (predict_rf, fit_rf(d, RFConfig(n_trees=3, seed=8))),
         (predict_gbm, fit_gbm(d, GBMConfig(n_stages=3, seed=8))),
+        (predict_tree, fit_tree(d.features, d.target)),
     ]
     x = make_synthetic(6, 3, 1.0, 9).features
     x[4, 1] = bad

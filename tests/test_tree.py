@@ -2,28 +2,39 @@
 
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shooting import (
     GBMConfig,
+    GradientBoosting,
     RFConfig,
+    RandomForest,
     RegressionTree,
     SRConfig,
+    ShootingEnsemble,
+    augment,
     baselines,
     ensemble,
     fit_gbm,
     fit_rf,
     fit_shooting,
     fit_tree,
+    model_from_dict,
+    model_to_dict,
+    predict,
+    predict_gbm,
+    predict_per_estimator,
+    predict_rf,
     predict_tree,
     split,
 )
-from shooting.tree import LEAF
+from shooting.tree import LEAF, row_means
 
 
 def brute_force_split_set(x: np.ndarray, y: np.ndarray, tol: float = 1e-9):
@@ -143,6 +154,30 @@ def reference_fit_tree(features, targets, max_depth=None):
     )
 
 
+def reference_predict_tree(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
+    """The per-tree walk the packed forest must match bit for bit."""
+    return tree.value[_leaf_index(tree, x)]
+
+
+def reference_per_estimator(model, x: np.ndarray) -> np.ndarray:
+    xa = augment(x)
+    initial = (xa @ model.coefficients)[:, None] + model.nu * (xa @ model.offsets)
+    for i, tree in enumerate(model.trees):
+        initial[:, i] -= reference_predict_tree(tree, x)
+    return initial
+
+
+def reference_predict_rf(model, x: np.ndarray) -> np.ndarray:
+    return row_means(np.column_stack([reference_predict_tree(t, x) for t in model.trees]))
+
+
+def reference_predict_gbm(model, x: np.ndarray) -> np.ndarray:
+    out = np.full(x.shape[0], model.base_value)
+    for tree in model.trees:
+        out = out + model.learning_rate * reference_predict_tree(tree, x)
+    return out
+
+
 def assert_same_tree(a: RegressionTree, b: RegressionTree) -> None:
     assert np.array_equal(a.feature, b.feature)
     assert np.array_equal(a.threshold, b.threshold, equal_nan=True)
@@ -215,7 +250,12 @@ def test_midpoint_overflow_keeps_split_consistent(lo, hi):
     tree = fit_tree(x, y)
     assert tree.n_nodes == 3
     assert lo <= tree.threshold[0] < hi
-    assert np.array_equal(predict_tree(tree, x), y)
+    # routed by hand: predict_tree rejects the infinite rows of the first case
+    go_left = x[:, 0] <= tree.threshold[0]
+    routed = np.where(go_left, tree.value[tree.left[0]], tree.value[tree.right[0]])
+    assert np.array_equal(routed, y)
+    if np.isfinite(x).all():
+        assert np.array_equal(predict_tree(tree, x), y)
 
 
 def test_params_validation():
@@ -407,3 +447,56 @@ def test_models_grow_reference_trees(mpg, monkeypatch):
         assert len(trees) == len(reference)
         for a, b in zip(trees, reference):
             assert_same_tree(a, b)
+
+
+# ------------------------------------------------ packed forest vs per tree
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depths=st.lists(st.sampled_from([0, 1, 3, None]), min_size=1, max_size=6),
+    m=st.integers(1, 30),
+    n=st.integers(1, 3),
+    n_query=st.integers(0, 12),
+)
+@example(seed=0, depths=[None], m=20, n=2, n_query=5)  # k = 1
+@example(seed=1, depths=[0, None, 0, 3, None], m=25, n=3, n_query=0)
+@settings(max_examples=150, deadline=None)
+def test_packed_forest_matches_per_tree_walk(seed, depths, m, n, n_query):
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.standard_normal((m, n)), 1)
+    # max_depth 0 gives one-node trees next to fully grown ones
+    trees = []
+    for max_depth in depths:
+        rows = rng.integers(0, m, size=m)
+        trees.append(fit_tree(x[rows], rng.standard_normal(m), max_depth))
+    trees = tuple(trees)
+    k = len(trees)
+    # query values sit exactly on thresholds or on training values
+    pools = [
+        np.concatenate([t.threshold[t.feature == f] for t in trees] + [x[:, f]])
+        for f in range(n)
+    ]
+    q = np.column_stack([rng.choice(pool, n_query) for pool in pools])
+    sr = ShootingEnsemble(
+        rng.standard_normal(n + 1), rng.standard_normal((n + 1, k)), 0.7, trees
+    )
+    rf = RandomForest(trees, n)
+    gbm = GradientBoosting(float(rng.standard_normal()), 0.1, trees, n)
+    per_estimator = reference_per_estimator(sr, q)
+    rf_out, gbm_out = reference_predict_rf(rf, q), reference_predict_gbm(gbm, q)
+
+    def round_trip(model):
+        return model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+
+    for sr, rf, gbm in [(sr, rf, gbm), (round_trip(sr), round_trip(rf), round_trip(gbm))]:
+        got = predict_per_estimator(sr, q)
+        assert got.shape == (n_query, k)
+        assert np.array_equal(got, per_estimator)
+        got = predict(sr, q)
+        assert got.shape == (n_query,)
+        assert np.array_equal(got, row_means(per_estimator))
+        assert np.array_equal(predict_rf(rf, q), rf_out)
+        assert np.array_equal(predict_gbm(gbm, q), gbm_out)
+    for tree in trees:
+        assert np.array_equal(predict_tree(tree, q), reference_predict_tree(tree, q))
