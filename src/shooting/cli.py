@@ -17,8 +17,6 @@ import numpy as np
 from .baselines import GBMConfig, RFConfig, fit_gbm, fit_rf, predict_gbm, predict_rf
 from .data import (
     Dataset,
-    DegenerateTestError,
-    MetricError,
     ParseError,
     TrialReport,
     load_auto_mpg,
@@ -36,13 +34,7 @@ from .ensemble import (
     predict,
     predict_per_estimator,
     project_trajectories,
-)
-from .linear import (
-    FactorizationError,
-    SingularDesignError,
-    augment,
-    fit_ols,
-    sample_offsets,
+    shooting_start,
 )
 from .nuopt import (
     DEFAULT_NU_HI,
@@ -337,9 +329,7 @@ def run_nu_curve(cfg: dict) -> int:
     d = _load_dataset(cfg)
     out = _ensure_out(cfg)
     train, val = split(d, cfg["val-fraction"], cfg["seed"])
-    linear = fit_ols(train)
-    offsets = sample_offsets(linear, train.features, cfg["k"], cfg["seed"])
-    z = augment(train.features) @ linear.coefficients - train.target
+    _, offsets, z = shooting_start(train, cfg["k"], cfg["seed"])
     cache = build_cache(z, offsets.projected)
     weight = cfg["magnitude-weight"]
     if weight == "balanced":
@@ -405,15 +395,9 @@ def main(argv=None) -> int:
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (
-        SingularDesignError,
-        FactorizationError,
-        DegenerateCorrelationError,
-        MetricError,
-        DegenerateTestError,
-        FloatingPointError,
-        ValueError,
-    ) as exc:
+    # SingularDesignError, FactorizationError, DegenerateCorrelationError,
+    # MetricError and DegenerateTestError are all ValueErrors
+    except (FloatingPointError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -34,7 +34,7 @@ FALLBACK_NU = 1.0
 @dataclass(frozen=True)
 class SRConfig:
     """Ensemble settings: k fully grown trees. nu None means tune it over
-    nuopt's default search; a float fixes it.
+    nuopt's fixed search; a float fixes it.
 
     magnitude_weight None applies the balanced weight (magnitude term
     rescaled to the correlation term's nu=0 value); 1.0 gives the raw
@@ -49,10 +49,10 @@ class SRConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.nu is not None and self.nu < 0.0:
-            raise ValueError("fixed nu must be >= 0")
-        if self.magnitude_weight is not None and self.magnitude_weight < 0.0:
-            raise ValueError("magnitude_weight must be >= 0")
+        if self.nu is not None and not 0.0 <= self.nu < math.inf:
+            raise ValueError("fixed nu must be finite and >= 0")
+        if self.magnitude_weight is not None and not 0.0 <= self.magnitude_weight < math.inf:
+            raise ValueError("magnitude_weight must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -81,20 +81,28 @@ class ShootingEnsemble:
         return pack_forest(self.trees)
 
 
-def gradient_targets(
-    linear: LinearModel, offsets: OffsetSet, nu: float, d: Dataset
-) -> np.ndarray:
-    """Column i is the loss gradient at initial vector i: X(B + nu*D_i) - Y."""
-    if offsets.projected.shape[0] != d.n_rows:
-        raise ValueError("offset projection rows do not match the dataset")
-    z = augment(d.features) @ linear.coefficients - d.target
-    return z[:, None] + nu * offsets.projected
+def shooting_start(
+    train: Dataset, k: int, seed: int
+) -> tuple[LinearModel, OffsetSet, np.ndarray]:
+    """OLS fit, k offset draws and z = XB - Y on the training rows: the
+    pieces that nu tuning and the gradient targets share."""
+    linear = fit_ols(train)
+    offsets = sample_offsets(linear, train.features, k, seed)
+    z = augment(train.features) @ linear.coefficients - train.target
+    return linear, offsets, z
+
+
+def gradient_targets(z, projected, nu: float) -> np.ndarray:
+    """Column i is the loss gradient at initial vector i: z + nu*XD_i."""
+    if projected.shape[0] != z.shape[0]:
+        # a length-1 z would otherwise broadcast silently
+        raise ValueError("offset projection rows do not match z")
+    return z[:, None] + nu * projected
 
 
 def fit_shooting(train: Dataset, config: SRConfig = SRConfig()) -> ShootingEnsemble:
     """OLS, offset sampling, nu selection, then one tree per gradient target."""
-    linear = fit_ols(train)
-    offsets = sample_offsets(linear, train.features, config.k, config.seed)
+    linear, offsets, z = shooting_start(train, config.k, config.seed)
     diagnostics: NuResult | None = None
     if config.nu is not None:
         nu = config.nu
@@ -104,7 +112,6 @@ def fit_shooting(train: Dataset, config: SRConfig = SRConfig()) -> ShootingEnsem
         )
         nu = FALLBACK_NU
     else:
-        z = augment(train.features) @ linear.coefficients - train.target
         try:
             if linear.residual_variance == 0.0:
                 # exact linear fit: offsets are all zero and z is machine
@@ -126,7 +133,7 @@ def fit_shooting(train: Dataset, config: SRConfig = SRConfig()) -> ShootingEnsem
                 RuntimeWarning,
             )
             nu = FALLBACK_NU
-    targets = gradient_targets(linear, offsets, nu, train)
+    targets = gradient_targets(z, offsets.projected, nu)
     trees = tuple(fit_tree(train.features, targets[:, i]) for i in range(config.k))
     return ShootingEnsemble(linear.coefficients, offsets.offsets, nu, trees, diagnostics)
 

@@ -49,17 +49,17 @@ class NuCache:
     """Covariance scalars and raw sums for O(k^2) objective evaluation.
 
     c_* are population covariances of z and the projected offset columns;
-    sum_* are the uncentered dot products that rebuild the Frobenius norm
-    of the gradient-target matrix. constant_columns flags offset columns
-    with zero variance.
+    sum_* are the uncentered sums that rebuild the Frobenius norm of the
+    gradient-target matrix: |z|^2, the sum of z'x_i and the sum of
+    |x_i|^2. constant_columns flags offset columns with zero variance.
     """
 
     c_zz: float
     c_zi: np.ndarray
     c_ij: np.ndarray
     sum_zz: float
-    sum_zx: np.ndarray
-    sum_xx: np.ndarray
+    sum_zx: float
+    sum_xx: float
     m: int
     constant_columns: np.ndarray
 
@@ -104,35 +104,34 @@ def build_cache(z, projected_offsets) -> NuCache:
         c_zi=c_zi,
         c_ij=c_ij,
         sum_zz=float(z @ z),
-        sum_zx=z @ x,
-        sum_xx=x.T @ x,
+        sum_zx=float((z @ x).sum()),
+        sum_xx=float(np.trace(x.T @ x)),
         m=m,
         constant_columns=constant,
     )
 
 
-def _variances(cache: NuCache, nu: float) -> np.ndarray:
-    return cache.c_zz - 2.0 * nu * cache.c_zi + nu * nu * np.diag(cache.c_ij)
-
-
-def correlation_at(cache: NuCache, nu: float, i: int, j: int) -> float:
-    """Corr(z - nu*x_i, z - nu*x_j) from cached scalars, clamped to [-1, 1]."""
-    k = cache.k
-    if not (0 <= i < k and 0 <= j < k):
-        raise IndexError("column index out of range")
-    if nu >= LARGE_NU and (cache.constant_columns[i] or cache.constant_columns[j]):
+def correlation_matrix(cache: NuCache, nu: float) -> np.ndarray:
+    """k x k Corr(z - nu*x_i, z - nu*x_j) from cached scalars, clipped to
+    [-1, 1] with a unit diagonal; degenerate if any column has no variance."""
+    if nu < 0.0:
+        raise ValueError("nu must be >= 0")
+    if nu >= LARGE_NU and cache.constant_columns.any():
         raise DegenerateCorrelationError(
             "constant offset column has no large-nu correlation", nu
         )
-    v_i = cache.c_zz - 2.0 * nu * cache.c_zi[i] + nu * nu * cache.c_ij[i, i]
-    v_j = cache.c_zz - 2.0 * nu * cache.c_zi[j] + nu * nu * cache.c_ij[j, j]
-    if v_i <= 0.0 or v_j <= 0.0:
+    v = cache.c_zz - 2.0 * nu * cache.c_zi + nu * nu * np.diag(cache.c_ij)
+    if np.any(v <= 0.0):
         raise DegenerateCorrelationError(f"zero variance at nu={nu}", nu)
-    if i == j:
-        return 1.0
-    num = cache.c_zz - nu * (cache.c_zi[i] + cache.c_zi[j]) + nu * nu * cache.c_ij[i, j]
-    r = num / np.sqrt(v_i * v_j)
-    return float(min(1.0, max(-1.0, r)))
+    num = (
+        cache.c_zz
+        - nu * (cache.c_zi[:, None] + cache.c_zi[None, :])
+        + nu * nu * cache.c_ij
+    )
+    corr = num / np.sqrt(np.outer(v, v))
+    np.clip(corr, -1.0, 1.0, out=corr)
+    np.fill_diagonal(corr, 1.0)
+    return corr
 
 
 def objective(
@@ -144,29 +143,8 @@ def objective(
     magnitude_term the (weighted) Frobenius norm of the m x k target
     matrix, both assembled purely from the cache.
     """
-    if nu < 0.0:
-        raise ValueError("nu must be >= 0")
-    if nu >= LARGE_NU and cache.constant_columns.any():
-        raise DegenerateCorrelationError(
-            "constant offset column has no large-nu correlation", nu
-        )
-    v = _variances(cache, nu)
-    if np.any(v <= 0.0):
-        raise DegenerateCorrelationError(f"zero variance at nu={nu}", nu)
-    num = (
-        cache.c_zz
-        - nu * (cache.c_zi[:, None] + cache.c_zi[None, :])
-        + nu * nu * cache.c_ij
-    )
-    corr = num / np.sqrt(np.outer(v, v))
-    np.clip(corr, -1.0, 1.0, out=corr)
-    np.fill_diagonal(corr, 1.0)
-    corr_term = float(np.linalg.norm(corr))
-    sq = (
-        cache.k * cache.sum_zz
-        - 2.0 * nu * float(cache.sum_zx.sum())
-        + nu * nu * float(np.trace(cache.sum_xx))
-    )
+    corr_term = float(np.linalg.norm(correlation_matrix(cache, nu)))
+    sq = cache.k * cache.sum_zz - 2.0 * nu * cache.sum_zx + nu * nu * cache.sum_xx
     magnitude_term = magnitude_weight * float(np.sqrt(max(sq, 0.0)))
     return corr_term + magnitude_term, corr_term, magnitude_term
 
@@ -183,27 +161,15 @@ def balanced_magnitude_weight(cache: NuCache) -> float:
     return float(np.sqrt(cache.k / cache.sum_zz))
 
 
-def minimize_nu(
-    cache: NuCache,
-    lo: float = DEFAULT_NU_LO,
-    hi: float = DEFAULT_NU_HI,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    tol: float = DEFAULT_NU_TOL,
-    magnitude_weight: float = 1.0,
-) -> NuResult:
-    """Coarse log-grid scan then golden-section refinement of the bracket.
+def minimize_nu(cache: NuCache, magnitude_weight: float = 1.0) -> NuResult:
+    """The one nu search, not settable: a DEFAULT_GRID_POINTS log grid over
+    [DEFAULT_NU_LO, DEFAULT_NU_HI], then golden-section refinement of the
+    bracket around the best point to DEFAULT_NU_TOL * (1 + nu).
 
     Degenerate evaluations count as +inf; only a fully degenerate range is
     an error. Strictly-lower comparisons throughout, so a flat objective
     returns the first grid point.
     """
-    if lo < 0.0 or hi <= lo:
-        raise ValueError("need 0 <= lo < hi")
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
-    lo = max(lo, 1e-6)
     evaluations = 0
 
     def safe(nu: float) -> float:
@@ -214,10 +180,10 @@ def minimize_nu(
         except DegenerateCorrelationError:
             return np.inf
 
-    grid = np.logspace(np.log10(lo), np.log10(hi), grid_points)
+    grid = np.logspace(np.log10(DEFAULT_NU_LO), np.log10(DEFAULT_NU_HI), DEFAULT_GRID_POINTS)
     values = [safe(nu) for nu in grid]
     best_i = 0
-    for i in range(1, grid_points):
+    for i in range(1, grid.size):
         if values[i] < values[best_i]:
             best_i = i
     if not np.isfinite(values[best_i]):
@@ -228,11 +194,11 @@ def minimize_nu(
     best_val = values[best_i]
 
     a = float(grid[max(best_i - 1, 0)])
-    b = float(grid[min(best_i + 1, grid_points - 1)])
+    b = float(grid[min(best_i + 1, grid.size - 1)])
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = safe(c), safe(d)
-    while b - a > tol * (1.0 + best_nu):
+    while b - a > DEFAULT_NU_TOL * (1.0 + best_nu):
         if fc < best_val:
             best_nu, best_val = c, fc
         if fd < best_val:

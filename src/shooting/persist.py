@@ -5,13 +5,14 @@ loaded model predicts bit-for-bit like the saved one. Writes go to a
 temp file in the target directory followed by an atomic rename.
 
 A document holds only what prediction reads. Loading checks it against
-the shape fit_tree builds: node arrays of one length, child indices after
+what a fit can write: node arrays of one length, child indices after
 their parent's, each node but the root the child of exactly one node,
 feature indices below n_features, leaves with no children and no
 threshold, finite numbers and no booleans, the stored depth, at least one
-tree, every tree as wide as the model and, for the ensemble, (p, k)
-offsets. So a loaded model never indexes outside its arrays or stops on
-an internal node; any document that fails a check raises PersistError.
+tree, every tree as wide as the model, (p, k) offsets and nu >= 0 for the
+ensemble, a learning_rate in (0, 1] for boosting. So a loaded model never
+indexes outside its arrays or stops on an internal node; any document
+that fails a check raises PersistError.
 """
 
 from __future__ import annotations
@@ -164,6 +165,10 @@ def _check_model(model) -> None:
         p = model.coefficients.size
         if np.shape(model.offsets) != (p, model.k):
             raise PersistError(f"offsets must have shape ({p}, {model.k})")
+        if model.nu < 0.0:
+            raise PersistError("nu must be >= 0")
+    if isinstance(model, GradientBoosting) and not 0.0 < model.learning_rate <= 1.0:
+        raise PersistError("learning_rate must be in (0, 1]")
     for tree in model.trees:
         _check_tree(tree, model.n_features)
 

@@ -20,7 +20,7 @@ import pytest
 from shooting import (
     augment,
     build_cache,
-    correlation_at,
+    correlation_matrix,
     fit_ols,
     fit_tree,
     make_synthetic,
@@ -178,9 +178,10 @@ def test_criterion_05_correlation_equivalence():
         for nu in (0.01, 0.1, 1.0, 10.0, 100.0):
             g = z[:, None] - nu * x
             direct = np.corrcoef(g.T)
+            corr = correlation_matrix(cache, nu)
             for i in range(k):
                 for j in range(k):
-                    got = correlation_at(cache, nu, i, j)
+                    got = corr[i, j]
                     worst_corr = max(worst_corr, abs(got - direct[i, j]))
             total, _, _ = objective(cache, nu)
             brute = float(np.linalg.norm(direct)) + float(np.linalg.norm(g))
@@ -204,10 +205,11 @@ def test_criterion_06_large_nu_limit():
     for _ in range(10):
         z, x, cache = random_cache(rng, m_lo=10, m_hi=60, k_lo=2, k_hi=8)
         direct = np.corrcoef(x.T)
+        corr = correlation_matrix(cache, 1e8)
         k = x.shape[1]
         for i in range(k):
             for j in range(k):
-                got = correlation_at(cache, 1e8, i, j)
+                got = corr[i, j]
                 worst = max(worst, abs(got - direct[i, j]))
     ok = worst < 1e-3
     report(6, ok, f"max |corr(1e8) - offset corr| = {worst:.2e} over 10 instances")

@@ -373,17 +373,43 @@ def test_nu_curve_minimizer_consistent_with_grid(tmp_path):
     _, rows = read_csv(out / "nu_curve.csv")
     objectives = [float(r[3]) for r in rows]
     # the refined minimizer can only improve on the coarse sweep
-    from shooting import augment, balanced_magnitude_weight, build_cache
-    from shooting import fit_ols, make_synthetic, minimize_nu, sample_offsets, split
+    from shooting import balanced_magnitude_weight, build_cache, make_synthetic
+    from shooting import minimize_nu, shooting_start, split
 
     d = make_synthetic(200, 5, 1.0, 3)
     train, _ = split(d, 0.25, 3)
-    linear = fit_ols(train)
-    offsets = sample_offsets(linear, train.features, 6, 3)
-    z = augment(train.features) @ linear.coefficients - train.target
+    _, offsets, z = shooting_start(train, 6, 3)
     cache = build_cache(z, offsets.projected)
     result = minimize_nu(cache, magnitude_weight=balanced_magnitude_weight(cache))
     assert result.objective_value <= min(objectives) + 1e-9
+
+
+@pytest.mark.parametrize(
+    "data, k",
+    [(None, 6), ("data/auto-mpg.data", 100)],
+    ids=["synthetic", "auto-mpg"],
+)
+def test_nu_curve_minimizer_is_the_fitted_nu(tmp_path, capsys, data, k):
+    # nu-curve and fit_shooting tune nu on one path, so the printed
+    # minimizer is bit-equal to the nu a fit on the same split selects
+    from shooting import SRConfig, ensemble, fit_shooting, fit_tree
+    from shooting import load_auto_mpg, make_synthetic, split
+
+    argv = ["nu-curve", "--k", str(k), "--points", "2", "--out", str(tmp_path)]
+    # nu-curve's defaults: seed 0, validation share 0.25, 200 x 5 synthetic
+    if data is None:
+        d = make_synthetic(200, 5, 1.0, 0)
+    else:
+        d = load_auto_mpg(data)
+        argv += ["--data", data]
+    train, _ = split(d, 0.25, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        # one-leaf trees: only the tuning is under test
+        patch.setattr(ensemble, "fit_tree", lambda x, y: fit_tree(x, y, max_depth=0))
+        assert run(argv) == EXIT_OK
+        model = fit_shooting(train, SRConfig(k=k, seed=0))
+    printed = capsys.readouterr().out.split("minimizer: nu=")[1].split()[0]
+    assert float(printed) == model.nu
 
 
 def test_nu_curve_rejects_tiny_grid(capsys):

@@ -25,49 +25,59 @@ from shooting import (
     predict_per_estimator,
     project_trajectories,
     sample_offsets,
+    shooting_start,
     split,
 )
 
 
 def fitted_pieces(seed=0, m=40, n=3, k=5, noise=1.0):
     d = make_synthetic(m, n, noise, seed)
-    linear = fit_ols(d)
-    offsets = sample_offsets(linear, d.features, k, seed)
-    return d, linear, offsets
+    return (d, *shooting_start(d, k, seed))
 
 
 # -------------------------------------------------------- gradient_targets
 
 
 def test_targets_at_nu_zero_are_plain_residuals():
-    d, linear, offsets = fitted_pieces()
-    z = augment(d.features) @ linear.coefficients - d.target
-    g = gradient_targets(linear, offsets, 0.0, d)
+    d, linear, offsets, z = fitted_pieces()
+    want = augment(d.features) @ linear.coefficients - d.target
+    g = gradient_targets(z, offsets.projected, 0.0)
     assert g.shape == (40, 5)
-    assert np.allclose(g, z[:, None], atol=0)
+    assert np.allclose(g, want[:, None], atol=0)
+
+
+def test_shooting_start_matches_its_parts():
+    d, linear, offsets, _ = fitted_pieces(seed=2)
+    ols = fit_ols(d)
+    assert np.array_equal(linear.coefficients, ols.coefficients)
+    assert np.array_equal(
+        offsets.offsets, sample_offsets(ols, d.features, 5, 2).offsets
+    )
 
 
 def test_targets_linear_in_nu():
-    d, linear, offsets = fitted_pieces(seed=3)
-    g1 = gradient_targets(linear, offsets, 1.0, d)
-    g3 = gradient_targets(linear, offsets, 3.0, d)
-    g0 = gradient_targets(linear, offsets, 0.0, d)
+    _, _, offsets, z = fitted_pieces(seed=3)
+    g1 = gradient_targets(z, offsets.projected, 1.0)
+    g3 = gradient_targets(z, offsets.projected, 3.0)
+    g0 = gradient_targets(z, offsets.projected, 0.0)
     assert np.abs(g0 + 3.0 * (g1 - g0) - g3).max() <= 1e-10
 
 
 def test_targets_shape_mismatch():
-    d, linear, offsets = fitted_pieces()
-    other = make_synthetic(12, 3, 1.0, 9)
+    _, _, offsets, z = fitted_pieces()
+    _, _, _, other_z = fitted_pieces(seed=9, m=12)
     with pytest.raises(ValueError):
-        gradient_targets(linear, offsets, 1.0, other)
+        gradient_targets(other_z, offsets.projected, 1.0)
+    # numpy alone would broadcast a length-1 z over every row
+    with pytest.raises(ValueError):
+        gradient_targets(z[:1], offsets.projected, 1.0)
 
 
 def test_noiseless_targets_are_pure_offset_projections():
     # exact linear data: z is 0, so the target IS nu * X~ D_i
     d = make_synthetic(30, 2, 0.0, 5)
-    linear = fit_ols(d)
-    offsets = sample_offsets(linear, d.features, 4, 5)
-    g = gradient_targets(linear, offsets, 2.0, d)
+    _, offsets, z = shooting_start(d, 4, 5)
+    g = gradient_targets(z, offsets.projected, 2.0)
     assert np.abs(g - 2.0 * offsets.projected).max() <= 1e-9
 
 
@@ -168,7 +178,7 @@ def test_prediction_invariant_to_estimator_order():
 
 
 def test_initial_vectors_match_linear_parts():
-    d, linear, offsets = fitted_pieces(seed=21, k=3)
+    d, linear, offsets, _ = fitted_pieces(seed=21, k=3)
     model = fit_shooting(d, SRConfig(k=3, nu=2.0, seed=21))
     x = augment(d.features)
     want = (x @ linear.coefficients)[:, None] + 2.0 * (x @ offsets.offsets)
@@ -182,7 +192,7 @@ def test_initial_vectors_match_linear_parts():
 @pytest.mark.parametrize("k", [1, 3, 10])
 def test_oracle_collapses_to_target(nu, k):
     for seed in range(20):
-        d, linear, offsets = fitted_pieces(seed=seed, m=25, n=2, k=k)
+        d, linear, offsets, _ = fitted_pieces(seed=seed, m=25, n=2, k=k)
         base = (augment(d.features) @ linear.coefficients)[:, None]
         per, agg = oracle_predict(base + nu * offsets.projected, d.target)
         assert np.abs(per - d.target[:, None]).max() <= 1e-9
@@ -276,3 +286,11 @@ def test_config_validation():
         SRConfig(nu=-1.0)
     with pytest.raises(ValueError):
         SRConfig(magnitude_weight=-0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["nu", "magnitude_weight"])
+def test_config_rejects_nonfinite(field, value):
+    # nan would slip past a plain "< 0" check and fit with a wrong nu
+    with pytest.raises(ValueError, match="finite"):
+        SRConfig(**{field: value})

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 from shooting import (
     DegenerateCorrelationError,
+    NuCache,
     balanced_magnitude_weight,
     build_cache,
-    correlation_at,
+    correlation_matrix,
     minimize_nu,
     objective,
 )
+from shooting.nuopt import DEFAULT_GRID_POINTS, DEFAULT_NU_TOL
 
 
 def hand_cache():
@@ -92,19 +94,20 @@ def test_cache_matches_direct_recomputation(seed):
     assert cache.c_zz >= 0.0
 
 
-# ---------------------------------------------------------- correlation_at
+# ------------------------------------------------------ correlation_matrix
 
 
 def test_self_correlation_is_one():
     cache, _, _ = hand_cache()
     for nu in [0.0, 0.3, 2.0, 50.0]:
-        assert correlation_at(cache, nu, 0, 0) == 1.0
-        assert correlation_at(cache, nu, 1, 1) == 1.0
+        corr = correlation_matrix(cache, nu)
+        assert corr[0, 0] == 1.0
+        assert corr[1, 1] == 1.0
 
 
 def test_nu_zero_all_columns_equal_z():
     cache, _, _ = hand_cache()
-    assert correlation_at(cache, 0.0, 0, 1) == pytest.approx(1.0, abs=1e-12)
+    assert correlation_matrix(cache, 0.0)[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_large_nu_limit_matches_offset_correlation():
@@ -113,16 +116,10 @@ def test_large_nu_limit_matches_offset_correlation():
     x = rng.standard_normal((50, 4))
     cache = build_cache(z, x)
     direct = np.corrcoef(x.T)
+    corr = correlation_matrix(cache, 1e8)
     for i in range(4):
         for j in range(4):
-            got = correlation_at(cache, 1e8, i, j)
-            assert got == pytest.approx(direct[i, j], abs=1e-3)
-
-
-def test_index_bounds():
-    cache, _, _ = hand_cache()
-    with pytest.raises(IndexError):
-        correlation_at(cache, 1.0, 0, 2)
+            assert corr[i, j] == pytest.approx(direct[i, j], abs=1e-3)
 
 
 @given(
@@ -139,9 +136,10 @@ def test_correlation_matches_brute_force(seed, nu):
     cache = build_cache(z, x)
     g = assemble(z, x, nu)
     direct = np.corrcoef(g.T)
+    corr = correlation_matrix(cache, nu)
     for i in range(k):
         for j in range(k):
-            assert abs(correlation_at(cache, nu, i, j) - direct[i, j]) <= 1e-9
+            assert abs(corr[i, j] - direct[i, j]) <= 1e-9
 
 
 def test_degenerate_variance_carries_nu():
@@ -150,7 +148,7 @@ def test_degenerate_variance_carries_nu():
     x = np.column_stack([z, np.array([0.0, 1.0, -1.0])])
     cache = build_cache(z, x)
     with pytest.raises(DegenerateCorrelationError) as err:
-        correlation_at(cache, 1.0, 0, 1)
+        correlation_matrix(cache, 1.0)
     assert err.value.nu == 1.0
     with pytest.raises(DegenerateCorrelationError):
         objective(cache, 1.0)
@@ -162,11 +160,10 @@ def test_constant_column_degenerate_at_large_nu():
     cache = build_cache(z, x)
     assert cache.constant_columns.tolist() == [True, False]
     # harmless at moderate nu: the constant column contributes no variance
-    assert correlation_at(cache, 10.0, 0, 1) == pytest.approx(
-        correlation_at(cache, 10.0, 1, 0), rel=1e-12
-    )
+    corr = correlation_matrix(cache, 10.0)
+    assert corr[0, 1] == pytest.approx(corr[1, 0], rel=1e-12)
     with pytest.raises(DegenerateCorrelationError):
-        correlation_at(cache, 1e8, 0, 1)
+        correlation_matrix(cache, 1e8)
     with pytest.raises(DegenerateCorrelationError):
         objective(cache, 1e8)
 
@@ -245,8 +242,8 @@ def test_balanced_weight_equalizes_at_zero():
 def test_flat_objective_returns_lo():
     z = np.array([1.0, -1.0, 0.5])
     cache = build_cache(z, np.zeros((3, 2)))
-    result = minimize_nu(cache, lo=0.0, hi=10.0, grid_points=16, tol=1e-4)
-    assert result.nu == 1e-6  # the effective lower bound
+    result = minimize_nu(cache)
+    assert result.nu == 1e-6  # the first grid point
     assert result.objective_value == pytest.approx(
         2.0 + math.sqrt(2.0 * float(z @ z)), rel=1e-9
     )
@@ -269,22 +266,28 @@ def test_local_optimality():
     z = rng.standard_normal(40)
     x = rng.standard_normal((40, 5))
     cache = build_cache(z, x)
-    tol = 1e-4
-    result = minimize_nu(cache, tol=tol)
-    for delta in [-10 * tol, 10 * tol]:
+    result = minimize_nu(cache)
+    for delta in [-10 * DEFAULT_NU_TOL, 10 * DEFAULT_NU_TOL]:
         nu = result.nu + delta
         if nu >= 0:
             assert result.objective_value <= objective(cache, nu)[0] + 1e-12
 
 
 def test_whole_range_degenerate_errors():
-    z = np.array([1.0, -1.0, 0.0])
-    x = np.column_stack([np.full(3, 2.0), np.array([0.0, 1.0, -1.0])])
-    cache = build_cache(z, x)
-    # every grid point sits in the large-nu regime where the constant
-    # column makes evaluation degenerate
+    # all-zero covariances: every column has zero variance at every nu,
+    # so every grid point is degenerate
+    cache = NuCache(
+        c_zz=0.0,
+        c_zi=np.zeros(2),
+        c_ij=np.zeros((2, 2)),
+        sum_zz=0.0,
+        sum_zx=0.0,
+        sum_xx=0.0,
+        m=3,
+        constant_columns=np.ones(2, dtype=bool),
+    )
     with pytest.raises(DegenerateCorrelationError):
-        minimize_nu(cache, lo=1e7, hi=1e9, grid_points=8, tol=1e-4)
+        minimize_nu(cache)
 
 
 def test_minimizer_is_deterministic_and_counts():
@@ -292,19 +295,8 @@ def test_minimizer_is_deterministic_and_counts():
     z = rng.standard_normal(30)
     x = rng.standard_normal((30, 4))
     cache = build_cache(z, x)
-    a = minimize_nu(cache, grid_points=32)
-    b = minimize_nu(cache, grid_points=32)
+    a = minimize_nu(cache)
+    b = minimize_nu(cache)
     assert a == b
-    assert a.evaluations >= 32
+    assert a.evaluations >= DEFAULT_GRID_POINTS
 
-
-def test_minimizer_argument_validation():
-    cache, _, _ = hand_cache()
-    with pytest.raises(ValueError):
-        minimize_nu(cache, lo=-1.0, hi=1.0)
-    with pytest.raises(ValueError):
-        minimize_nu(cache, lo=2.0, hi=1.0)
-    with pytest.raises(ValueError):
-        minimize_nu(cache, grid_points=1)
-    with pytest.raises(ValueError):
-        minimize_nu(cache, tol=0.0)

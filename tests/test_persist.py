@@ -257,3 +257,21 @@ def test_offsets_shape_checked(train):
         row.pop()
     with pytest.raises(PersistError, match="offsets must have shape"):
         model_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("shooting", "nu", -2.0),
+        ("gbm", "learning_rate", -5.0),
+        ("gbm", "learning_rate", 0.0),
+        ("gbm", "learning_rate", 1.5),
+    ],
+)
+def test_out_of_range_settings_rejected(saved, kind, field, value):
+    # the same ranges the fit configs enforce: a negative nu or a step
+    # outside (0, 1] is no model fit_shooting or fit_gbm could return
+    doc = copy.deepcopy(saved[kind][0])
+    doc["model"][field] = value
+    with pytest.raises(PersistError, match=field):
+        model_from_dict(doc)
