@@ -28,6 +28,7 @@ from .data import (
 )
 from .ensemble import (
     SRConfig,
+    fit_at_nu,
     fit_shooting,
     initial_vectors,
     oracle_predict,
@@ -329,7 +330,8 @@ def run_nu_curve(cfg: dict) -> int:
     d = _load_dataset(cfg)
     out = _ensure_out(cfg)
     train, val = split(d, cfg["val-fraction"], cfg["seed"])
-    _, offsets, z = shooting_start(train, cfg["k"], cfg["seed"])
+    start = shooting_start(train, cfg["k"], cfg["seed"])
+    _, offsets, z = start
     cache = build_cache(z, offsets.projected)
     weight = cfg["magnitude-weight"]
     if weight == "balanced":
@@ -344,7 +346,7 @@ def run_nu_curve(cfg: dict) -> int:
             cells = [_fmt(corr_term), _fmt(magnitude_term), _fmt(total)]
         except DegenerateCorrelationError:
             cells = ["", "", ""]
-        sr = fit_shooting(train, SRConfig(k=cfg["k"], nu=nu, seed=cfg["seed"]))
+        sr = fit_at_nu(train, start, nu)
         val_mse = mse(val.target, predict(sr, val.features))
         rows.append([_fmt(nu)] + cells + [_fmt(val_mse)])
     path = os.path.join(out, "nu_curve.csv")

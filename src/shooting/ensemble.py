@@ -100,12 +100,27 @@ def gradient_targets(z, projected, nu: float) -> np.ndarray:
     return z[:, None] + nu * projected
 
 
+def fit_at_nu(
+    train: Dataset,
+    start: tuple[LinearModel, OffsetSet, np.ndarray],
+    nu: float,
+    diagnostics: NuResult | None = None,
+) -> ShootingEnsemble:
+    """The ensemble at this nu from a shooting_start on the same rows: one
+    tree per gradient target."""
+    linear, offsets, z = start
+    targets = gradient_targets(z, offsets.projected, nu)
+    trees = tuple(fit_tree(train.features, targets[:, i]) for i in range(targets.shape[1]))
+    return ShootingEnsemble(linear.coefficients, offsets.offsets, nu, trees, diagnostics)
+
+
 def fit_shooting(train: Dataset, config: SRConfig = SRConfig()) -> ShootingEnsemble:
     """OLS, offset sampling, nu selection, then one tree per gradient target."""
-    linear, offsets, z = shooting_start(train, config.k, config.seed)
+    start = shooting_start(train, config.k, config.seed)
+    linear, offsets, z = start
     diagnostics: NuResult | None = None
     if config.nu is not None:
-        nu = config.nu
+        nu = float(config.nu)
     elif config.k < 2:
         warnings.warn(
             "nu tuning needs at least 2 estimators; using nu=1", RuntimeWarning
@@ -133,9 +148,7 @@ def fit_shooting(train: Dataset, config: SRConfig = SRConfig()) -> ShootingEnsem
                 RuntimeWarning,
             )
             nu = FALLBACK_NU
-    targets = gradient_targets(z, offsets.projected, nu)
-    trees = tuple(fit_tree(train.features, targets[:, i]) for i in range(config.k))
-    return ShootingEnsemble(linear.coefficients, offsets.offsets, nu, trees, diagnostics)
+    return fit_at_nu(train, start, nu, diagnostics)
 
 
 def initial_vectors(ensemble: ShootingEnsemble, features) -> np.ndarray:

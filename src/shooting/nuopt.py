@@ -20,6 +20,7 @@ the seed, not on Y.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ DEFAULT_NU_HI = 1e3
 DEFAULT_GRID_POINTS = 64
 DEFAULT_NU_TOL = 1e-4
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class DegenerateCorrelationError(ValueError):

@@ -412,6 +412,22 @@ def test_nu_curve_minimizer_is_the_fitted_nu(tmp_path, capsys, data, k):
     assert float(printed) == model.nu
 
 
+def test_nu_curve_fits_one_sr_start(tmp_path, monkeypatch):
+    # every grid point reuses the one OLS fit and offset draw
+    from shooting import ensemble
+
+    calls = []
+    fit_ols = ensemble.fit_ols
+
+    def counted(train):
+        calls.append(train)
+        return fit_ols(train)
+
+    monkeypatch.setattr(ensemble, "fit_ols", counted)
+    assert run(["nu-curve", "--k", "3", "--points", "3", "--out", str(tmp_path)]) == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_nu_curve_rejects_tiny_grid(capsys):
     code = run(["nu-curve", "--points", "1"])
     assert code == EXIT_CONFIG

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,24 @@ def test_noiseless_data_falls_back_with_warning():
     with pytest.warns(RuntimeWarning, match="degenerate"):
         model = fit_shooting(d, SRConfig(k=4, seed=8))
     assert model.nu == 1.0
+
+
+def test_nu_is_a_python_float_on_every_path():
+    # this tuned nu is a golden-section step, not a grid point
+    d = make_synthetic(80, 3, 1.0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        models = [
+            fit_shooting(d, SRConfig(k=8, seed=0)),  # tuned
+            fit_shooting(d, SRConfig(k=8, nu=np.float64(0.5), seed=0)),  # fixed
+            fit_shooting(d, SRConfig(k=1, seed=0)),  # fallback: k < 2
+            fit_shooting(make_synthetic(30, 2, 0.0, 8), SRConfig(k=4, seed=8)),  # degenerate
+        ]
+    for model in models:
+        assert type(model.nu) is float
+    result = models[0].nu_diagnostics
+    for value in (result.nu, result.objective_value, result.corr_term, result.magnitude_term):
+        assert type(value) is float
 
 
 def test_prediction_invariant_to_estimator_order():

@@ -34,7 +34,7 @@ from shooting import (
     predict_tree,
     split,
 )
-from shooting.tree import LEAF, row_means
+from shooting.tree import LEAF, SMALL_NODE, _node_sum, row_means
 
 
 def brute_force_split_set(x: np.ndarray, y: np.ndarray, tol: float = 1e-9):
@@ -429,6 +429,51 @@ def test_presorted_growth_matches_per_node_sort(
     assert_same_tree(
         fit_tree(x, y, max_depth), reference_fit_tree(x, y, max_depth)
     )
+
+
+def test_small_node_sum_rounds_as_numpy():
+    # small nodes total their targets on Python floats; a numpy whose sum
+    # rounds differently must fail here rather than silently move trees
+    rng = np.random.default_rng(0)
+    for n in range(1, SMALL_NODE + 1):
+        cases = [np.full(n, -0.0), np.full(n, 0.0), rng.choice([0.0, -0.0], n)]
+        for _ in range(200):
+            values = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 150, n)
+            values[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
+            cases.append(values)
+        for values in cases:
+            assert np.float64(_node_sum(values.tolist())).tobytes() == np.sum(values).tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(SMALL_NODE - 2, 40),
+    n=st.integers(1, 4),
+    decimals=st.integers(0, 2),
+    bootstrap=st.booleans(),
+    signed_zeros=st.booleans(),
+    near_overflow=st.booleans(),
+    max_depth=st.sampled_from([None, 0, 1, 3]),
+)
+@settings(max_examples=200, deadline=None)
+def test_small_node_search_matches_reference_at_the_boundary(
+    seed, m, n, decimals, bootstrap, signed_zeros, near_overflow, max_depth
+):
+    # nodes on both sides of SMALL_NODE rows: the root and its first
+    # children switch between the numpy and the Python-float search
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.standard_normal((m, n)), decimals)
+    y = np.round(rng.standard_normal(m), decimals + 1)
+    if bootstrap:
+        rows = rng.integers(0, m, size=m)
+        x, y = x[rows], y[rows]
+    if signed_zeros:
+        y[rng.random(m) < 0.4] = -0.0
+        y[rng.random(m) < 0.2] = 0.0
+    if near_overflow and np.any(y):
+        # m * sum(y^2) at a quarter of the largest float
+        y *= np.sqrt(0.25 * np.finfo(float).max / m) / np.sqrt(np.sum(y * y))
+    assert_same_tree(fit_tree(x, y, max_depth), reference_fit_tree(x, y, max_depth))
 
 
 def test_models_grow_reference_trees(mpg, monkeypatch):
