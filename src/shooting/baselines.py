@@ -113,9 +113,10 @@ def fit_gbm(train: Dataset, config: GBMConfig = GBMConfig()) -> GradientBoosting
 def predict_gbm(model: GradientBoosting, features) -> np.ndarray:
     """Base value plus the learning-rate-scaled stage corrections in order."""
     x = check_features(features, model.n_features)
-    out = np.full(x.shape[0], model.base_value)
+    out = np.empty(x.shape[0])
     for rows, values in model.forest.leaves(x):
-        block = out[rows]  # a view: the stages add into out in place
-        for stage in values:
-            block += model.learning_rate * stage
+        steps = model.learning_rate * values
+        steps[0] += model.base_value
+        # cumsum adds stage after stage, the order of a per-stage loop
+        out[rows] = np.cumsum(steps, axis=0)[-1]
     return out

@@ -5,6 +5,14 @@ them by nu (tuned or fixed), trains one tree per offset on the induced
 gradient target, and predicts by averaging the k corrected estimates.
 Subtracting a perfect gradient estimate from its initial vector lands
 exactly on Y, which is what pins the sign conventions here.
+
+Prediction streams the forest walk's row blocks end to end: each block's
+initial vectors are built for its rows alone and corrected by its leaf
+values, and predict reduces the block straight into its output, so no
+(rows, k) matrix is held. predict_per_estimator copies the same blocks
+into the matrix it returns, so predict is row_means of it bit for bit.
+Through BLAS, a row's prediction depends only on the rows of its own
+block, just as a one-row predict may differ from a batch in the last bits.
 """
 
 from __future__ import annotations
@@ -154,25 +162,38 @@ def fit_shooting(train: Dataset, config: SRConfig = SRConfig()) -> ShootingEnsem
 def initial_vectors(ensemble: ShootingEnsemble, features) -> np.ndarray:
     """Per-estimator linear predictions X(B + nu*D_i) on arbitrary features."""
     x = augment(features)
-    # in place, so a predict holds one (rows, k) matrix, not three
+    # in place, so a call holds one (rows, k) matrix, not three
     initial = x @ ensemble.offsets
     initial *= ensemble.nu
     initial += (x @ ensemble.coefficients)[:, None]
     return initial
 
 
+def _member_blocks(ensemble: ShootingEnsemble, x: np.ndarray):
+    """Yield (rows, members) for each forest block of the checked features
+    x: members[r, i] is initial vector i minus tree i's leaf value."""
+    for rows, values in ensemble.forest.leaves(x):
+        members = initial_vectors(ensemble, x[rows])
+        members -= values.T
+        yield rows, members
+
+
 def predict_per_estimator(ensemble: ShootingEnsemble, features) -> np.ndarray:
     """Column i: initial vector i minus tree i's gradient estimate."""
     x = check_features(features, ensemble.n_features)
-    initial = initial_vectors(ensemble, x)
-    for rows, values in ensemble.forest.leaves(x):
-        initial[rows] -= values.T
-    return initial
+    out = np.empty((x.shape[0], ensemble.k))
+    for rows, members in _member_blocks(ensemble, x):
+        out[rows] = members
+    return out
 
 
 def predict(ensemble: ShootingEnsemble, features) -> np.ndarray:
-    """Mean of the per-estimator corrected predictions."""
-    return row_means(predict_per_estimator(ensemble, features))
+    """Mean of the per-estimator corrected predictions, block by block."""
+    x = check_features(features, ensemble.n_features)
+    out = np.empty(x.shape[0])
+    for rows, members in _member_blocks(ensemble, x):
+        out[rows] = row_means(members)
+    return out
 
 
 def oracle_predict(initial, target) -> tuple[np.ndarray, np.ndarray]:

@@ -49,9 +49,16 @@ so a row that reached its leaf stays there. One walk moves a (trees, rows)
 node-index matrix down every tree at once, one step per level of the
 deepest tree, and level d touches only the trees deeper than d. Rows go
 through in blocks of BLOCK_ROWS, so the matrix stays small for any number
-of rows. Leaf values come back in tree order, so each model keeps its own
-reduction order and its predictions are those of one walk per tree, bit
-for bit. predict_tree is the one-tree case of the same walk.
+of rows, and every predict finishes a block before walking the next, so
+its memory does not grow with the rows either. Leaf values come back in
+tree order, so each model keeps its own reduction order and its
+predictions are those of one walk per tree, bit for bit: the exact row
+mean for SR and RF, and for GBM one cumsum down the stages, which adds
+them in stage order. predict_tree is the one-tree case of the same walk.
+
+fit_tree rejects non-finite features, as every predict does: a NaN sorts
+last and never compares <= a threshold, so a tree grown on one would hold
+cuts that no row it may predict can follow.
 """
 
 from __future__ import annotations
@@ -201,6 +208,8 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
         raise ValueError("targets must be a vector matching the feature rows")
     if y.size == 0:
         raise ValueError("cannot fit a tree on zero rows")
+    if not np.isfinite(x).all():
+        raise ValueError("features must be finite")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
     with np.errstate(over="ignore"):
@@ -241,8 +250,9 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
         max_depth_seen = max(max_depth_seen, depth)
         size = len(idx)
         if size == 1:
-            # nothing to split; the mean of one value is the value
-            value[node] = float(y[idx[0]])
+            # nothing to split; the mean of one value is the value, plus
+            # 0.0 because np.sum turns a lone -0.0 into 0.0
+            value[node] = float(y[idx[0]]) + 0.0
             continue
         capped = max_depth is not None and depth >= max_depth
         # a capped node only takes its mean, so one that still holds arrays
@@ -277,9 +287,9 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
             below, above = float(xs[f, p]), float(xs[f, p + 1])
         t = 0.5 * (below + above)
         if not below <= t < above:
-            # the midpoint rounded up to above, or below + above overflowed
-            # or is -inf + inf; pin to below so the threshold routes exactly
-            # the first n_left rows
+            # the midpoint rounded up to above, or below + above overflowed;
+            # pin to below so the threshold routes exactly the first n_left
+            # rows
             t = below
         n_left = p + 1
         # the cut keeps the first n_left rows of the split feature's order;
