@@ -1,18 +1,23 @@
 """Versioned JSON serialization for the three model kinds.
 
 Floats ride through json's shortest-repr round trip untouched, so a
-loaded model predicts bit-for-bit like the saved one. Writes go to a
-temp file in the target directory followed by an atomic rename.
+loaded model predicts bit-for-bit like the saved one. Files are UTF-8,
+and writes go to a temp file in the target directory followed by an
+atomic rename.
 
-A document holds only what prediction reads. Loading checks it against
-what a fit can write: node arrays of one length, child indices after
-their parent's, each node but the root the child of exactly one node,
-feature indices below n_features, leaves with no children and no
-threshold, finite numbers and no booleans, the stored depth, at least one
-tree, every tree as wide as the model, (p, k) offsets and nu >= 0 for the
-ensemble, a learning_rate in (0, 1] for boosting. So a loaded model never
-indexes outside its arrays or stops on an internal node; any document
-that fails a check raises PersistError.
+A document holds only what prediction reads. A tree is its feature array
+in level order, the thresholds of its internal nodes and the values of
+its leaves, both in node order. Its links follow from the level order
+(the j-th internal node's children are 2j + 1 and 2j + 2), its depth from
+the links and its width from the model. Loading checks the document
+against what a fit can write: one structural rule, n = 2I + 1 nodes for I
+internal ones with the j-th internal node at an id <= 2j, so every node's
+parent comes before it; feature indices in [0, n_features) at internal
+nodes; one threshold per internal node and one value per leaf; finite
+numbers and no booleans; at least one tree; (p, k) offsets and nu >= 0
+for the ensemble; a learning_rate in (0, 1] for boosting. So a loaded
+model never indexes outside its arrays or stops on an internal node; any
+file or document that fails a check raises PersistError.
 """
 
 from __future__ import annotations
@@ -21,24 +26,27 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
 from .baselines import GradientBoosting, RandomForest
 from .ensemble import ShootingEnsemble
-from .tree import LEAF, RegressionTree
+from .tree import LEAF, RegressionTree, level_order_tree
 
 FORMAT_NAME = "shooting-model"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class PersistError(ValueError):
     """Unrecognized or malformed model document."""
 
 
-def _int(value) -> int:
-    if type(value) is not int:
-        raise PersistError(f"expected an integer, got {value!r}")
+def _width(value) -> int:
+    """A feature count, the width every tree of the model takes: one that
+    no int64 holds is refused here rather than left for predict."""
+    if type(value) is not int or not 0 <= value < 2**63:
+        raise PersistError(f"expected a feature count, got {value!r}")
     return value
 
 
@@ -74,86 +82,58 @@ def _finite(values) -> np.ndarray:
     return arr
 
 
-def _trees(docs) -> tuple:
-    return tuple(_decode(RegressionTree, _TREE, doc) for doc in docs)
-
-
-# class field -> decoder; np.array(..., dtype=float) reads null as nan
-_TREE = {
-    "feature": _ints,
-    "threshold": lambda values: np.array(_numbers(values), dtype=float),
-    "left": _ints,
-    "right": _ints,
-    "value": _finite,
-    "depth": _int,
-    "n_features": _int,
-}
-# kind -> (class, field decoders); "trees" is common to all kinds
+# tree document field -> decoder
+_TREE = {"feature": _ints, "threshold": _finite, "value": _finite}
+# kind -> (class, field decoders); "trees" holds the tree documents until
+# the model's width is known
 _KINDS = {
     "shooting": (
         ShootingEnsemble,
-        {"coefficients": _finite, "offsets": _finite, "nu": _number, "trees": _trees},
+        {"coefficients": _finite, "offsets": _finite, "nu": _number, "trees": tuple},
     ),
-    "rf": (RandomForest, {"n_features": _int, "trees": _trees}),
+    "rf": (RandomForest, {"n_features": _width, "trees": tuple}),
     "gbm": (
         GradientBoosting,
-        {"base_value": _number, "learning_rate": _number, "n_features": _int, "trees": _trees},
+        {"base_value": _number, "learning_rate": _number, "n_features": _width, "trees": tuple},
     ),
 }
 
 
-def _encode(obj, fields) -> dict:
-    doc = {}
-    for name in fields:
-        value = getattr(obj, name)
-        if isinstance(value, tuple):
-            value = [_encode(tree, _TREE) for tree in value]
-        elif isinstance(value, np.ndarray):
-            # JSON has no nan: a leaf's nan threshold is written as null
-            value = np.where(np.isnan(value), None, value).tolist()
-        doc[name] = value
-    return doc
+def _tree_doc(tree: RegressionTree) -> dict:
+    internal = tree.feature != LEAF
+    return {
+        "feature": tree.feature.tolist(),
+        "threshold": tree.threshold[internal].tolist(),
+        "value": tree.value[~internal].tolist(),
+    }
 
 
-def _decode(cls, fields, doc):
+def _encode(value):
+    """A field as JSON: trees as tree documents, arrays as lists."""
+    if isinstance(value, tuple):
+        return [_tree_doc(tree) for tree in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _fields(fields, doc) -> dict:
     if set(doc) != set(fields):
         raise PersistError(f"expected the fields {sorted(fields)}, got {sorted(doc)}")
-    return cls(**{name: decode(doc[name]) for name, decode in fields.items()})
+    return {name: decode(doc[name]) for name, decode in fields.items()}
 
 
-def _check_tree(tree: RegressionTree, n_features: int) -> None:
-    n = tree.feature.size
-    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-    if n == 0 or any(np.shape(a) != (n,) for a in arrays):
-        raise PersistError("node arrays must be non-empty and of equal length")
-    if tree.n_features != n_features:
-        raise PersistError(
-            f"tree has {tree.n_features} features, the model {n_features}"
-        )
-    leaf = tree.feature == LEAF
-    if not (
-        np.all(tree.left[leaf] == LEAF)
-        and np.all(tree.right[leaf] == LEAF)
-        and np.all(np.isnan(tree.threshold[leaf]))
-    ):
-        raise PersistError("a leaf has a child or a threshold")
-    node = np.nonzero(~leaf)[0]
-    feature, left, right = tree.feature[node], tree.left[node], tree.right[node]
-    if not np.all((0 <= feature) & (feature < n_features)):
+def _tree(doc, n_features: int) -> RegressionTree:
+    arrays = _fields(_TREE, doc)
+    feature = arrays["feature"]
+    ids = np.flatnonzero(feature != LEAF)
+    i = ids.size
+    # the j-th internal node's children are 2j + 1 and 2j + 2
+    if feature.size != 2 * i + 1 or np.any(ids > 2 * np.arange(i)):
+        raise PersistError("nodes are not a tree in level order: a node precedes its parent")
+    if not np.all((0 <= feature[ids]) & (feature[ids] < n_features)):
         raise PersistError("feature index out of range")
-    if not np.all((node < left) & (left < n) & (node < right) & (right < n)):
-        raise PersistError("child index not after its parent or out of range")
-    if np.any(np.bincount(np.concatenate([left, right]), minlength=n)[1:] != 1):
-        raise PersistError("every node but the root needs exactly one parent")
-    if np.any(np.isnan(tree.threshold[node])):
-        raise PersistError("internal node without a threshold")
-    depth, level = -1, np.zeros(1, dtype=np.int64)
-    while level.size:
-        depth += 1
-        level = np.concatenate([tree.left[level], tree.right[level]])
-        level = level[level != LEAF]
-    if depth != tree.depth:
-        raise PersistError(f"stored depth {tree.depth} is not the tree's {depth}")
+    if arrays["threshold"].shape != (i,) or arrays["value"].shape != (i + 1,):
+        raise PersistError("expected one threshold per internal node and one value per leaf")
+    return level_order_tree(feature, arrays["threshold"], arrays["value"], n_features)
 
 
 def _check_model(model) -> None:
@@ -169,14 +149,12 @@ def _check_model(model) -> None:
             raise PersistError("nu must be >= 0")
     if isinstance(model, GradientBoosting) and not 0.0 < model.learning_rate <= 1.0:
         raise PersistError("learning_rate must be in (0, 1]")
-    for tree in model.trees:
-        _check_tree(tree, model.n_features)
 
 
 def model_to_dict(model) -> dict:
     for kind, (cls, fields) in _KINDS.items():
         if isinstance(model, cls):
-            body = _encode(model, fields)
+            body = {name: _encode(getattr(model, name)) for name in fields}
             return {"format": FORMAT_NAME, "format_version": FORMAT_VERSION, "kind": kind, "model": body}
     raise PersistError(f"cannot serialize {type(model).__name__}")
 
@@ -192,12 +170,14 @@ def model_from_dict(doc: dict):
         raise PersistError("missing model body")
     if kind not in _KINDS:
         raise PersistError(f"unknown model kind {kind!r}")
+    cls, fields = _KINDS[kind]
     try:
-        model = _decode(*_KINDS[kind], body)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        model = cls(**_fields(fields, body))
+        _check_model(model)
+        trees = tuple(_tree(tree, model.n_features) for tree in model.trees)
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise PersistError(f"malformed {kind} document: {exc}") from exc
-    _check_model(model)
-    return model
+    return replace(model, trees=trees)
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -205,7 +185,7 @@ def write_text_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -220,9 +200,10 @@ def save_model(model, path: str) -> None:
 
 
 def load_model(path: str):
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # not UTF-8, not JSON, or nested deeper than the parser recurses
             raise PersistError(f"invalid JSON: {exc}") from exc
     return model_from_dict(doc)

@@ -1,7 +1,9 @@
 """Axis-aligned regression trees grown by greedy squared-error reduction.
 
-Nodes live in flat parallel arrays rather than linked objects: fitting
-appends in preorder, prediction walks a packed forest (below).
+Nodes live in flat parallel arrays rather than linked objects. Fitting
+takes nodes first in, first out, so node ids run in level order and the
+links are implied: the j-th internal node by id has children 2j + 1 and
+2j + 2. Prediction walks a packed forest (below).
 Split ties resolve to the lowest feature index, then the lowest threshold,
 so refitting on identical data reproduces the identical structure.
 
@@ -64,6 +66,7 @@ cuts that no row it may predict can follow.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,9 +81,11 @@ SMALL_NODE = 16
 
 @dataclass(frozen=True)
 class RegressionTree:
-    """Flat-array tree: feature[i] == LEAF marks a leaf, value[i] its mean.
+    """Flat-array tree in level order: feature[i] == LEAF marks a leaf,
+    value[i] its mean.
 
-    threshold is nan at leaves; left/right hold child node indices for
+    threshold is nan at leaves and value nan at internal nodes, which
+    prediction never reads; left/right hold child node indices for
     internal nodes and LEAF otherwise.
     """
 
@@ -224,77 +229,55 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
     xl: list[list[float]] = []
     yl: list[float] = []
 
+    # filled in node order: a feature per node, a threshold per internal
+    # node and a value per leaf
     feat: list[int] = []
     thr: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
     value: list[float] = []
-    max_depth_seen = 0
-
-    def new_node() -> int:
-        feat.append(LEAF)
-        thr.append(np.nan)
-        left.append(LEAF)
-        right.append(LEAF)
-        value.append(0.0)
-        return len(feat) - 1
-
-    root = new_node()
     # a node carries its rows in increasing order and, per feature, the same
-    # rows in stable value order: arrays, or lists once the node is small
-    stack: list[tuple[int, object, object, int]] = [
-        (root, np.arange(y.size), np.argsort(xt, axis=1, kind="stable"), 0)
-    ]
-    while stack:
-        node, idx, order, depth = stack.pop()
-        max_depth_seen = max(max_depth_seen, depth)
+    # rows in stable value order: arrays, or lists once the node is small.
+    # Nodes are taken first in, first out, so in level order
+    queue: deque[tuple[object, object, int]] = deque(
+        [(np.arange(y.size), np.argsort(xt, axis=1, kind="stable"), 0)]
+    )
+    while queue:
+        idx, order, depth = queue.popleft()
         size = len(idx)
+        capped = max_depth is not None and depth >= max_depth
+        split = None
         if size == 1:
             # nothing to split; the mean of one value is the value, plus
             # 0.0 because np.sum turns a lone -0.0 into 0.0
-            value[node] = float(y[idx[0]]) + 0.0
-            continue
-        capped = max_depth is not None and depth >= max_depth
+            mean = float(y[idx[0]]) + 0.0
         # a capped node only takes its mean, so one that still holds arrays
         # stays in numpy and a shallow tree need never convert
-        if size <= SMALL_NODE and (not capped or type(idx) is list):
+        elif size <= SMALL_NODE and (not capped or type(idx) is list):
             if not yl:
                 xl, yl = xt.tolist(), y.tolist()
             if type(idx) is not list:
                 idx, order = idx.tolist(), order.tolist()
             ysub = [yl[r] for r in idx]
             total1 = _node_sum(ysub)
-            value[node] = total1 / size
-            if capped or min(ysub) == max(ysub):
-                continue
-            split = _small_split(xl, yl, order, total1, _node_sum([v * v for v in ysub]))
-            if split is None:
-                continue
-            f, p = split
-            rows = order[f]
-            below, above = xl[f][rows[p]], xl[f][rows[p + 1]]
+            mean = total1 / size
+            if not (capped or min(ysub) == max(ysub)):
+                split = _small_split(xl, yl, order, total1, _node_sum([v * v for v in ysub]))
         else:
             ysub = y[idx]
             total1 = float(ysub.sum())
-            value[node] = total1 / size  # ysub.mean(), bit for bit
-            if capped or ysub.min() == ysub.max():
-                continue
-            xs = xt[feature_ids, order]
-            split = _best_split(xs, y[order], total1, float((ysub * ysub).sum()))
-            if split is None:
-                continue
-            f, p = split
-            below, above = float(xs[f, p]), float(xs[f, p + 1])
-        t = 0.5 * (below + above)
-        if not below <= t < above:
-            # the midpoint rounded up to above, or below + above overflowed;
-            # pin to below so the threshold routes exactly the first n_left
-            # rows
-            t = below
+            mean = total1 / size  # ysub.mean(), bit for bit
+            if not (capped or ysub.min() == ysub.max()):
+                xs = xt[feature_ids, order]
+                split = _best_split(xs, y[order], total1, float((ysub * ysub).sum()))
+        if split is None:
+            feat.append(LEAF)
+            value.append(mean)
+            continue
+        f, p = split
         n_left = p + 1
         # the cut keeps the first n_left rows of the split feature's order;
         # filtering every feature's order by them keeps each in value order
         if type(idx) is list:
+            below, above = xl[f][order[f][p]], xl[f][order[f][n_left]]
             in_left = set(order[f][:n_left])
             left_idx = [r for r in idx if r in in_left]
             right_idx = [r for r in idx if r not in in_left]
@@ -305,6 +288,7 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
             if size - n_left > 1:
                 right_order = [[r for r in rows if r not in in_left] for rows in order]
         else:
+            below, above = float(xs[f, p]), float(xs[f, n_left])
             goes_left[order[f, :n_left]] = True
             in_left = goes_left[order]
             left_order = order[in_left].reshape(n, n_left)
@@ -312,24 +296,50 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
             row_left = goes_left[idx]
             left_idx, right_idx = idx[row_left], idx[~row_left]
             goes_left[left_idx] = False
-        feat[node] = f
-        thr[node] = t
-        left_child = new_node()
-        right_child = new_node()
-        left[node] = left_child
-        right[node] = right_child
-        # push right first so preorder (left before right) pops out
-        stack.append((right_child, right_idx, right_order, depth + 1))
-        stack.append((left_child, left_idx, left_order, depth + 1))
+        t = 0.5 * (below + above)
+        if not below <= t < above:
+            # the midpoint rounded up to above, or below + above overflowed;
+            # pin to below so the threshold routes exactly the first n_left
+            # rows
+            t = below
+        feat.append(f)
+        thr.append(t)
+        queue.append((left_idx, left_order, depth + 1))
+        queue.append((right_idx, right_order, depth + 1))
 
+    return level_order_tree(
+        np.array(feat, dtype=np.int64), np.array(thr, dtype=float), np.array(value, dtype=float), n
+    )
+
+
+def level_order_tree(feature, threshold, value, n_features: int) -> RegressionTree:
+    """The tree whose feature array lists its nodes in level order, so the
+    j-th internal node's children are nodes 2j + 1 and 2j + 2. threshold
+    holds one entry per internal node and value one per leaf, each in node
+    order; the links and the depth follow. The caller ensures the layout
+    is a tree: n = 2I + 1 nodes for I internal ones, the j-th internal node
+    at an id <= 2j, so every node comes after its parent."""
+    internal = feature != LEAF
+    ids = np.flatnonzero(internal)
+    left = np.full(feature.size, LEAF, dtype=np.int64)
+    left[ids] = 2 * np.arange(ids.size) + 1
+    node_threshold = np.full(feature.size, np.nan)
+    node_threshold[ids] = threshold
+    node_value = np.full(feature.size, np.nan)
+    node_value[~internal] = value
+    # level order ends on a deepest node: count its steps up to the root
+    depth, node = 0, feature.size - 1
+    while node:
+        node = int(ids[(node - 1) // 2])
+        depth += 1
     return RegressionTree(
-        feature=np.array(feat, dtype=np.int64),
-        threshold=np.array(thr, dtype=float),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        value=np.array(value, dtype=float),
-        depth=max_depth_seen,
-        n_features=n,
+        feature=feature,
+        threshold=node_threshold,
+        left=left,
+        right=np.where(internal, left + 1, LEAF),
+        value=node_value,
+        depth=depth,
+        n_features=n_features,
     )
 
 

@@ -41,7 +41,7 @@ def test_rf_tree_is_plain_tree_on_its_bootstrap_rows():
         plain = fit_tree(d.features[rows], d.target[rows])
         assert np.array_equal(tree.feature, plain.feature)
         assert np.array_equal(tree.threshold, plain.threshold, equal_nan=True)
-        assert np.array_equal(tree.value, plain.value)
+        assert np.array_equal(tree.value, plain.value, equal_nan=True)
 
 
 def test_identical_trees_average_exactly():
@@ -62,7 +62,7 @@ def test_rf_deterministic_and_trees_differ():
     assert np.array_equal(predict_rf(a, q), predict_rf(b, q))
     # bootstrap resamples must actually vary across members
     assert any(
-        not np.array_equal(a.trees[0].value, t.value)
+        not np.array_equal(a.trees[0].value, t.value, equal_nan=True)
         or a.trees[0].value.size != t.value.size
         for t in a.trees[1:]
     )
@@ -139,7 +139,7 @@ def test_gbm_trees_ignore_the_seed():
     for s, t in zip(a.trees, b.trees, strict=True):
         assert np.array_equal(s.feature, t.feature)
         assert np.array_equal(s.threshold, t.threshold, equal_nan=True)
-        assert np.array_equal(s.value, t.value)
+        assert np.array_equal(s.value, t.value, equal_nan=True)
 
 
 def test_gbm_prediction_composes_stages_in_order():

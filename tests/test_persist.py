@@ -72,11 +72,17 @@ def test_document_shape_and_leaf_thresholds(train):
     model = fit_rf(train, RFConfig(n_trees=2, seed=3))
     doc = model_to_dict(model)
     assert doc["format"] == "shooting-model"
-    assert doc["format_version"] == 2
+    assert doc["format_version"] == 3
     assert doc["kind"] == "rf"
-    tree = doc["model"]["trees"][0]
-    for f, t in zip(tree["feature"], tree["threshold"]):
-        assert (t is None) == (f == -1)
+    for tree in doc["model"]["trees"]:
+        # level order implies the links and the depth; the width is the model's
+        assert sorted(tree) == ["feature", "threshold", "value"]
+        internal = sum(f != -1 for f in tree["feature"])
+        assert len(tree["feature"]) == 2 * internal + 1
+        # a threshold per internal node and a value per leaf, no nulls
+        assert len(tree["threshold"]) == internal
+        assert len(tree["value"]) == internal + 1
+        assert None not in tree["threshold"] + tree["value"]
     # nan never appears, so strict JSON encoding must succeed
     json.dumps(doc, allow_nan=False)
 
@@ -127,6 +133,20 @@ def test_load_invalid_json(tmp_path):
         load_model(str(path))
 
 
+def test_load_non_utf8_file(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(PersistError, match="invalid JSON"):
+        load_model(str(path))
+
+
+def test_load_deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(PersistError, match="invalid JSON"):
+        load_model(str(path))
+
+
 def test_atomic_write_replaces_and_cleans_up(tmp_path):
     path = tmp_path / "out.txt"
     path.write_text("old")
@@ -148,17 +168,73 @@ def test_save_overwrites_previous_model(tmp_path, train, query):
 
 
 @pytest.fixture(scope="module")
-def saved(train, query):
-    """kind -> (document, predict function, predictions of the fitted model)."""
-    models = {
+def models(train):
+    """kind -> (fitted model, predict function)."""
+    return {
         "shooting": (fit_shooting(train, SRConfig(k=3, seed=5)), predict),
         "rf": (fit_rf(train, RFConfig(n_trees=3, seed=5)), predict_rf),
         "gbm": (fit_gbm(train, GBMConfig(n_stages=3, seed=5)), predict_gbm),
     }
+
+
+@pytest.fixture(scope="module")
+def saved(models, query):
+    """kind -> (document, predict function, predictions of the fitted model)."""
     return {
         kind: (model_to_dict(model), fn, fn(model, query))
         for kind, (model, fn) in models.items()
     }
+
+
+@pytest.mark.parametrize("kind", ["shooting", "rf", "gbm"])
+def test_loaded_trees_equal_fitted_ones(tmp_path, models, kind):
+    # links, depth, width and the nan of internal values and leaf
+    # thresholds come back from what the document keeps
+    model = models[kind][0]
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    loaded = load_model(str(path))
+    assert len(loaded.trees) == len(model.trees)
+    for got, fitted in zip(loaded.trees, model.trees):
+        assert np.array_equal(got.feature, fitted.feature)
+        assert np.array_equal(got.threshold, fitted.threshold, equal_nan=True)
+        assert np.array_equal(got.left, fitted.left)
+        assert np.array_equal(got.right, fitted.right)
+        assert got.value.tobytes() == fitted.value.tobytes()
+        assert got.depth == fitted.depth
+        assert got.n_features == fitted.n_features
+
+
+def test_reject_node_before_its_parent(saved):
+    # five nodes, two internal: the second internal node (id 3) would be
+    # the parent of nodes 3 and 4, itself among them
+    doc = copy.deepcopy(saved["rf"][0])
+    doc["model"]["trees"] = [
+        {"feature": [0, -1, -1, 0, -1], "threshold": [0.0, 1.0], "value": [1.0, 2.0, 3.0]}
+    ]
+    with pytest.raises(PersistError, match="parent"):
+        model_from_dict(doc)
+
+
+def test_reject_deeply_nested_document(saved):
+    # a document built in memory can nest deeper than the boolean check
+    # recurses; json.load never returns one this deep
+    doc = copy.deepcopy(saved["rf"][0])
+    nested = [1.0]
+    for _ in range(5000):
+        nested = [nested]
+    doc["model"]["trees"][0]["value"] = nested
+    with pytest.raises(PersistError, match="malformed"):
+        model_from_dict(doc)
+
+
+def test_reject_version_2_document(saved):
+    # version 2 stored links, depth and null leaf thresholds; no reader
+    # for it is kept
+    doc = copy.deepcopy(saved["rf"][0])
+    doc["format_version"] = 2
+    with pytest.raises(PersistError, match="format_version"):
+        model_from_dict(doc)
 
 
 # values no field accepts: wrong type, wrong shape, not finite or too large
@@ -172,52 +248,55 @@ def mutate(doc: dict, data) -> None:
 
     Changes that keep a document well formed, such as another in-range
     feature, another internal threshold or another leaf value, change the
-    predictions legitimately and are not drawn; an internal node's value,
-    which prediction never reads, is.
+    predictions legitimately and are not drawn; nor is a wider forest or
+    boosting model, whose trees need not read every feature.
     """
     body = doc["model"]
     tree = data.draw(st.sampled_from(body["trees"]))
-    n = len(tree["feature"])
+    features = tree["feature"]
+    n = len(features)
     j = data.draw(st.integers(0, n - 1))
-    leaf = tree["feature"][j] == -1
+    width = len(body["coefficients"]) - 1 if "coefficients" in body else body["n_features"]
     what = data.draw(
         st.sampled_from(
-            ["child", "feature", "threshold", "value", "depth", "tree width",
-             "model width", "short array", "drop last node", "drop key",
-             "wrong value", "no trees", "boolean", "kind"]
+            ["feature", "flip node", "threshold", "value", "resize",
+             "node before parent", "model width", "drop last node",
+             "drop key", "wrong value", "no trees", "boolean", "kind"]
         )
     )
-    if what == "child":
-        side = data.draw(st.sampled_from(["left", "right"]))
-        tree[side][j] = data.draw(st.integers(-3, n + 3))
-    elif what == "feature":
-        width = tree["n_features"]
-        tree["feature"][j] = data.draw(
-            st.integers(-4, -1) | st.integers(width, width + 3)
+    if what == "feature":
+        features[j] = data.draw(st.integers(-4, -2) | st.integers(width, width + 3))
+    elif what == "flip node":
+        # a leaf becomes an internal node or back, so n != 2I + 1
+        features[j] = data.draw(st.integers(0, width - 1)) if features[j] == -1 else -1
+    elif what in ("threshold", "value"):
+        entries = tree[what]
+        entries[data.draw(st.integers(0, len(entries) - 1))] = data.draw(
+            st.sampled_from(WRONG_ENTRY)
         )
-    elif what == "threshold":
-        tree["threshold"][j] = data.draw(
-            st.floats(-10, 10) if leaf else st.sampled_from(WRONG_ENTRY)
-        )
-    elif what == "value":
-        tree["value"][j] = data.draw(
-            st.sampled_from(WRONG_ENTRY) if leaf else st.floats(-1e6, 1e6)
-        )
-    elif what == "depth":
-        tree["depth"] = data.draw(st.integers(-2, tree["depth"] + 3))
-    elif what == "tree width":
-        tree["n_features"] = data.draw(st.integers(-1, 6))
+    elif what == "resize":
+        # one threshold or value more or fewer than there are nodes for
+        entries = tree[data.draw(st.sampled_from(["threshold", "value"]))]
+        if data.draw(st.booleans()):
+            entries.append(data.draw(st.floats(-10, 10)))
+        else:
+            entries.pop()
+    elif what == "node before parent":
+        # the last internal node moves into the slot of one of its
+        # children, which are always the last two nodes
+        last = max(i for i, f in enumerate(features) if f != -1)
+        features.insert(data.draw(st.sampled_from([n - 2, n - 1])), features.pop(last))
     elif what == "model width":
         if "coefficients" in body:
             body["coefficients"].pop(data.draw(st.integers(0, 3)))
         else:
-            body["n_features"] = data.draw(st.integers(-1, 6))
-    elif what == "short array":
-        field = data.draw(st.sampled_from(["feature", "threshold", "left", "right", "value"]))
-        del tree[field][j]
+            # narrower than a feature some tree reads
+            used = max(f for t in body["trees"] for f in t["feature"])
+            body["n_features"] = data.draw(st.integers(-1, used))
     elif what == "drop last node":
-        for field in ["feature", "threshold", "left", "right", "value"]:
-            tree[field].pop()
+        # the last node is a leaf
+        features.pop()
+        tree["value"].pop()
     elif what == "drop key":
         target = data.draw(st.sampled_from([body, tree]))
         del target[data.draw(st.sampled_from(sorted(target)))]
@@ -229,7 +308,7 @@ def mutate(doc: dict, data) -> None:
     elif what == "boolean":
         # numpy would read it as 1 or 0; any number array, the ensemble's
         # coefficients and rows of D included
-        arrays = [tree[field] for field in ["feature", "threshold", "left", "right", "value"]]
+        arrays = [tree[field] for field in ["feature", "threshold", "value"]]
         if "coefficients" in body:
             arrays += [body["coefficients"], *body["offsets"]]
         entries = data.draw(st.sampled_from(arrays))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import tracemalloc
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -106,8 +107,9 @@ def _reference_best_split(x: np.ndarray, y: np.ndarray) -> tuple[int, float] | N
 def reference_fit_tree(features, targets, max_depth=None):
     """The grower fit_tree must match bit for bit: it sorts at every node.
 
-    Same control flow and stopping rules as fit_tree, with each node's rows
-    re-sorted per feature and routed by comparing against the threshold.
+    Same control flow, level order and stopping rules as fit_tree, with
+    each node's rows re-sorted per feature and routed by comparing against
+    the threshold; an internal node's value is nan.
     """
     x = np.ascontiguousarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -123,9 +125,9 @@ def reference_fit_tree(features, targets, max_depth=None):
         value.append(0.0)
         return len(feat) - 1
 
-    stack = [(new_node(), np.arange(y.size), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
+    queue = deque([(new_node(), np.arange(y.size), 0)])
+    while queue:
+        node, idx, depth = queue.popleft()
         max_depth_seen = max(max_depth_seen, depth)
         ysub = y[idx]
         value[node] = float(ysub.mean())
@@ -140,10 +142,11 @@ def reference_fit_tree(features, targets, max_depth=None):
         go_left = x[idx, f] <= t
         feat[node] = f
         thr[node] = t
+        value[node] = np.nan
         left[node] = new_node()
         right[node] = new_node()
-        stack.append((right[node], idx[~go_left], depth + 1))
-        stack.append((left[node], idx[go_left], depth + 1))
+        queue.append((left[node], idx[go_left], depth + 1))
+        queue.append((right[node], idx[~go_left], depth + 1))
 
     return RegressionTree(
         feature=np.array(feat, dtype=np.int64),
@@ -406,6 +409,34 @@ def test_depth_cap_respected(seed, cap):
     y = rng.standard_normal(30)
     tree = fit_tree(x, y, max_depth=cap)
     assert tree.depth <= cap
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 40),
+    n=st.integers(1, 3),
+    max_depth=st.sampled_from([None, 0, 1, 3]),
+)
+@settings(max_examples=100, deadline=None)
+def test_nodes_laid_out_in_level_order(seed, m, n, max_depth):
+    # the links a saved document leaves out: the internal node of rank j
+    # has children 2j + 1 and 2j + 2
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.standard_normal((m, n)), 1)
+    tree = fit_tree(x, np.round(rng.standard_normal(m), 1), max_depth)
+    internal = tree.feature != LEAF
+    rank = np.cumsum(internal) - 1
+    assert np.array_equal(tree.left[internal], 2 * rank[internal] + 1)
+    assert np.array_equal(tree.right, np.where(internal, tree.left + 1, LEAF))
+    assert np.all(tree.left[~internal] == LEAF)
+    depth = np.zeros(tree.n_nodes, dtype=np.int64)
+    for i in np.flatnonzero(internal):
+        depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+    assert np.all(np.diff(depth) >= 0)
+    assert depth[-1] == tree.depth
+    # prediction reads no internal value and no leaf threshold
+    assert np.all(np.isnan(tree.value[internal]))
+    assert np.all(np.isnan(tree.threshold[~internal]))
 
 
 # ------------------------------------------------- presort vs per-node sort
