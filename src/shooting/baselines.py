@@ -13,6 +13,7 @@ from .tree import (
     Forest,
     RegressionTree,
     check_features,
+    check_int,
     fit_tree,
     pack_forest,
     predict_tree,
@@ -28,8 +29,8 @@ class RFConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
+        check_int(self.n_trees, "n_trees", 1)
+        check_int(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -45,10 +46,12 @@ class GBMConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_stages < 1:
-            raise ValueError("n_stages must be >= 1")
+        check_int(self.n_stages, "n_stages", 1)
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
+        if self.max_depth is not None:
+            check_int(self.max_depth, "max_depth", 0)
+        check_int(self.seed, "seed")
 
 
 @dataclass(frozen=True)

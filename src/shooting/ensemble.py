@@ -33,7 +33,9 @@ from .nuopt import (
     build_cache,
     minimize_nu,
 )
-from .tree import Forest, RegressionTree, check_features, fit_tree, pack_forest, row_means
+from .tree import (
+    Forest, RegressionTree, check_features, check_int, fit_tree, pack_forest, row_means
+)
 
 # nu used when the correlation objective is degenerate (perfect linear fit)
 FALLBACK_NU = 1.0
@@ -55,8 +57,8 @@ class SRConfig:
     magnitude_weight: float | None = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        check_int(self.k, "k", 1)
+        check_int(self.seed, "seed")
         if self.nu is not None and not 0.0 <= self.nu < math.inf:
             raise ValueError("fixed nu must be finite and >= 0")
         if self.magnitude_weight is not None and not 0.0 <= self.magnitude_weight < math.inf:

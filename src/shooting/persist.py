@@ -5,19 +5,19 @@ loaded model predicts bit-for-bit like the saved one. Files are UTF-8,
 and writes go to a temp file in the target directory followed by an
 atomic rename.
 
-A document holds only what prediction reads. A tree is its feature array
-in level order, the thresholds of its internal nodes and the values of
-its leaves, both in node order. Its links follow from the level order
-(the j-th internal node's children are 2j + 1 and 2j + 2), its depth from
-the links and its width from the model. Loading checks the document
-against what a fit can write: one structural rule, n = 2I + 1 nodes for I
-internal ones with the j-th internal node at an id <= 2j, so every node's
-parent comes before it; feature indices in [0, n_features) at internal
-nodes; one threshold per internal node and one value per leaf; finite
-numbers and no booleans; at least one tree; (p, k) offsets and nu >= 0
-for the ensemble; a learning_rate in (0, 1] for boosting. So a loaded
-model never indexes outside its arrays or stops on an internal node; any
-file or document that fails a check raises PersistError.
+A document holds only what prediction reads, which is what a
+RegressionTree holds: per tree, its feature array in level order, the
+thresholds of its internal nodes and the values of its leaves, both in
+node order; its width comes from the model. Loading builds each tree
+through RegressionTree, whose constructor checks the one structural rule
+(n = 2I + 1 nodes for I internal ones with the j-th internal node at an
+id <= 2j, so every node's parent comes before it), feature indices in
+[0, n_features) and one threshold per internal node and one value per
+leaf. This module checks the rest of what a fit can write: finite numbers
+and no booleans; at least one tree; (p, k) offsets and nu >= 0 for the
+ensemble; a learning_rate in (0, 1] for boosting. So a loaded model never
+indexes outside its arrays or stops on an internal node; any file or
+document that fails a check raises PersistError.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .baselines import GradientBoosting, RandomForest
 from .ensemble import ShootingEnsemble
-from .tree import LEAF, RegressionTree, level_order_tree
+from .tree import RegressionTree
 
 FORMAT_NAME = "shooting-model"
 FORMAT_VERSION = 3
@@ -99,19 +99,10 @@ _KINDS = {
 }
 
 
-def _tree_doc(tree: RegressionTree) -> dict:
-    internal = tree.feature != LEAF
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold[internal].tolist(),
-        "value": tree.value[~internal].tolist(),
-    }
-
-
 def _encode(value):
     """A field as JSON: trees as tree documents, arrays as lists."""
     if isinstance(value, tuple):
-        return [_tree_doc(tree) for tree in value]
+        return [{name: getattr(tree, name).tolist() for name in _TREE} for tree in value]
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
@@ -122,18 +113,7 @@ def _fields(fields, doc) -> dict:
 
 
 def _tree(doc, n_features: int) -> RegressionTree:
-    arrays = _fields(_TREE, doc)
-    feature = arrays["feature"]
-    ids = np.flatnonzero(feature != LEAF)
-    i = ids.size
-    # the j-th internal node's children are 2j + 1 and 2j + 2
-    if feature.size != 2 * i + 1 or np.any(ids > 2 * np.arange(i)):
-        raise PersistError("nodes are not a tree in level order: a node precedes its parent")
-    if not np.all((0 <= feature[ids]) & (feature[ids] < n_features)):
-        raise PersistError("feature index out of range")
-    if arrays["threshold"].shape != (i,) or arrays["value"].shape != (i + 1,):
-        raise PersistError("expected one threshold per internal node and one value per leaf")
-    return level_order_tree(feature, arrays["threshold"], arrays["value"], n_features)
+    return RegressionTree(**_fields(_TREE, doc), n_features=n_features)
 
 
 def _check_model(model) -> None:

@@ -3,9 +3,11 @@
 Nodes live in flat parallel arrays rather than linked objects. Fitting
 takes nodes first in, first out, so node ids run in level order and the
 links are implied: the j-th internal node by id has children 2j + 1 and
-2j + 2. Prediction walks a packed forest (below).
-Split ties resolve to the lowest feature index, then the lowest threshold,
-so refitting on identical data reproduces the identical structure.
+2j + 2. A RegressionTree holds exactly what a saved tree holds and checks
+that rule when built. Prediction walks a packed forest (below).
+Ties in the computed SSE go to the lowest (feature, position), so refitting
+on identical data reproduces the identical structure, though rounding can
+decide between cuts whose exact SSE ties.
 
 Every feature is searched at every node, and max_depth is the only growth
 limit: a node splits unless it holds one row, sits at max_depth, has
@@ -66,8 +68,10 @@ cuts that no row it may predict can follow.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,21 +85,28 @@ SMALL_NODE = 16
 
 @dataclass(frozen=True)
 class RegressionTree:
-    """Flat-array tree in level order: feature[i] == LEAF marks a leaf,
-    value[i] its mean.
-
-    threshold is nan at leaves and value nan at internal nodes, which
-    prediction never reads; left/right hold child node indices for
-    internal nodes and LEAF otherwise.
+    """A tree in level order, as a saved document holds it: feature has one
+    entry per node (LEAF at leaves), threshold one per internal node and
+    value one per leaf, each in node order. The constructor checks the one
+    level-order rule, from which the links and the depth follow, and the
+    feature range and counts.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
-    depth: int
     n_features: int
+
+    def __post_init__(self):
+        ids = np.flatnonzero(self.feature != LEAF)
+        i = ids.size
+        # the j-th internal node's children 2j + 1 and 2j + 2 come after it
+        if self.feature.size != 2 * i + 1 or (ids > 2 * np.arange(i)).any():
+            raise ValueError("nodes are not a tree in level order: a node precedes its parent")
+        if not ((0 <= self.feature[ids]) & (self.feature[ids] < self.n_features)).all():
+            raise ValueError("feature index out of range")
+        if self.threshold.shape != (i,) or self.value.shape != (i + 1,):
+            raise ValueError("expected one threshold per internal node and one value per leaf")
 
     @property
     def n_nodes(self) -> int:
@@ -103,7 +114,29 @@ class RegressionTree:
 
     @property
     def n_leaves(self) -> int:
-        return int(np.sum(self.feature == LEAF))
+        return self.value.size
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        """Left children: 2j + 1 at the j-th internal node, LEAF at leaves."""
+        internal = self.feature != LEAF
+        left = np.full(self.feature.size, LEAF, dtype=np.int64)
+        left[internal] = 2 * np.arange(self.threshold.size) + 1
+        return left
+
+    @property
+    def right(self) -> np.ndarray:
+        return np.where(self.feature != LEAF, self.left + 1, LEAF)
+
+    @cached_property
+    def depth(self) -> int:
+        # level order ends on a deepest node: count its steps up to the root
+        ids = np.flatnonzero(self.feature != LEAF)
+        depth, node = 0, self.feature.size - 1
+        while node:
+            node = int(ids[(node - 1) // 2])
+            depth += 1
+        return depth
 
 
 def _best_split(
@@ -203,8 +236,8 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
     means no limit), has exactly constant targets, or has no two distinct
     values in any feature to cut between.
     """
-    if max_depth is not None and max_depth < 0:
-        raise ValueError("max_depth must be None or >= 0")
+    if max_depth is not None:
+        check_int(max_depth, "max_depth", 0)
     x = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
     if x.ndim != 2:
@@ -307,40 +340,18 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
         queue.append((left_idx, left_order, depth + 1))
         queue.append((right_idx, right_order, depth + 1))
 
-    return level_order_tree(
+    return RegressionTree(
         np.array(feat, dtype=np.int64), np.array(thr, dtype=float), np.array(value, dtype=float), n
     )
 
 
-def level_order_tree(feature, threshold, value, n_features: int) -> RegressionTree:
-    """The tree whose feature array lists its nodes in level order, so the
-    j-th internal node's children are nodes 2j + 1 and 2j + 2. threshold
-    holds one entry per internal node and value one per leaf, each in node
-    order; the links and the depth follow. The caller ensures the layout
-    is a tree: n = 2I + 1 nodes for I internal ones, the j-th internal node
-    at an id <= 2j, so every node comes after its parent."""
-    internal = feature != LEAF
-    ids = np.flatnonzero(internal)
-    left = np.full(feature.size, LEAF, dtype=np.int64)
-    left[ids] = 2 * np.arange(ids.size) + 1
-    node_threshold = np.full(feature.size, np.nan)
-    node_threshold[ids] = threshold
-    node_value = np.full(feature.size, np.nan)
-    node_value[~internal] = value
-    # level order ends on a deepest node: count its steps up to the root
-    depth, node = 0, feature.size - 1
-    while node:
-        node = int(ids[(node - 1) // 2])
-        depth += 1
-    return RegressionTree(
-        feature=feature,
-        threshold=node_threshold,
-        left=left,
-        right=np.where(internal, left + 1, LEAF),
-        value=node_value,
-        depth=depth,
-        n_features=n_features,
-    )
+def check_int(value, name: str, least: int | None = None) -> None:
+    """ValueError unless value is an integer (numpy's too, bool not) of at
+    least least: numpy would fail on a count of 2.5 or truncate a seed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def check_features(features, n_features: int) -> np.ndarray:
@@ -415,16 +426,19 @@ def pack_forest(trees) -> Forest:
     shift = np.repeat(roots, sizes)
     feature = np.concatenate([tree.feature for tree in packed])
     internal = feature != LEAF
+    # the walk reads thresholds at internal nodes and values at leaves only
+    threshold, value = np.zeros(feature.size), np.zeros(feature.size)
+    threshold[internal] = np.concatenate([tree.threshold for tree in packed])
+    value[~internal] = np.concatenate([tree.value for tree in packed])
     left = np.concatenate([tree.left for tree in packed]) + shift
-    right = np.concatenate([tree.right for tree in packed]) + shift
     own = np.arange(feature.size)
-    child = np.column_stack([np.where(internal, right, own), np.where(internal, left, own)])
+    child = np.column_stack([np.where(internal, left + 1, own), np.where(internal, left, own)])
     depths = [tree.depth for tree in packed]  # deepest first
     return Forest(
         feature=np.where(internal, feature, 0),
-        threshold=np.concatenate([tree.threshold for tree in packed]),
+        threshold=threshold,
         child=child.ravel(),
-        value=np.concatenate([tree.value for tree in packed]),
+        value=value,
         roots=roots,
         active=tuple(sum(depth > d for depth in depths) for d in range(depths[0])),
         slot=np.argsort(order),

@@ -161,6 +161,32 @@ def test_gbm_config_validation():
         GBMConfig(learning_rate=1.5)
 
 
+@pytest.mark.parametrize(
+    "config, field, value",
+    [
+        (RFConfig, "n_trees", 2.5),
+        (RFConfig, "n_trees", True),
+        (RFConfig, "seed", 1.5),
+        (GBMConfig, "n_stages", 2.5),
+        (GBMConfig, "max_depth", 1.5),
+        (GBMConfig, "max_depth", -1),
+        (GBMConfig, "max_depth", False),
+        (GBMConfig, "seed", 1.5),
+    ],
+)
+def test_configs_reject_counts_that_are_not_integers(config, field, value):
+    # a float depth would grow deeper trees, a float seed fit another
+    # seed's forest, and a float count fail inside numpy at fit time
+    with pytest.raises(ValueError, match=field):
+        config(**{field: value})
+
+
+def test_configs_accept_numpy_integers():
+    assert RFConfig(n_trees=np.int64(3), seed=np.uint64(2**63)).n_trees == 3
+    assert GBMConfig(n_stages=np.int32(2), max_depth=np.int64(0), seed=-5).max_depth == 0
+    assert GBMConfig(max_depth=None).max_depth is None
+
+
 def test_constant_target_collapses_both_models():
     d = Dataset(np.arange(8.0).reshape(4, 2), np.full(4, 3.0), ["a", "b"])
     forest = fit_rf(d, RFConfig(n_trees=3))

@@ -307,6 +307,14 @@ def test_config_validation():
         SRConfig(magnitude_weight=-0.1)
 
 
+@pytest.mark.parametrize("field, value", [("k", 2.5), ("k", True), ("seed", 1.5)])
+def test_config_rejects_counts_that_are_not_integers(field, value):
+    # k = 2.5 would fail inside numpy at fit time and seed = 1.5 fit seed 1
+    with pytest.raises(ValueError, match=field):
+        SRConfig(**{field: value})
+    assert SRConfig(k=np.int64(2), seed=np.int64(-3)).k == 2
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("field", ["nu", "magnitude_weight"])
 def test_config_rejects_nonfinite(field, value):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from shooting import (
     GBMConfig,
     PersistError,
     RFConfig,
+    RegressionTree,
     SRConfig,
     fit_gbm,
     fit_rf,
@@ -187,22 +189,31 @@ def saved(models, query):
 
 
 @pytest.mark.parametrize("kind", ["shooting", "rf", "gbm"])
+def test_tree_documents_hold_the_trees_own_arrays(models, kind):
+    model = models[kind][0]
+    docs = model_to_dict(model)["model"]["trees"]
+    assert len(docs) == len(model.trees)
+    for doc, tree in zip(docs, model.trees):
+        # every field but the width, which the model holds
+        assert list(doc) == [f.name for f in fields(RegressionTree) if f.name != "n_features"]
+        for name, entries in doc.items():
+            assert entries == getattr(tree, name).tolist()
+
+
+@pytest.mark.parametrize("kind", ["shooting", "rf", "gbm"])
 def test_loaded_trees_equal_fitted_ones(tmp_path, models, kind):
-    # links, depth, width and the nan of internal values and leaf
-    # thresholds come back from what the document keeps
+    # every field, and the links and depth derived from the level order
     model = models[kind][0]
     path = tmp_path / "model.json"
     save_model(model, str(path))
     loaded = load_model(str(path))
     assert len(loaded.trees) == len(model.trees)
     for got, fitted in zip(loaded.trees, model.trees):
-        assert np.array_equal(got.feature, fitted.feature)
-        assert np.array_equal(got.threshold, fitted.threshold, equal_nan=True)
-        assert np.array_equal(got.left, fitted.left)
-        assert np.array_equal(got.right, fitted.right)
-        assert got.value.tobytes() == fitted.value.tobytes()
-        assert got.depth == fitted.depth
+        # bytes, so the sign of a zero leaf counts
+        for name in ["feature", "threshold", "value", "left", "right"]:
+            assert getattr(got, name).tobytes() == getattr(fitted, name).tobytes()
         assert got.n_features == fitted.n_features
+        assert got.depth == fitted.depth
 
 
 def test_reject_node_before_its_parent(saved):

@@ -109,26 +109,23 @@ def reference_fit_tree(features, targets, max_depth=None):
 
     Same control flow, level order and stopping rules as fit_tree, with
     each node's rows re-sorted per feature and routed by comparing against
-    the threshold; an internal node's value is nan.
+    the threshold. Nodes are numbered as they are made; the tree keeps the
+    thresholds of internal nodes and the values of leaves.
     """
     x = np.ascontiguousarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
     n = x.shape[1]
-    feat, thr, left, right, value = [], [], [], [], []
-    max_depth_seen = 0
+    feat, thr, value = [], [], []
 
     def new_node() -> int:
         feat.append(LEAF)
         thr.append(np.nan)
-        left.append(LEAF)
-        right.append(LEAF)
-        value.append(0.0)
+        value.append(np.nan)
         return len(feat) - 1
 
     queue = deque([(new_node(), np.arange(y.size), 0)])
     while queue:
         node, idx, depth = queue.popleft()
-        max_depth_seen = max(max_depth_seen, depth)
         ysub = y[idx]
         value[node] = float(ysub.mean())
         if max_depth is not None and depth >= max_depth:
@@ -142,19 +139,15 @@ def reference_fit_tree(features, targets, max_depth=None):
         go_left = x[idx, f] <= t
         feat[node] = f
         thr[node] = t
-        value[node] = np.nan
-        left[node] = new_node()
-        right[node] = new_node()
-        queue.append((left[node], idx[go_left], depth + 1))
-        queue.append((right[node], idx[~go_left], depth + 1))
+        queue.append((new_node(), idx[go_left], depth + 1))
+        queue.append((new_node(), idx[~go_left], depth + 1))
 
+    feature = np.array(feat, dtype=np.int64)
+    internal = feature != LEAF
     return RegressionTree(
-        feature=np.array(feat, dtype=np.int64),
-        threshold=np.array(thr, dtype=float),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        value=np.array(value, dtype=float),
-        depth=max_depth_seen,
+        feature=feature,
+        threshold=np.array(thr, dtype=float)[internal],
+        value=np.array(value, dtype=float)[~internal],
         n_features=n,
     )
 
@@ -185,13 +178,13 @@ def reference_predict_gbm(model, x: np.ndarray) -> np.ndarray:
 
 def assert_same_tree(a: RegressionTree, b: RegressionTree) -> None:
     assert np.array_equal(a.feature, b.feature)
-    assert np.array_equal(a.threshold, b.threshold, equal_nan=True)
-    assert np.array_equal(a.left, b.left)
-    assert np.array_equal(a.right, b.right)
+    assert np.array_equal(a.threshold, b.threshold)
     # bytes, so the sign of a zero leaf counts
     assert a.value.tobytes() == b.value.tobytes()
-    assert a.depth == b.depth
     assert a.n_features == b.n_features
+    assert np.array_equal(a.left, b.left)
+    assert np.array_equal(a.right, b.right)
+    assert a.depth == b.depth
 
 
 # ------------------------------------------------------------------- fit
@@ -210,7 +203,7 @@ def test_step_function_recovered():
     tree = fit_tree(x, y)
     assert tree.feature[0] == 0
     assert tree.threshold[0] == pytest.approx(1.5)
-    assert sorted(tree.value[tree.feature == LEAF]) == [0.0, 10.0]
+    assert sorted(tree.value) == [0.0, 10.0]
     assert np.array_equal(predict_tree(tree, x), y)
     # boundary convention: a value equal to the threshold goes left
     assert predict_tree(tree, np.array([[1.5]])) == pytest.approx([0.0])
@@ -267,9 +260,47 @@ def test_midpoint_overflow_keeps_split_consistent(lo, hi):
 
 def test_params_validation():
     x, y = np.arange(3.0).reshape(3, 1), np.arange(3.0)
-    with pytest.raises(ValueError, match="max_depth"):
-        fit_tree(x, y, max_depth=-1)
+    for bad in [-1, 1.5, True]:
+        with pytest.raises(ValueError, match="max_depth"):
+            fit_tree(x, y, max_depth=bad)
     assert fit_tree(x, y, max_depth=0).n_nodes == 1
+    assert fit_tree(x, y, max_depth=np.int64(1)).depth == 1
+
+
+@pytest.mark.parametrize(
+    "feature, threshold, value, match",
+    [
+        # the internal node would be the parent of nodes 1 and 2, itself among them
+        ([LEAF, 0, LEAF], [0.5], [1.0, 2.0], "parent"),
+        ([0, LEAF, LEAF, 0, LEAF], [0.5, 1.5], [1.0, 2.0, 3.0], "parent"),
+        ([0, LEAF], [0.5], [1.0], "parent"),
+        ([], [], [], "parent"),
+        ([0, LEAF, LEAF], [0.5, 1.5], [1.0, 2.0], "one threshold"),
+        ([0, LEAF, LEAF], [], [1.0, 2.0], "one threshold"),
+        ([0, LEAF, LEAF], [0.5], [1.0, 2.0, 3.0], "one value"),
+        ([0, LEAF, LEAF], [0.5], [1.0], "one value"),
+        ([2, LEAF, LEAF], [0.5], [1.0, 2.0], "out of range"),
+        ([-2, LEAF, LEAF], [0.5], [1.0, 2.0], "out of range"),
+    ],
+)
+def test_tree_that_breaks_level_order_cannot_exist(feature, threshold, value, match):
+    # without the check, the derived depth would never end on [LEAF, 0, LEAF]
+    with pytest.raises(ValueError, match=match):
+        RegressionTree(
+            np.array(feature, dtype=np.int64), np.array(threshold), np.array(value), n_features=2
+        )
+
+
+def test_tree_links_and_depth_follow_level_order():
+    # root cuts, its left child is a leaf, its right child cuts again
+    tree = RegressionTree(
+        np.array([0, LEAF, 1, LEAF, LEAF]), np.array([0.5, 1.5]), np.array([1.0, 2.0, 3.0]), 2
+    )
+    assert tree.left.tolist() == [1, LEAF, 3, LEAF, LEAF]
+    assert tree.right.tolist() == [2, LEAF, 4, LEAF, LEAF]
+    assert (tree.depth, tree.n_nodes, tree.n_leaves) == (2, 5, 3)
+    x = np.array([[0.0, 9.0], [1.0, 1.0], [1.0, 2.0]])
+    assert predict_tree(tree, x).tolist() == [1.0, 2.0, 3.0]
 
 
 def test_predict_dimension_mismatch():
@@ -372,16 +403,18 @@ def test_duplicate_rows_share_one_leaf_holding_their_mean(seed):
 
 
 def _leaf_index(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
+    """Each row's leaf as an index into tree.value, by a walk over links
+    derived here from the level order rather than read from the tree."""
+    internal = tree.feature != LEAF
+    rank = np.cumsum(internal) - 1  # children of internal node j: 2j + 1, 2j + 2
     node = np.zeros(x.shape[0], dtype=np.int64)
-    for _ in range(tree.depth + 1):
-        internal = tree.feature[node] != LEAF
-        if not internal.any():
-            break
-        rows = np.nonzero(internal)[0]
-        at = node[rows]
-        go_left = x[rows, tree.feature[at]] <= tree.threshold[at]
-        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
-    return node
+    rows = np.flatnonzero(internal[node])
+    while rows.size:
+        at = rank[node[rows]]
+        go_left = x[rows, tree.feature[node[rows]]] <= tree.threshold[at]
+        node[rows] = np.where(go_left, 2 * at + 1, 2 * at + 2)
+        rows = rows[internal[node[rows]]]
+    return np.cumsum(~internal)[node] - 1
 
 
 @given(seed=st.integers(0, 10_000))
@@ -392,12 +425,12 @@ def test_leaf_values_are_sample_means(seed):
     y = rng.standard_normal(20)
     tree = fit_tree(x, y, max_depth=3)
     leaf_of_row = _leaf_index(tree, x)
-    for node in np.unique(leaf_of_row):
-        assert tree.value[node] == pytest.approx(y[leaf_of_row == node].mean())
+    for leaf in np.unique(leaf_of_row):
+        assert tree.value[leaf] == pytest.approx(y[leaf_of_row == leaf].mean())
     # any query lands in exactly one leaf, so its prediction is one of them
     queries = rng.standard_normal((10, 2))
     preds = predict_tree(tree, queries)
-    leaf_values = set(tree.value[tree.feature == LEAF])
+    leaf_values = set(tree.value)
     assert all(p in leaf_values for p in preds)
 
 
@@ -434,9 +467,9 @@ def test_nodes_laid_out_in_level_order(seed, m, n, max_depth):
         depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
     assert np.all(np.diff(depth) >= 0)
     assert depth[-1] == tree.depth
-    # prediction reads no internal value and no leaf threshold
-    assert np.all(np.isnan(tree.value[internal]))
-    assert np.all(np.isnan(tree.threshold[~internal]))
+    # a threshold per internal node and a value per leaf, as saved
+    assert tree.threshold.size == np.sum(internal)
+    assert tree.value.size == tree.n_nodes - np.sum(internal)
 
 
 # ------------------------------------------------- presort vs per-node sort
@@ -554,7 +587,7 @@ def test_packed_forest_matches_per_tree_walk(seed, depths, m, n, n_query):
     k = len(trees)
     # query values sit exactly on thresholds or on training values
     pools = [
-        np.concatenate([t.threshold[t.feature == f] for t in trees] + [x[:, f]])
+        np.concatenate([t.threshold[t.feature[t.feature != LEAF] == f] for t in trees] + [x[:, f]])
         for f in range(n)
     ]
     q = np.column_stack([rng.choice(pool, n_query) for pool in pools])
