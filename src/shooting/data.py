@@ -7,7 +7,6 @@ from itertools import combinations
 from math import sqrt
 
 import numpy as np
-from scipy import special
 
 from .rng import SPLIT_STREAM, SYNTH_STREAM, make_rng
 
@@ -177,6 +176,9 @@ def student_t_p(t: float, df: int, sidedness: str = "two-sided") -> float:
 
     sidedness "two-sided" gives P(|T| >= |t|); "greater" gives P(T >= t).
     """
+    # imported here: scipy.special is most of the package's import time
+    from scipy import special
+
     if df < 1:
         raise ValueError("df must be >= 1")
     t = float(t)

@@ -173,15 +173,23 @@ def initial_vectors(ensemble: ShootingEnsemble, features) -> np.ndarray:
 
 def _member_blocks(ensemble: ShootingEnsemble, x: np.ndarray):
     """Yield (rows, members) for each forest block of the checked features
-    x: members[r, i] is initial vector i minus tree i's leaf value."""
+    x: members[r, i] is initial vector i minus tree i's leaf value.
+    ValueError, naming the first row, when a member is not finite: finite
+    features large enough overflow the linear predictions."""
     for rows, values in ensemble.forest.leaves(x):
-        members = initial_vectors(ensemble, x[rows])
-        members -= values.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            members = initial_vectors(ensemble, x[rows])
+            members -= values.T
+        finite = np.isfinite(members)
+        if not finite.all():
+            row = rows.start + int(np.argmin(finite.all(axis=1)))
+            raise ValueError(f"row {row}: features too large, a member estimate is not finite")
         yield rows, members
 
 
 def predict_per_estimator(ensemble: ShootingEnsemble, features) -> np.ndarray:
-    """Column i: initial vector i minus tree i's gradient estimate."""
+    """Column i: initial vector i minus tree i's gradient estimate.
+    ValueError, naming the first row, when one is not finite."""
     x = check_features(features, ensemble.n_features)
     out = np.empty((x.shape[0], ensemble.k))
     for rows, members in _member_blocks(ensemble, x):
@@ -190,11 +198,18 @@ def predict_per_estimator(ensemble: ShootingEnsemble, features) -> np.ndarray:
 
 
 def predict(ensemble: ShootingEnsemble, features) -> np.ndarray:
-    """Mean of the per-estimator corrected predictions, block by block."""
+    """Mean of the per-estimator corrected predictions, block by block.
+    ValueError, naming the first row, when a member estimate is not finite
+    or a row's exact sum of them overflows."""
     x = check_features(features, ensemble.n_features)
     out = np.empty(x.shape[0])
     for rows, members in _member_blocks(ensemble, x):
         out[rows] = row_means(members)
+    # finite members make NaN only where a row's exact sum overflows
+    overflow = np.isnan(out)
+    if overflow.any():
+        row = int(np.argmax(overflow))
+        raise ValueError(f"row {row}: features too large, the member estimates' sum overflows")
     return out
 
 

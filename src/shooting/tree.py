@@ -60,6 +60,13 @@ predictions are those of one walk per tree, bit for bit: the exact row
 mean for SR and RF, and for GBM one cumsum down the stages, which adds
 them in stage order. predict_tree is the one-tree case of the same walk.
 
+The exact row mean (row_means) is each row's correctly rounded sum, which
+math.fsum returns, over k. Past SMALL_BLOCK values a block's sums come
+from error-free extraction in about 20 numpy calls, and a rounding
+certificate per row; only the rows it leaves open, ties of the last bit
+mostly, still go to fsum. A correctly rounded sum is unique, so the means
+are fsum's bit for bit.
+
 fit_tree rejects non-finite features, as every predict does: a NaN sorts
 last and never compares <= a threshold, so a tree grown on one would hold
 cuts that no row it may predict can follow.
@@ -81,6 +88,11 @@ LEAF = -1
 BLOCK_ROWS = 256
 # nodes of at most this many rows are searched on Python floats
 SMALL_NODE = 16
+# row_means sums blocks of at most this many values (rows x columns) with
+# fsum row by row, where the vector certificate's fixed cost of about
+# 30-40 us is larger. Measured break-even: about 10 rows at 100 columns and
+# 64 rows at 5
+SMALL_BLOCK = 800
 
 
 @dataclass(frozen=True)
@@ -372,10 +384,75 @@ def check_features(features, n_features: int) -> np.ndarray:
 
 
 def row_means(columns: np.ndarray) -> np.ndarray:
-    """Mean of each row, accumulated exactly so column order cannot matter."""
-    k = columns.shape[1]
-    # fsum reads a memoryview's doubles directly, not one numpy scalar each
-    return np.array([math.fsum(memoryview(row)) for row in columns]) / k
+    """Mean of each row: the row's exact sum rounded once, which is what
+    math.fsum returns, divided by the row length k, so column order cannot
+    matter. A row whose exact sum leaves the float range, where fsum
+    raises OverflowError, reads NaN.
+
+    A block of at most SMALL_BLOCK values goes to fsum row by row. A larger
+    one is certified with a fixed number of numpy calls by error-free
+    extraction (Rump, Ogita and Oishi, "Accurate floating-point summation
+    part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008). Per row
+    x, with u = 2^-53:
+
+    - t is the frexp exponent of max|x_i|, so every |x_i| < 2^t, and
+      b = k.bit_length(), so k < 2^b. Let sigma = 2^(t + b).
+    - high = (x + sigma) - sigma. x + sigma lies in [sigma/2, 2 sigma], so
+      it rounds to a multiple of 2^(t+b-53), the subtraction is exact
+      (Sterbenz), and |high_i| <= 2^t. Every partial sum of the highs is
+      then a multiple of 2^(t+b-53) below k 2^t < sigma in magnitude, which
+      fits in 53 bits: high.sum is exact in any order.
+    - rest = x - high is the rounding error of x + sigma, so it is exact,
+      and |rest_i| <= 2^(t+b-53). A float sum of the rests, in any order,
+      errs by at most gamma_(k-1) sum|rest_i| < (k u)(k 2^(t+b-53))
+      < 2^(t+3b-106) =: E. Additions that underflow are exact, so this
+      holds for subnormals too.
+    - With the slack s = 2^(t+3b-104) = 4E, rest.sum() - s and
+      rest.sum() + s round with an error below u (|rest.sum()| + s)
+      < 2^(t+2b-106) + u s <= s/2, so lo = fl(rest.sum() - s) < r <
+      hi = fl(rest.sum() + s) for the exact sum r of the rests. s is
+      at least 2^-1074; below that E is under the smallest subnormal and the
+      rests sum exactly.
+    - exact + lo < exact + r < exact + hi, where exact = high.sum(), and
+      rounding is monotone. So when fl(exact + lo) == fl(exact + hi), that
+      double is the row's correctly rounded sum. It is unique, so it is
+      fsum's result bit for bit. The two cannot both be zero, since an
+      addition rounds to zero only when its exact sum is zero.
+
+    The rows left open go to fsum: exact and near ties of the final
+    rounding, rows whose highs sum to zero (all-zero rows among them), and
+    rows whose sigma overflows, since then high is NaN and NaN compares
+    unequal. numpy's overflow and invalid warnings on that path stay
+    inside. columns may be strided, such as a transposed block; it is
+    never copied.
+    """
+    n, k = columns.shape
+    if n * k <= SMALL_BLOCK:
+        sums = np.empty(n)
+        open_rows = range(n)
+    else:
+        b = k.bit_length()
+        with np.errstate(over="ignore", invalid="ignore"):
+            # one scratch block holds |x|, then high, then rest: a fresh
+            # block per step costs about as much as the arithmetic
+            buf = np.abs(columns)
+            t = np.frexp(buf.max(axis=1))[1]
+            sigma = np.ldexp(1.0, t + b)[:, None]
+            high = np.add(columns, sigma, out=buf)
+            high -= sigma
+            exact = high.sum(axis=1)
+            rest = np.subtract(columns, high, out=buf).sum(axis=1)
+            slack = np.ldexp(1.0, np.maximum(t + (3 * b - 104), -1074))
+            sums = exact + (rest - slack)
+            open_rows = np.flatnonzero(sums != exact + (rest + slack))
+    for i in open_rows:
+        try:
+            # fsum reads a memoryview's doubles directly, not one numpy
+            # scalar each
+            sums[i] = math.fsum(memoryview(columns[i]))
+        except OverflowError:
+            sums[i] = math.nan
+    return sums / k
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from shooting import cli
+from shooting import cli, load_auto_mpg, split
 from shooting.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK
 
 
@@ -196,6 +196,23 @@ def test_benchmark_singular_design_is_numeric_error(tmp_path, capsys):
     assert code == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "trial 1 failed" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_nu_curve_huge_validation_features_is_numeric_error(tmp_path, capsys, mpg_path):
+    # one validation row of 1.7e308 overflows the linear predictions: the
+    # command must fail with a typed error, not write NaN into the CSV
+    lines = mpg_path.read_text().splitlines()[:60]
+    lines.append(" ".join([lines[0].split()[0], *["1.7e308"] * 7, '"huge"']))
+    data = tmp_path / "huge.data"
+    data.write_text("\n".join(lines) + "\n")
+    d = load_auto_mpg(data)
+    seed = next(s for s in range(100) if (split(d, 0.5, s)[1].features > 1e300).any())
+    out = tmp_path / "out"
+    argv = ["nu-curve", "--data", str(data), "--k", "5", "--points", "2", "--seed", str(seed)]
+    code = run(argv + ["--val-fraction", "0.5", "--out", str(out)])
+    assert code == EXIT_NUMERIC
+    assert "features too large" in capsys.readouterr().err
 
 
 def test_invalid_val_fraction(tmp_path, capsys):

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -244,6 +248,19 @@ def test_t_p_injected_df31():
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 3.0])
 def test_t_p_matches_integration_oracle(df, t):
     assert student_t_p(t, df) == pytest.approx(t_two_sided_numeric(t, df), abs=1e-5)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # student_t_p imports it on first use: it is most of the import time
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")]
+    )
+    code = "import sys, shooting, shooting.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_t_p_sidedness():

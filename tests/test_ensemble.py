@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from shooting import (
     Dataset,
+    RegressionTree,
     SRConfig,
+    ShootingEnsemble,
     augment,
     ensemble,
     fit_ols,
@@ -29,6 +31,7 @@ from shooting import (
     shooting_start,
     split,
 )
+from shooting.tree import LEAF, SMALL_BLOCK
 
 
 def fitted_pieces(seed=0, m=40, n=3, k=5, noise=1.0):
@@ -321,3 +324,55 @@ def test_config_rejects_nonfinite(field, value):
     # nan would slip past a plain "< 0" check and fit with a wrong nu
     with pytest.raises(ValueError, match="finite"):
         SRConfig(**{field: value})
+
+
+# ------------------------------------------------- features too large
+
+
+def identity_ensemble(k: int, slope: float) -> ShootingEnsemble:
+    """One feature, B = (0, slope), no offsets and one-leaf trees of value
+    0: every member estimate is slope * x."""
+    leaf = RegressionTree(np.array([LEAF]), np.zeros(0), np.zeros(1), 1)
+    return ShootingEnsemble(np.array([0.0, slope]), np.zeros((2, k)), 0.0, (leaf,) * k)
+
+
+# the second size is past the blocks that row_means sums with fsum alone
+@pytest.mark.parametrize("n_rows", [4, SMALL_BLOCK // 3 + 1])
+def test_member_sum_overflow_is_a_value_error(n_rows):
+    # members of 1e308 are finite; three of them sum past the float range
+    model = identity_ensemble(3, 1.0)
+    x = np.arange(1.0, n_rows + 1)[:, None]
+    x[n_rows - 2 :] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(predict_per_estimator(model, x)[:, 0], x[:, 0])
+        with pytest.raises(ValueError, match=f"row {n_rows - 2}: .*overflows"):
+            predict(model, x)
+        assert np.array_equal(predict(model, x[:-2]), x[:-2, 0])
+
+
+def test_nonfinite_members_are_a_value_error():
+    # 2 * 1e308 overflows in the linear prediction itself
+    model = identity_ensemble(3, 2.0)
+    x = np.array([[1.0], [-1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (predict, predict_per_estimator):
+            with pytest.raises(ValueError, match="row 1: .*not finite"):
+                fn(model, x)
+
+
+@pytest.fixture(scope="module")
+def mpg_model(mpg):
+    return fit_shooting(mpg, SRConfig(k=100, seed=0))
+
+
+# at 5e306 the members are finite and their sum overflows (fsum raised
+# OverflowError); at 1.7e308 the linear predictions overflow (NaN came out)
+@pytest.mark.parametrize("value", [5e306, 1.7e308])
+def test_huge_features_never_give_nan(mpg, mpg_model, value):
+    x = np.vstack([mpg.features[:3], np.full((1, mpg.n_features), value)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="row 3: features too large"):
+            predict(mpg_model, x)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 import tracemalloc
 import warnings
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from shooting import (
     predict_tree,
     split,
 )
-from shooting.tree import BLOCK_ROWS, LEAF, SMALL_NODE, _node_sum, row_means
+from shooting.tree import BLOCK_ROWS, LEAF, SMALL_BLOCK, SMALL_NODE, _node_sum, row_means
 
 
 def brute_force_split_set(x: np.ndarray, y: np.ndarray, tol: float = 1e-9):
@@ -165,8 +167,20 @@ def reference_per_estimator(model, x: np.ndarray) -> np.ndarray:
     return initial
 
 
+def fsum_means(columns: np.ndarray) -> np.ndarray:
+    """The exact row mean by one fsum per row, NaN where the sum overflows:
+    the reference row_means must match bit for bit."""
+    sums = []
+    for row in columns:
+        try:
+            sums.append(math.fsum(row))
+        except OverflowError:
+            sums.append(math.nan)
+    return np.array(sums, dtype=float) / columns.shape[1]
+
+
 def reference_predict_rf(model, x: np.ndarray) -> np.ndarray:
-    return row_means(np.column_stack([reference_predict_tree(t, x) for t in model.trees]))
+    return fsum_means(np.column_stack([reference_predict_tree(t, x) for t in model.trees]))
 
 
 def reference_predict_gbm(model, x: np.ndarray) -> np.ndarray:
@@ -608,7 +622,7 @@ def test_packed_forest_matches_per_tree_walk(seed, depths, m, n, n_query):
         assert np.array_equal(got, per_estimator)
         got = predict(sr, q)
         assert got.shape == (n_query,)
-        assert np.array_equal(got, row_means(per_estimator))
+        assert np.array_equal(got, fsum_means(per_estimator))
         assert np.array_equal(predict_rf(rf, q), rf_out)
         assert np.array_equal(predict_gbm(gbm, q), gbm_out)
     for tree in trees:
@@ -635,7 +649,7 @@ def test_predicts_stream_independent_blocks(small_models, n_rows):
     # predict reduces the same member blocks that predict_per_estimator returns
     per_estimator = predict_per_estimator(sr, q)
     assert per_estimator.shape == (n_rows, sr.k)
-    assert np.array_equal(predict(sr, q), row_means(per_estimator))
+    assert np.array_equal(predict(sr, q), fsum_means(per_estimator))
     assert np.array_equal(predict_gbm(gbm, q), reference_predict_gbm(gbm, q))
     # each block's predictions are those of predicting that block alone
     starts = range(0, max(n_rows, 1), BLOCK_ROWS)
@@ -657,3 +671,111 @@ def test_sr_predict_holds_no_member_matrix():
     finally:
         tracemalloc.stop()
     assert peak < rows * k * 8 / 2
+
+
+# ---------------------------------------------------------- exact row mean
+
+# k from 1 to 300, with 2^j - 1, 2^j and 2^j + 1 drawn on their own, since
+# the certificate's bound steps with k.bit_length()
+ROW_LENGTHS = st.one_of(
+    st.integers(1, 300), st.sampled_from([2**j + d for j in range(1, 9) for d in (-1, 0, 1)])
+)
+
+
+@st.composite
+def sum_row(draw, k: int) -> list[float]:
+    kind = draw(st.sampled_from(["floats", "binades", "tie", "cancel", "zeros"]))
+    if kind == "floats":
+        # hypothesis favours zeros, subnormals and the range ends
+        return draw(
+            st.lists(st.floats(-(2.0**1020), 2.0**1020), min_size=k, max_size=k)
+        )
+    if kind == "binades":
+        # any exponent from the smallest subnormal to 2^1020 in one row
+        mantissas = st.integers(-(2**53) + 1, 2**53 - 1)
+        pairs = draw(
+            st.lists(st.tuples(mantissas, st.integers(-1074, 967)), min_size=k, max_size=k)
+        )
+        return [math.ldexp(m, e) for m, e in pairs]
+    if kind == "tie":
+        # 2^53 plus small integers, scaled: when they add up to an odd
+        # positive total the exact sum sits half an ulp between two doubles
+        scale = draw(st.integers(-1000, 900))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        small = draw(st.lists(st.integers(-8, 8), min_size=k - 1, max_size=k - 1))
+        row = [sign * math.ldexp(v, scale) for v in [2**53, *small]]
+        return draw(st.permutations(row))
+    if kind == "cancel":
+        # +-x pairs that cancel exactly, plus one or two tiny terms
+        n_pairs, n_tiny = (k - 1) // 2, 2 - k % 2
+        xs = draw(st.lists(st.floats(-1e300, 1e300), min_size=n_pairs, max_size=n_pairs))
+        tiny = draw(st.lists(st.floats(-1e-300, 1e-300), min_size=n_tiny, max_size=n_tiny))
+        return draw(st.permutations(xs + [-x for x in xs] + tiny))
+    return draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=k, max_size=k))
+
+
+@st.composite
+def sum_blocks(draw) -> np.ndarray:
+    k = draw(ROW_LENGTHS)
+    distinct = draw(st.lists(sum_row(k), min_size=1, max_size=5))
+    # 0 rows, a few, and blocks just below and just above the crossover
+    rows = draw(st.sampled_from([0, 1, len(distinct), SMALL_BLOCK // k, SMALL_BLOCK // k + 1]))
+    return np.array(distinct, dtype=float)[np.arange(rows) % len(distinct)].reshape(rows, k)
+
+
+@given(block=sum_blocks())
+@example(block=np.full((SMALL_BLOCK // 100 + 1, 100), -0.0))
+@example(block=np.full((SMALL_BLOCK // 100 + 1, 100), 2.0**1020))  # the sum overflows
+@example(block=np.full((SMALL_BLOCK + 1, 1), 2.0**1020))
+@example(block=np.full((SMALL_BLOCK // 3 + 1, 3), 5e-324))
+@settings(max_examples=400, deadline=None)
+def test_row_means_is_the_fsum_mean_bit_for_bit(block):
+    want = fsum_means(block).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert row_means(block).tobytes() == want
+        # the transposed layout of an RF block, read without a copy
+        assert row_means(np.ascontiguousarray(block.T).T).tobytes() == want
+
+
+def exact_ties(block: np.ndarray) -> int:
+    """Rows whose exact sum lies halfway between two doubles."""
+    count = 0
+    for row in block:
+        exact = sum(map(Fraction, row.tolist()))
+        nearest = math.fsum(row)
+        other = math.nextafter(nearest, math.inf if exact > nearest else -math.inf)
+        count += exact == (Fraction(nearest) + Fraction(other)) / 2
+    return count
+
+
+def test_row_means_sends_only_uncertified_rows_to_fsum(monkeypatch):
+    rng = np.random.default_rng(0)
+    # members like an auto-mpg predict's
+    block = rng.normal(23.0, 8.0, (BLOCK_ROWS, 100))
+    # 2^53 + 1: the exact sum of every row is a tie
+    ties = np.zeros((BLOCK_ROWS, 100))
+    ties[np.arange(BLOCK_ROWS), rng.integers(1, 100, BLOCK_ROWS)] = 1.0
+    ties[:, 0] = 2.0**53
+    # the certificate settles every row but exact ties of the last bit (and
+    # near ties, which random rows practically never are)
+    block_ties = exact_ties(block)
+    assert block_ties <= 2 and exact_ties(ties) == BLOCK_ROWS
+
+    calls = []
+    fsum = math.fsum
+
+    def counting_fsum(values):
+        calls.append(1)
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counting_fsum)
+    row_means(block)
+    certified = len(calls)
+    row_means(ties)
+    tied = len(calls) - certified
+    row_means(block[: SMALL_BLOCK // 100])
+    small = len(calls) - certified - tied
+    monkeypatch.undo()
+    assert (certified, tied, small) == (block_ties, BLOCK_ROWS, SMALL_BLOCK // 100)
+    assert row_means(ties).tobytes() == fsum_means(ties).tobytes()
