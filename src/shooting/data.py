@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import sqrt
+from math import isinf, sqrt
 
 import numpy as np
 
@@ -149,16 +149,25 @@ def split(d: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]
     return _take(d, perm[n_val:]), _take(d, perm[:n_val])
 
 
+def _in_range(*sums: float) -> None:
+    """Finite inputs can still square past the float range: such a score
+    is a MetricError, not inf."""
+    if any(map(isinf, sums)):
+        raise MetricError("squared errors overflow the float range")
+
+
 def r_squared(y_true, y_pred) -> float:
     """Coefficient of determination 1 - SSres/SStot."""
     y_true = np.asarray(y_true, dtype=float)
     y_pred = np.asarray(y_pred, dtype=float)
     if y_true.ndim != 1 or y_true.shape != y_pred.shape or y_true.size < 2:
         raise ValueError("need two equal-length vectors with at least 2 entries")
-    ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
+    with np.errstate(over="ignore"):
+        ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
+        ss_res = float(np.sum((y_true - y_pred) ** 2))
+    _in_range(ss_tot, ss_res)
     if ss_tot == 0.0:
         raise MetricError("R^2 is undefined for a constant target")
-    ss_res = float(np.sum((y_true - y_pred) ** 2))
     return 1.0 - ss_res / ss_tot
 
 
@@ -168,7 +177,10 @@ def mse(y_true, y_pred) -> float:
     y_pred = np.asarray(y_pred, dtype=float)
     if y_true.ndim != 1 or y_true.shape != y_pred.shape or y_true.size < 1:
         raise ValueError("need two equal-length vectors with at least 1 entry")
-    return float(np.mean((y_true - y_pred) ** 2))
+    with np.errstate(over="ignore"):
+        value = float(np.mean((y_true - y_pred) ** 2))
+    _in_range(value)
+    return value
 
 
 def student_t_p(t: float, df: int, sidedness: str = "two-sided") -> float:

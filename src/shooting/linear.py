@@ -89,20 +89,33 @@ def fit_ols(d: Dataset) -> LinearModel:
     m, p = x.shape
     if m <= p:
         raise SingularDesignError(f"need more rows ({m}) than coefficients ({p})")
-    singular_values = np.linalg.svd(x, compute_uv=False)
+    # the condition of the column-equilibrated design: each column scaled
+    # exactly, by a power of two, to a largest |entry| in [0.5, 1), so a
+    # change of units in one feature changes neither the fit nor this
+    # estimate (Higham 2002, Accuracy and Stability of Numerical
+    # Algorithms, ch. 7). Max-abs, unlike a 2-norm, cannot overflow
+    exponents = np.frexp(np.abs(x).max(axis=0))[1]
+    singular_values = np.linalg.svd(np.ldexp(x, -exponents), compute_uv=False)
     if singular_values[-1] == 0.0 or singular_values[0] / singular_values[-1] > MAX_CONDITION:
         raise SingularDesignError("design matrix condition estimate exceeds 1e12")
     q, r = np.linalg.qr(x)
     coef = scipy.linalg.solve_triangular(r, q.T @ y)
     resid = y - x @ coef
     rss = float(resid @ resid)
-    if rss <= 1e-26 * max(float(y @ y), 1.0):
+    if rss <= 1e-26 * float(y @ y):
         # QR leaves machine-noise residuals on exactly-linear data; a true
         # zero here lets the degenerate zero-covariance path engage
         rss = 0.0
     s2 = rss / (m - p)
     r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
-    cov = s2 * (r_inv @ r_inv.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = s2 * (r_inv @ r_inv.T)
+    # a column in units tiny or huge enough puts its coefficient's
+    # variance outside the float range: weight x 2^-600 on auto-mpg
+    # overflows it, and weight x 2^600 leaves it below the smallest normal
+    # double, where the jitter ladder would swamp it
+    if not np.isfinite(cov).all() or (s2 > 0.0 and np.diag(cov).min() < np.finfo(float).tiny):
+        raise FactorizationError("coefficient covariance leaves the float range")
     cov = 0.5 * (cov + cov.T)
     factor, jitter = _factor_covariance(cov)
     if jitter:

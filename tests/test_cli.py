@@ -199,20 +199,25 @@ def test_benchmark_singular_design_is_numeric_error(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nu_curve_huge_validation_features_is_numeric_error(tmp_path, capsys, mpg_path):
-    # one validation row of 1.7e308 overflows the linear predictions: the
-    # command must fail with a typed error, not write NaN into the CSV
+    # one validation row of 1.7e308 overflows the linear predictions, and
+    # one of 5e306 predicts finite values whose squared errors overflow at
+    # nu = 0: the command must fail with a typed error and no numpy
+    # warning, not write NaN or inf into the CSV
     lines = mpg_path.read_text().splitlines()[:60]
-    lines.append(" ".join([lines[0].split()[0], *["1.7e308"] * 7, '"huge"']))
-    data = tmp_path / "huge.data"
-    data.write_text("\n".join(lines) + "\n")
-    d = load_auto_mpg(data)
-    seed = next(s for s in range(100) if (split(d, 0.5, s)[1].features > 1e300).any())
-    out = tmp_path / "out"
-    argv = ["nu-curve", "--data", str(data), "--k", "5", "--points", "2", "--seed", str(seed)]
-    code = run(argv + ["--val-fraction", "0.5", "--out", str(out)])
-    assert code == EXIT_NUMERIC
-    assert "features too large" in capsys.readouterr().err
+    for value, message in [("1.7e308", "features too large"), ("5e306", "squared errors overflow")]:
+        row = " ".join([lines[0].split()[0], *[value] * 7, '"huge"'])
+        data = tmp_path / "huge.data"
+        data.write_text("\n".join([*lines, row]) + "\n")
+        d = load_auto_mpg(data)
+        seed = next(s for s in range(100) if (split(d, 0.5, s)[1].features > 1e300).any())
+        out = tmp_path / "out"
+        argv = ["nu-curve", "--data", str(data), "--k", "5", "--points", "2", "--seed", str(seed)]
+        code = run(argv + ["--val-fraction", "0.5", "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert message in capsys.readouterr().err
+        assert not (out / "nu_curve.csv").exists()
 
 
 def test_invalid_val_fraction(tmp_path, capsys):

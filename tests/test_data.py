@@ -213,6 +213,23 @@ def test_mse_values():
         mse(np.zeros(2), np.zeros(3))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "score, y_true, y_pred",
+    [
+        (mse, [0.0, 1.0], [5e306, -5e306]),  # the squares overflow
+        (mse, [1e154, 1e154], [0.0, 0.0]),  # their sum does
+        (mse, [1.7e308, 0.0], [-1.7e308, 0.0]),  # the difference does
+        (r_squared, [0.0, 1.0, 2.0], [5e306, -5e306, 0.0]),
+        # SStot overflows while SSres is 0: the quotient would read R^2 = 1
+        (r_squared, [1e200, -1e200, 0.0], [1e200, -1e200, 0.0]),
+    ],
+)
+def test_scores_past_the_float_range_are_metric_errors(score, y_true, y_pred):
+    with pytest.raises(MetricError, match="overflow"):
+        score(np.array(y_true), np.array(y_pred))
+
+
 # --------------------------------------------------------------- t-tests
 
 

@@ -143,6 +143,38 @@ def test_tuned_nu_ignores_the_target(mpg, split_seed, y_seed, log_scale, shift):
         assert fit_shooting(noise, config).nu == fit_shooting(train, config).nu
 
 
+def tuned_nu(train: Dataset) -> float:
+    """nu as fit_shooting tunes it (k = 20, seed 1), with one-leaf trees:
+    the tuning precedes them."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ensemble, "fit_tree", lambda x, y: fit_tree(x, y, max_depth=0))
+        return fit_shooting(train, SRConfig(k=20, seed=1)).nu
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("j", [-1, -10, -50, -100, -150, -200])
+def test_tuned_nu_is_bit_equal_under_target_scale(mpg, j):
+    # Y x 2^j scales z and every offset exactly, so nu is the same double;
+    # the OLS exactness test is relative to y.y and no small Y reads as a
+    # perfect linear fit
+    train, _ = split(mpg, 0.5, 0)
+    scaled = Dataset(train.features, np.ldexp(train.target, j), train.feature_names)
+    assert tuned_nu(scaled) == tuned_nu(train)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("j", [-500, -300, -100, -40, -30, -20, 20, 30, 40, 100, 300, 500])
+@pytest.mark.parametrize("column", [3, 6])  # weight and origin
+def test_tuned_nu_is_bit_equal_under_feature_units(mpg, column, j):
+    # a feature x 2^j is a change of units: OLS and the offset draws are
+    # equivariant to it, and the condition estimate, taken on the
+    # column-equilibrated design, ignores it
+    train, _ = split(mpg, 0.5, 0)
+    features = train.features.copy()
+    features[:, column] = np.ldexp(features[:, column], j)
+    assert tuned_nu(Dataset(features, train.target, train.feature_names)) == tuned_nu(train)
+
+
 def test_fixed_nu_skips_tuning():
     d = make_synthetic(30, 2, 1.0, 4)
     model = fit_shooting(d, SRConfig(k=3, nu=0.5, seed=4))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from shooting import (
     Dataset,
+    FactorizationError,
     LinearModel,
     SingularDesignError,
     augment,
@@ -35,6 +36,32 @@ def test_duplicated_column_is_singular():
     d = Dataset(x, np.array([0.0, 1.0, 2.0, 4.0]), ["a", "b"])
     with pytest.raises(SingularDesignError):
         fit_ols(d)
+
+
+@pytest.mark.parametrize(
+    "second",
+    [lambda a: 0.0 * a, lambda a: np.ldexp(a, 30), lambda a: np.ldexp(a, -30)],
+    ids=["zero", "a times 2^30", "a times 2^-30"],
+)
+def test_zero_or_rescaled_duplicate_column_is_singular(second):
+    # equilibrating the columns for the condition estimate leaves a zero
+    # column zero and a rescaled duplicate a duplicate
+    a = np.array([0.0, 1.0, 2.0, 3.0, 5.0])
+    d = Dataset(np.column_stack([a, second(a)]), np.array([0.0, 1.0, 2.0, 4.0, 3.0]), ["a", "b"])
+    with pytest.raises(SingularDesignError):
+        fit_ols(d)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("j", [-600, 600])
+def test_covariance_past_the_float_range_is_a_factorization_error(mpg, j):
+    # weight x 2^j is no singular design, but its coefficient's variance
+    # scales by 2^-2j: past the largest double, or below the smallest
+    # normal one, where the jitter ladder would swamp it
+    features = mpg.features.copy()
+    features[:, 3] = np.ldexp(features[:, 3], j)
+    with pytest.raises(FactorizationError, match="float range"):
+        fit_ols(Dataset(features, mpg.target, mpg.feature_names))
 
 
 def test_too_few_rows_is_singular():

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import base64
 import copy
+import hashlib
 import json
-from dataclasses import fields
+import pathlib
+import zlib
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -70,21 +74,64 @@ def test_gbm_round_trip_exact(tmp_path, train, query):
     assert np.array_equal(predict_gbm(loaded, query), predict_gbm(model, query))
 
 
+# tree field -> its type in a blob, little-endian
+CODES = {"feature": "<i8", "threshold": "<f8", "value": "<f8"}
+
+
+def blob(values, code: str) -> str:
+    """A tree blob as format 4 holds one: base64 of the zlib stream of the
+    entries' little-endian bytes."""
+    raw = np.asarray(values, dtype=code).tobytes()
+    return base64.b64encode(zlib.compress(raw)).decode("ascii")
+
+
+def unblob(text: str, code: str) -> list:
+    return np.frombuffer(zlib.decompress(base64.b64decode(text)), code).tolist()
+
+
+def tree_lists(doc: dict) -> list[dict]:
+    """Each tree of a document as lists: feature, threshold and value."""
+    trees = doc["model"]["trees"]
+    flat = {name: unblob(trees[name], code) for name, code in CODES.items()}
+    starts = dict.fromkeys(CODES, 0)
+    out = []
+    for n in trees["nodes"]:
+        tree = {}
+        for name, size in zip(CODES, (n, n // 2, n // 2 + 1)):
+            tree[name] = flat[name][starts[name] : starts[name] + size]
+            starts[name] += size
+        out.append(tree)
+    assert starts == {name: len(entries) for name, entries in flat.items()}
+    return out
+
+
+def set_tree_lists(doc: dict, trees: list[dict]) -> None:
+    """Write trees, given as lists, into a document as format 4 does."""
+    doc["model"]["trees"] = {
+        "nodes": [len(tree["feature"]) for tree in trees],
+        **{name: blob([v for tree in trees for v in tree[name]], code) for name, code in CODES.items()},
+    }
+
+
 def test_document_shape_and_leaf_thresholds(train):
     model = fit_rf(train, RFConfig(n_trees=2, seed=3))
     doc = model_to_dict(model)
     assert doc["format"] == "shooting-model"
-    assert doc["format_version"] == 3
+    assert doc["format_version"] == 4
     assert doc["kind"] == "rf"
-    for tree in doc["model"]["trees"]:
+    trees = doc["model"]["trees"]
+    # node counts and one base64 string per tree field, all trees joined
+    assert sorted(trees) == ["feature", "nodes", "threshold", "value"]
+    assert len(trees["nodes"]) == 2
+    for name in CODES:
+        base64.b64decode(trees[name], validate=True)
+    for n, tree in zip(trees["nodes"], tree_lists(doc)):
         # level order implies the links and the depth; the width is the model's
-        assert sorted(tree) == ["feature", "threshold", "value"]
         internal = sum(f != -1 for f in tree["feature"])
-        assert len(tree["feature"]) == 2 * internal + 1
-        # a threshold per internal node and a value per leaf, no nulls
+        assert n == len(tree["feature"]) == 2 * internal + 1
+        # a threshold per internal node and a value per leaf
         assert len(tree["threshold"]) == internal
         assert len(tree["value"]) == internal + 1
-        assert None not in tree["threshold"] + tree["value"]
     # nan never appears, so strict JSON encoding must succeed
     json.dumps(doc, allow_nan=False)
 
@@ -126,6 +173,15 @@ def test_reject_truncated_body(train):
 def test_reject_unserializable_object():
     with pytest.raises(PersistError, match="cannot serialize"):
         model_to_dict({"not": "a model"})
+
+
+def test_save_refuses_a_model_load_would_refuse(tmp_path, models):
+    with pytest.raises(PersistError, match="no trees"):
+        model_to_dict(replace(models["rf"][0], trees=()))
+    path = tmp_path / "gbm.json"
+    with pytest.raises(PersistError, match="learning_rate"):
+        save_model(replace(models["gbm"][0], learning_rate=2.0), str(path))
+    assert not path.exists()
 
 
 def test_load_invalid_json(tmp_path):
@@ -191,13 +247,14 @@ def saved(models, query):
 @pytest.mark.parametrize("kind", ["shooting", "rf", "gbm"])
 def test_tree_documents_hold_the_trees_own_arrays(models, kind):
     model = models[kind][0]
-    docs = model_to_dict(model)["model"]["trees"]
-    assert len(docs) == len(model.trees)
-    for doc, tree in zip(docs, model.trees):
-        # every field but the width, which the model holds
-        assert list(doc) == [f.name for f in fields(RegressionTree) if f.name != "n_features"]
-        for name, entries in doc.items():
-            assert entries == getattr(tree, name).tolist()
+    trees = model_to_dict(model)["model"]["trees"]
+    # the node counts, then every tree field but the width, which the model holds
+    assert list(trees) == ["nodes"] + [f.name for f in fields(RegressionTree) if f.name != "n_features"]
+    assert trees["nodes"] == [tree.n_nodes for tree in model.trees]
+    for name, code in CODES.items():
+        # every tree's entries in tree order, as their IEEE bytes
+        raw = zlib.decompress(base64.b64decode(trees[name]))
+        assert raw == np.concatenate([getattr(t, name) for t in model.trees]).astype(code).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["shooting", "rf", "gbm"])
@@ -220,9 +277,7 @@ def test_reject_node_before_its_parent(saved):
     # five nodes, two internal: the second internal node (id 3) would be
     # the parent of nodes 3 and 4, itself among them
     doc = copy.deepcopy(saved["rf"][0])
-    doc["model"]["trees"] = [
-        {"feature": [0, -1, -1, 0, -1], "threshold": [0.0, 1.0], "value": [1.0, 2.0, 3.0]}
-    ]
+    set_tree_lists(doc, [{"feature": [0, -1, -1, 0, -1], "threshold": [0.0, 1.0], "value": [1.0, 2.0, 3.0]}])
     with pytest.raises(PersistError, match="parent"):
         model_from_dict(doc)
 
@@ -230,11 +285,11 @@ def test_reject_node_before_its_parent(saved):
 def test_reject_deeply_nested_document(saved):
     # a document built in memory can nest deeper than the boolean check
     # recurses; json.load never returns one this deep
-    doc = copy.deepcopy(saved["rf"][0])
+    doc = copy.deepcopy(saved["shooting"][0])
     nested = [1.0]
     for _ in range(5000):
         nested = [nested]
-    doc["model"]["trees"][0]["value"] = nested
+    doc["model"]["offsets"][0] = nested
     with pytest.raises(PersistError, match="malformed"):
         model_from_dict(doc)
 
@@ -248,10 +303,158 @@ def test_reject_version_2_document(saved):
         model_from_dict(doc)
 
 
+def test_reject_version_3_document(saved):
+    # version 3 held each tree as a document of JSON number lists; it is
+    # refused by its version, and its trees under version 4 are malformed
+    doc = copy.deepcopy(saved["rf"][0])
+    doc["format_version"] = 3
+    doc["model"]["trees"] = tree_lists(doc)
+    with pytest.raises(PersistError, match="unsupported format_version 3"):
+        model_from_dict(doc)
+    doc["format_version"] = 4
+    with pytest.raises(PersistError, match="malformed"):
+        model_from_dict(doc)
+
+
+def stream(raw: bytes) -> str:
+    return base64.b64encode(zlib.compress(raw)).decode("ascii")
+
+
+def blob_bytes(doc: dict, name: str) -> bytes:
+    return zlib.decompress(base64.b64decode(doc["model"]["trees"][name]))
+
+
+# a corruption of one blob -> the message it must raise; none is a blob
+# save_model writes
+BAD_BLOBS = {
+    "not base64": (lambda text, raw: "!" + text, "bad base64"),
+    "bad padding": (lambda text, raw: text[:-1], "bad base64"),
+    "not ASCII": (lambda text, raw: text[:-4] + "\u00e9\u00e9==", "bad base64"),
+    "not zlib": (lambda text, raw: base64.b64encode(raw).decode(), "zlib"),
+    "truncated": (
+        lambda text, raw: base64.b64encode(zlib.compress(raw)[:-4]).decode(),
+        "truncated zlib stream",
+    ),
+    "cut short": (
+        lambda text, raw: base64.b64encode(zlib.compress(raw)[:-9]).decode(),
+        "the node counts imply",
+    ),
+    "inflates short": (lambda text, raw: stream(raw[:-8]), "the node counts imply"),
+    "inflates long": (lambda text, raw: stream(raw + raw[:8]), "holds more"),
+    "trailing data": (
+        lambda text, raw: base64.b64encode(zlib.compress(raw) + b"\0").decode(),
+        "data after the zlib stream",
+    ),
+    "second stream": (
+        lambda text, raw: base64.b64encode(zlib.compress(raw) + zlib.compress(raw)).decode(),
+        "data after the zlib stream",
+    ),
+    "not a string": (lambda text, raw: list(raw), "expected a base64 string"),
+}
+
+
+@pytest.mark.parametrize("name", list(CODES))
+@pytest.mark.parametrize("corruption", list(BAD_BLOBS))
+def test_reject_bad_blobs(saved, name, corruption):
+    change, message = BAD_BLOBS[corruption]
+    doc = copy.deepcopy(saved["shooting"][0])
+    trees = doc["model"]["trees"]
+    trees[name] = change(trees[name], blob_bytes(doc, name))
+    with pytest.raises(PersistError, match=message):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [
+        lambda n: [True] + n[1:],  # a boolean, though True is 1
+        lambda n: [float(n[0])] + n[1:],
+        lambda n: [str(n[0])] + n[1:],
+        lambda n: [0] + n[1:],
+        lambda n: [-n[0]] + n[1:],
+        lambda n: [n[0] + 1] + n[1:],  # even
+        lambda n: [n[0] + 2] + n[1:],  # odd, but no blob holds the nodes
+        lambda n: [n[0] - 2] + n[1:],
+        lambda n: [2**61 + 1] + n[1:],  # more bytes than any blob or memory holds
+        lambda n: [2**70 + 1] + n[1:],
+        lambda n: n[:-1],
+        lambda n: n + [1],
+        lambda n: [],
+        lambda n: {"0": n[0]},
+    ],
+    ids=["true", "float", "string", "zero", "negative", "even", "odd, 2 more",
+         "odd, 2 fewer", "2^61 + 1", "2^70 + 1", "one count fewer", "one count more",
+         "no counts", "not a list"],
+)
+def test_reject_node_counts_that_do_not_fit(saved, nodes):
+    doc = copy.deepcopy(saved["rf"][0])
+    trees = doc["model"]["trees"]
+    trees["nodes"] = nodes(trees["nodes"])
+    with pytest.raises(PersistError):
+        model_from_dict(doc)
+
+
+def test_single_leaf_trees_round_trip():
+    # a one-node tree has no threshold: the threshold blob inflates to 0 bytes
+    model = fit_rf(make_synthetic(5, 2, 0.0, 1), RFConfig(n_trees=2, seed=1))
+    constant = replace(model, trees=(RegressionTree(np.array([-1]), np.empty(0), np.array([2.5]), 2),) * 2)
+    loaded = model_from_dict(json.loads(json.dumps(model_to_dict(constant))))
+    assert [tree.value.tolist() for tree in loaded.trees] == [[2.5], [2.5]]
+    assert [tree.threshold.size for tree in loaded.trees] == [0, 0]
+
+
+@pytest.mark.parametrize("name", ["threshold", "value"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_reject_nonfinite_floats_in_blobs(saved, name, bad):
+    doc = copy.deepcopy(saved["rf"][0])
+    trees = tree_lists(doc)
+    trees[-1][name][-1] = bad
+    set_tree_lists(doc, trees)
+    with pytest.raises(PersistError, match="finite"):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("feature", [-2, 3, 2**40])
+def test_reject_feature_out_of_range(saved, feature):
+    doc = copy.deepcopy(saved["rf"][0])
+    trees = tree_lists(doc)
+    trees[0]["feature"][0] = feature
+    set_tree_lists(doc, trees)
+    with pytest.raises(PersistError, match="feature index out of range"):
+        model_from_dict(doc)
+
+
+def test_inflation_stops_at_the_length_the_counts_imply(saved, monkeypatch):
+    # a feature blob that would inflate to 10 times what the counts imply
+    doc = copy.deepcopy(saved["rf"][0])
+    trees = doc["model"]["trees"]
+    nbytes = 8 * sum(trees["nodes"])
+    trees["feature"] = stream(bytes(10 * nbytes))
+    produced = []
+    real = zlib.decompressobj
+
+    class Counting:
+        def __init__(self):
+            self.inner = real()
+
+        def decompress(self, data, max_length=0):
+            out = self.inner.decompress(data, max_length)
+            produced.append(len(out))
+            return out
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+    monkeypatch.setattr(zlib, "decompressobj", Counting)
+    with pytest.raises(PersistError, match="holds more"):
+        model_from_dict(doc)
+    assert produced == [nbytes + 1]
+
+
 # values no field accepts: wrong type, wrong shape, not finite or too large
 WRONG = ["x", {}, None, [], [[1.0]], True, float("nan"), 10**400]
-# values no node entry accepts; booleans have their own mutation below
-WRONG_ENTRY = ["x", {}, None, [], [1.0], float("nan"), 10**400]
+# node entries no float blob accepts
+NONFINITE = [float("nan"), float("inf"), -float("inf")]
 
 
 def mutate(doc: dict, data) -> None:
@@ -260,10 +463,14 @@ def mutate(doc: dict, data) -> None:
     Changes that keep a document well formed, such as another in-range
     feature, another internal threshold or another leaf value, change the
     predictions legitimately and are not drawn; nor is a wider forest or
-    boosting model, whose trees need not read every feature.
+    boosting model, whose trees need not read every feature, nor node
+    counts moved between trees that still read as trees. Recompressing a
+    blob at another zlib level keeps the document well formed, and is
+    drawn: it must load the same model.
     """
     body = doc["model"]
-    tree = data.draw(st.sampled_from(body["trees"]))
+    trees = tree_lists(doc)
+    tree = data.draw(st.sampled_from(trees))
     features = tree["feature"]
     n = len(features)
     j = data.draw(st.integers(0, n - 1))
@@ -272,7 +479,8 @@ def mutate(doc: dict, data) -> None:
         st.sampled_from(
             ["feature", "flip node", "threshold", "value", "resize",
              "node before parent", "model width", "drop last node",
-             "drop key", "wrong value", "no trees", "boolean", "kind"]
+             "drop key", "wrong value", "no trees", "boolean", "kind",
+             "node count", "blob", "zlib level"]
         )
     )
     if what == "feature":
@@ -282,9 +490,7 @@ def mutate(doc: dict, data) -> None:
         features[j] = data.draw(st.integers(0, width - 1)) if features[j] == -1 else -1
     elif what in ("threshold", "value"):
         entries = tree[what]
-        entries[data.draw(st.integers(0, len(entries) - 1))] = data.draw(
-            st.sampled_from(WRONG_ENTRY)
-        )
+        entries[data.draw(st.integers(0, len(entries) - 1))] = data.draw(st.sampled_from(NONFINITE))
     elif what == "resize":
         # one threshold or value more or fewer than there are nodes for
         entries = tree[data.draw(st.sampled_from(["threshold", "value"]))]
@@ -302,29 +508,48 @@ def mutate(doc: dict, data) -> None:
             body["coefficients"].pop(data.draw(st.integers(0, 3)))
         else:
             # narrower than a feature some tree reads
-            used = max(f for t in body["trees"] for f in t["feature"])
+            used = max(f for t in trees for f in t["feature"])
             body["n_features"] = data.draw(st.integers(-1, used))
     elif what == "drop last node":
         # the last node is a leaf
         features.pop()
         tree["value"].pop()
-    elif what == "drop key":
-        target = data.draw(st.sampled_from([body, tree]))
+    elif what == "no trees":
+        trees.clear()
+    if what in ("feature", "flip node", "threshold", "value", "resize",
+                "node before parent", "drop last node", "no trees"):
+        set_tree_lists(doc, trees)
+    blobs = body["trees"]
+    if what == "drop key":
+        target = data.draw(st.sampled_from([body, blobs]))
         del target[data.draw(st.sampled_from(sorted(target)))]
     elif what == "wrong value":
-        target = data.draw(st.sampled_from([body, tree]))
+        target = data.draw(st.sampled_from([body, blobs]))
         target[data.draw(st.sampled_from(sorted(target)))] = data.draw(st.sampled_from(WRONG))
-    elif what == "no trees":
-        body["trees"] = []
     elif what == "boolean":
-        # numpy would read it as 1 or 0; any number array, the ensemble's
-        # coefficients and rows of D included
-        arrays = [tree[field] for field in ["feature", "threshold", "value"]]
+        # numpy would read it as 1 or 0: the ensemble's coefficients and
+        # rows of D, and the node counts, where True would read as 1
+        arrays = [blobs["nodes"]]
         if "coefficients" in body:
             arrays += [body["coefficients"], *body["offsets"]]
         entries = data.draw(st.sampled_from(arrays))
         entries[data.draw(st.integers(0, len(entries) - 1))] = data.draw(st.booleans())
-    else:
+    elif what == "node count":
+        # not a positive odd integer, or one the blobs do not hold
+        counts = blobs["nodes"]
+        i = data.draw(st.integers(0, len(counts) - 1))
+        counts[i] = data.draw(
+            st.sampled_from([0, -1, counts[i] + 1, counts[i] - 1, counts[i] + 2, float(counts[i])])
+        )
+    elif what == "blob":
+        name = data.draw(st.sampled_from(list(CODES)))
+        change, _ = BAD_BLOBS[data.draw(st.sampled_from(sorted(BAD_BLOBS)))]
+        blobs[name] = change(blobs[name], blob_bytes(doc, name))
+    elif what == "zlib level":
+        name = data.draw(st.sampled_from(list(CODES)))
+        level = data.draw(st.integers(0, 9))
+        blobs[name] = base64.b64encode(zlib.compress(blob_bytes(doc, name), level)).decode()
+    elif what == "kind":
         doc["kind"] = data.draw(st.sampled_from(["shooting", "rf", "gbm"]))
 
 
@@ -365,3 +590,66 @@ def test_out_of_range_settings_rejected(saved, kind, field, value):
     doc["model"][field] = value
     with pytest.raises(PersistError, match=field):
         model_from_dict(doc)
+
+
+# Saved format 4 models: a k = 3 SR model, a 3-tree RF and a 3-stage GBM,
+# written by save_model from fits on make_synthetic(30, 3, 1.0, 4) with
+# seed 4 (GBM at its defaults). They pin what a format 4 file means, so a
+# change to the encoding that would strand saved files fails here. Never
+# regenerate them to make this test pass. Only decoded values are pinned:
+# another zlib build may compress the same bytes differently.
+GOLDEN = pathlib.Path(__file__).parent / "data"
+# sha256 of each array, trees joined in tree order, little-endian
+GOLDEN_DIGESTS = {
+    "shooting": {
+        "feature": "3485c35892315de1c4004a6035a350ea1ee4a65a9d3d2267d76b37eba4d69414",
+        "threshold": "39010394e13180b4bb6dcc183878b608399015c5e54ef07ec8b141db640d4316",
+        "value": "19211d6292185a03fb0656bd4736d27f91dd96576673f4312116bdc71d7fff19",
+        "coefficients": "d5c6cbf074eacad7a66297f0e9ecf31c6c68b7a748786f35db5d2c059d4bf385",
+        "offsets": "5736003742d997c42636a102d12752da7868c2b39f765642250534ea840c21c9",
+    },
+    "rf": {
+        "feature": "5b702967acdf14796002a25171f898f59cfa49fd0c1949f3a039f0e45b0c66bd",
+        "threshold": "2d18ce5da7aa7329d9583eeb016e331c4e515abf9d421e9f16ec1f4140253d40",
+        "value": "899cd63b2fd7f0f40d9352471ecbee1505a2164df296d197a230f3415650c41a",
+    },
+    "gbm": {
+        "feature": "eec6b5db0eafd40cc7ecbc7974ac38947dbe9018dd1eb3b046b276e0c28fec0e",
+        "threshold": "0bdc58c5b9a87ad73077c78ac5ac04812a24ee31d84a40d034eb21dd59965b24",
+        "value": "f88408146a5edefd8674b269b8c9153c9289c87e3094b7cddc9d6f74a0869c09",
+    },
+}
+GOLDEN_NODES = {"shooting": [59, 59, 59], "rf": [41, 37, 37], "gbm": [15, 15, 15]}
+GOLDEN_SCALARS = {
+    "shooting": {"nu": 1.2531275442765217},
+    "rf": {"n_features": 3},
+    "gbm": {"base_value": 0.5330883479877405, "learning_rate": 0.1, "n_features": 3},
+}
+GOLDEN_QUERY = np.array([[-1.5, 0.25, 2.0], [0.0, 0.0, 0.0], [0.75, -2.0, -0.5], [3.0, 1.0, -1.25]])
+# RF and GBM predictions use no BLAS, so they hold in any environment
+GOLDEN_PREDICTIONS = {
+    "rf": (predict_rf, [3.333155821646491, -0.7065933772509702, -3.365748487510114, -4.468636445858177]),
+    "gbm": (
+        predict_gbm,
+        [1.3361961379977416, 0.01947115890219786, -0.902807329631026, -0.2278372220420884],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["shooting", "rf", "gbm"])
+def test_golden_format_4_files_load_to_pinned_values(kind):
+    model = load_model(str(GOLDEN / f"{kind}.json"))
+    assert [tree.n_nodes for tree in model.trees] == GOLDEN_NODES[kind]
+    arrays = {name: np.concatenate([getattr(tree, name) for tree in model.trees]) for name in CODES}
+    if kind == "shooting":
+        arrays.update(coefficients=model.coefficients, offsets=model.offsets)
+    digests = {
+        name: hashlib.sha256(arr.astype("<" + arr.dtype.str[1:]).tobytes()).hexdigest()
+        for name, arr in arrays.items()
+    }
+    assert digests == GOLDEN_DIGESTS[kind]
+    for name, value in GOLDEN_SCALARS[kind].items():
+        assert getattr(model, name) == value
+    if kind in GOLDEN_PREDICTIONS:
+        predict_fn, expected = GOLDEN_PREDICTIONS[kind]
+        assert predict_fn(model, GOLDEN_QUERY).tolist() == expected
