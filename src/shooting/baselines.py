@@ -3,19 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .data import Dataset
 from .rng import BOOTSTRAP_STREAM, make_rng
 from .tree import (
-    Forest,
     RegressionTree,
+    TreeModel,
     check_features,
     check_int,
     fit_tree,
-    pack_forest,
     predict_tree,
     row_means,
 )
@@ -55,27 +53,22 @@ class GBMConfig:
 
 
 @dataclass(frozen=True)
-class RandomForest:
+class RandomForest(TreeModel):
     trees: tuple[RegressionTree, ...]
     n_features: int
 
-    @cached_property
-    def forest(self) -> Forest:
-        """The trees packed for predict: built on first use, never saved."""
-        return pack_forest(self.trees)
-
 
 @dataclass(frozen=True)
-class GradientBoosting:
+class GradientBoosting(TreeModel):
     base_value: float
     learning_rate: float
     trees: tuple[RegressionTree, ...]
     n_features: int
 
-    @cached_property
-    def forest(self) -> Forest:
-        """The trees packed for predict: built on first use, never saved."""
-        return pack_forest(self.trees)
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < self.learning_rate <= 1.0:
+            raise ValueError("learning_rate must be in (0, 1]")
 
 
 def fit_rf(train: Dataset, config: RFConfig = RFConfig()) -> RandomForest:

@@ -20,22 +20,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .data import Dataset
 from .linear import LinearModel, OffsetSet, augment, fit_ols, sample_offsets
-from .nuopt import (
-    DegenerateCorrelationError,
-    NuResult,
-    balanced_magnitude_weight,
-    build_cache,
-    minimize_nu,
-)
-from .tree import (
-    Forest, RegressionTree, check_features, check_int, fit_tree, pack_forest, row_means
-)
+from .nuopt import DegenerateCorrelationError, balanced_magnitude_weight, build_cache, minimize_nu
+from .tree import RegressionTree, TreeModel, check_features, check_int, fit_tree, row_means
 
 # nu used when the correlation objective is degenerate (perfect linear fit)
 FALLBACK_NU = 1.0
@@ -66,16 +57,25 @@ class SRConfig:
 
 
 @dataclass(frozen=True)
-class ShootingEnsemble:
-    """What prediction reads: OLS coefficients B (intercept first), the
-    (p, k) offset draws D, nu and one tree per draw. nu_diagnostics is
-    fit-time only and never persisted."""
+class ShootingEnsemble(TreeModel):
+    """What prediction reads, and all a saved model holds: OLS
+    coefficients B (intercept first), the (p, k) offset draws D, nu and
+    one tree per draw."""
 
     coefficients: np.ndarray
     offsets: np.ndarray
     nu: float
     trees: tuple[RegressionTree, ...]
-    nu_diagnostics: NuResult | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if np.ndim(self.coefficients) != 1:
+            raise ValueError("coefficients must be a vector")
+        p = self.coefficients.size
+        if np.shape(self.offsets) != (p, self.k):
+            raise ValueError(f"offsets must have shape ({p}, {self.k})")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError("nu must be finite and >= 0")
 
     @property
     def k(self) -> int:
@@ -84,11 +84,6 @@ class ShootingEnsemble:
     @property
     def n_features(self) -> int:
         return self.coefficients.size - 1
-
-    @cached_property
-    def forest(self) -> Forest:
-        """The trees packed for predict: built on first use, never saved."""
-        return pack_forest(self.trees)
 
 
 def shooting_start(
@@ -114,21 +109,19 @@ def fit_at_nu(
     train: Dataset,
     start: tuple[LinearModel, OffsetSet, np.ndarray],
     nu: float,
-    diagnostics: NuResult | None = None,
 ) -> ShootingEnsemble:
     """The ensemble at this nu from a shooting_start on the same rows: one
     tree per gradient target."""
     linear, offsets, z = start
     targets = gradient_targets(z, offsets.projected, nu)
     trees = tuple(fit_tree(train.features, targets[:, i]) for i in range(targets.shape[1]))
-    return ShootingEnsemble(linear.coefficients, offsets.offsets, nu, trees, diagnostics)
+    return ShootingEnsemble(linear.coefficients, offsets.offsets, nu, trees)
 
 
 def fit_shooting(train: Dataset, config: SRConfig = SRConfig()) -> ShootingEnsemble:
     """OLS, offset sampling, nu selection, then one tree per gradient target."""
     start = shooting_start(train, config.k, config.seed)
     linear, offsets, z = start
-    diagnostics: NuResult | None = None
     if config.nu is not None:
         nu = float(config.nu)
     elif config.k < 2:
@@ -150,15 +143,14 @@ def fit_shooting(train: Dataset, config: SRConfig = SRConfig()) -> ShootingEnsem
                 if config.magnitude_weight is None
                 else config.magnitude_weight
             )
-            diagnostics = minimize_nu(cache, magnitude_weight=weight)
-            nu = diagnostics.nu
+            nu = minimize_nu(cache, magnitude_weight=weight).nu
         except DegenerateCorrelationError as exc:
             warnings.warn(
                 f"nu tuning degenerate ({exc}); using nu={FALLBACK_NU}",
                 RuntimeWarning,
             )
             nu = FALLBACK_NU
-    return fit_at_nu(train, start, nu, diagnostics)
+    return fit_at_nu(train, start, nu)
 
 
 def initial_vectors(ensemble: ShootingEnsemble, features) -> np.ndarray:
@@ -239,38 +231,14 @@ class PCADiagnostics:
 
 
 def _leading_component(rows: np.ndarray) -> np.ndarray:
-    """First principal axis of the row collection via power iteration."""
-    n, m = rows.shape
+    """First principal axis of the row collection: the leading right
+    singular vector of the centered rows, signed so that its largest
+    entry in magnitude is positive."""
     centered = rows - rows.mean(axis=0)
     if not np.any(centered):
         raise ValueError("collection has zero variance; no principal axis")
-
-    def apply_cov(v: np.ndarray) -> np.ndarray:
-        return centered.T @ (centered @ v) / n
-
-    v = np.ones(m) / math.sqrt(m)
-    w = apply_cov(v)
-    if np.linalg.norm(w) == 0.0:
-        # start vector happened to be orthogonal to the row space
-        j = int(np.argmax(np.einsum("ij,ij->j", centered, centered)))
-        v = np.zeros(m)
-        v[j] = 1.0
-        w = apply_cov(v)
-    for _ in range(10000):
-        w_norm = np.linalg.norm(w)
-        if w_norm == 0.0:
-            raise ValueError("power iteration collapsed to zero")
-        v_next = w / w_norm
-        if v_next @ v < 0:
-            v_next = -v_next
-        if np.linalg.norm(v_next - v) <= 1e-9:
-            v = v_next
-            break
-        v = v_next
-        w = apply_cov(v)
-    if v[np.argmax(np.abs(v))] < 0:
-        v = -v
-    return v
+    v = np.linalg.svd(centered, full_matrices=False)[2][0]
+    return -v if v[np.argmax(np.abs(v))] < 0 else v
 
 
 def project_trajectories(initial, terminal, target) -> PCADiagnostics:

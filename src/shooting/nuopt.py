@@ -129,7 +129,11 @@ def correlation_matrix(cache: NuCache, nu: float) -> np.ndarray:
         - nu * (cache.c_zi[:, None] + cache.c_zi[None, :])
         + nu * nu * cache.c_ij
     )
-    corr = num / np.sqrt(np.outer(v, v))
+    # v_i * v_j under- or overflows for variances far from 1; scaling v and
+    # num by one power of two first is exact and leaves every ratio alone
+    e = np.frexp(v.max())[1]
+    v = np.ldexp(v, -e)
+    corr = np.ldexp(num, -e) / np.sqrt(np.outer(v, v))
     np.clip(corr, -1.0, 1.0, out=corr)
     np.fill_diagonal(corr, 1.0)
     return corr

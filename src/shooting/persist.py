@@ -23,12 +23,15 @@ RegressionTree, whose constructor checks the one structural rule (n = 2I
 + 1 nodes for I internal ones with the j-th internal node at an id <= 2j,
 so every node's parent comes before it), feature indices in
 [0, n_features) and one threshold per internal node and one value per
-leaf. This module checks the rest of what a fit can write: node counts
-that are positive odd integers, finite numbers and no booleans; at least
-one tree; (p, k) offsets and nu >= 0 for the ensemble; a learning_rate in
-(0, 1] for boosting. So a loaded model never indexes outside its arrays
-or stops on an internal node; any file or document that fails a check
-raises PersistError.
+leaf. The model's constructor checks its own fields: at least one tree;
+a coefficient vector, (p, k) offsets and a finite nu >= 0 for the
+ensemble; a learning_rate in (0, 1] for boosting. So no model that
+save_model could be given fails to load. This module checks what the
+JSON can hold beyond that: node counts that are positive odd integers,
+finite numbers and no booleans. A document holds exactly its kind's
+dataclass fields, each read by the one decoder of that field name. So a
+loaded model never indexes outside its arrays or stops on an internal
+node; any file or document that fails a check raises PersistError.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import math
 import os
 import tempfile
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import accumulate
 
 import numpy as np
@@ -137,26 +140,27 @@ def _trees(doc) -> tuple:
         raise PersistError("expected node counts, a list of positive odd integers")
     # a tree of n = 2I + 1 nodes has I thresholds and I + 1 leaf values
     sizes = [nodes, [n // 2 for n in nodes], [n // 2 + 1 for n in nodes]]
-    fields = []
+    columns = []
     for name, counts in zip(_BLOBS, sizes):
         arr = _inflate(doc[name], name, sum(counts))
-        fields.append([arr[end - n : end] for n, end in zip(counts, accumulate(counts))])
-    return tuple(zip(*fields))
+        columns.append([arr[end - n : end] for n, end in zip(counts, accumulate(counts))])
+    return tuple(zip(*columns))
 
 
-# kind -> (class, field decoders); "trees" holds each tree's arrays until
-# the model's width is known
-_KINDS = {
-    "shooting": (
-        ShootingEnsemble,
-        {"coefficients": _finite, "offsets": _finite, "nu": _number, "trees": _trees},
-    ),
-    "rf": (RandomForest, {"n_features": _width, "trees": _trees}),
-    "gbm": (
-        GradientBoosting,
-        {"base_value": _number, "learning_rate": _number, "n_features": _width, "trees": _trees},
-    ),
+_KINDS = {"shooting": ShootingEnsemble, "rf": RandomForest, "gbm": GradientBoosting}
+# model field -> its decoder; "trees" holds each tree's arrays until the
+# model's width is known
+_DECODERS = {
+    "coefficients": _finite,
+    "offsets": _finite,
+    "nu": _number,
+    "base_value": _number,
+    "learning_rate": _number,
+    "n_features": _width,
+    "trees": _trees,
 }
+# kind -> the fields its document holds, in the class's order
+_FIELDS = {kind: [f.name for f in fields(cls)] for kind, cls in _KINDS.items()}
 
 
 def _encode(value):
@@ -169,33 +173,16 @@ def _encode(value):
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
-def _fields(fields, doc) -> dict:
-    if set(doc) != set(fields):
-        raise PersistError(f"expected the fields {sorted(fields)}, got {sorted(doc)}")
-    return {name: decode(doc[name]) for name, decode in fields.items()}
-
-
-def _check_model(model) -> None:
-    if not model.trees:
-        raise PersistError("model has no trees")
-    if isinstance(model, ShootingEnsemble):
-        if np.ndim(model.coefficients) != 1:
-            raise PersistError("coefficients must be a vector")
-        p = model.coefficients.size
-        if np.shape(model.offsets) != (p, model.k):
-            raise PersistError(f"offsets must have shape ({p}, {model.k})")
-        if model.nu < 0.0:
-            raise PersistError("nu must be >= 0")
-    if isinstance(model, GradientBoosting) and not 0.0 < model.learning_rate <= 1.0:
-        raise PersistError("learning_rate must be in (0, 1]")
+def _fields(names, doc) -> dict:
+    if set(doc) != set(names):
+        raise PersistError(f"expected the fields {sorted(names)}, got {sorted(doc)}")
+    return {name: _DECODERS[name](doc[name]) for name in names}
 
 
 def model_to_dict(model) -> dict:
-    for kind, (cls, fields) in _KINDS.items():
+    for kind, cls in _KINDS.items():
         if isinstance(model, cls):
-            # what the loader would refuse is not written
-            _check_model(model)
-            body = {name: _encode(getattr(model, name)) for name in fields}
+            body = {name: _encode(getattr(model, name)) for name in _FIELDS[kind]}
             return {"format": FORMAT_NAME, "format_version": FORMAT_VERSION, "kind": kind, "model": body}
     raise PersistError(f"cannot serialize {type(model).__name__}")
 
@@ -211,10 +198,9 @@ def model_from_dict(doc: dict):
         raise PersistError("missing model body")
     if kind not in _KINDS:
         raise PersistError(f"unknown model kind {kind!r}")
-    cls, fields = _KINDS[kind]
     try:
-        model = cls(**_fields(fields, body))
-        _check_model(model)
+        # the constructor checks the model's own fields
+        model = _KINDS[kind](**_fields(_FIELDS[kind], body))
         trees = tuple(RegressionTree(*arrays, n_features=model.n_features) for arrays in model.trees)
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise PersistError(f"malformed {kind} document: {exc}") from exc

@@ -522,6 +522,23 @@ def pack_forest(trees) -> Forest:
     )
 
 
+class TreeModel:
+    """What the SR, RF and GBM models share: a trees field, at least one
+    tree, and the trees packed for predict. Each model is a frozen
+    dataclass over this base that declares trees among its own fields, so
+    its field list is exactly what its saved document holds, and its
+    __post_init__ calls this one before checking its own fields."""
+
+    def __post_init__(self):
+        if not self.trees:
+            raise ValueError("trees: a model needs at least one tree")
+
+    @cached_property
+    def forest(self) -> Forest:
+        """The trees packed for predict: built on first use, never saved."""
+        return pack_forest(self.trees)
+
+
 def predict_tree(tree: RegressionTree, features) -> np.ndarray:
     """Route each row to its leaf (<= goes left) and return leaf means."""
     x = check_features(features, tree.n_features)

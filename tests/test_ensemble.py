@@ -16,6 +16,8 @@ from shooting import (
     SRConfig,
     ShootingEnsemble,
     augment,
+    balanced_magnitude_weight,
+    build_cache,
     ensemble,
     fit_ols,
     fit_shooting,
@@ -23,6 +25,7 @@ from shooting import (
     gradient_targets,
     initial_vectors,
     make_synthetic,
+    minimize_nu,
     oracle_predict,
     predict,
     predict_per_estimator,
@@ -88,14 +91,21 @@ def test_noiseless_targets_are_pure_offset_projections():
 # ------------------------------------------------------------ fit_shooting
 
 
+def tuned_result(train: Dataset, k: int, seed: int):
+    """minimize_nu on the cache of fit_shooting's start, as fit_shooting
+    runs it at the default magnitude weight."""
+    _, offsets, z = shooting_start(train, k, seed)
+    cache = build_cache(z, offsets.projected)
+    return minimize_nu(cache, magnitude_weight=balanced_magnitude_weight(cache))
+
+
 def test_fit_smoke_mpg(mpg):
     train, val = split(mpg, 0.5, 17)
     model = fit_shooting(train, SRConfig(k=20, seed=17))
     assert model.k == 20
     assert model.n_features == train.n_features
     assert 0.0 < model.nu < np.inf
-    assert model.nu_diagnostics is not None
-    assert model.nu_diagnostics.nu == model.nu
+    assert tuned_result(train, 20, 17).nu == model.nu
     pred = predict(model, val.features)
     assert pred.shape == (val.n_rows,)
     assert np.all(np.isfinite(pred))
@@ -152,11 +162,12 @@ def tuned_nu(train: Dataset) -> float:
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("j", [-1, -10, -50, -100, -150, -200])
+@pytest.mark.parametrize("j", [-500, -300, -200, -150, -100, -50, -10, -1, 300, 480])
 def test_tuned_nu_is_bit_equal_under_target_scale(mpg, j):
     # Y x 2^j scales z and every offset exactly, so nu is the same double;
     # the OLS exactness test is relative to y.y and no small Y reads as a
-    # perfect linear fit
+    # perfect linear fit, and the correlations scale the variances by a
+    # power of two before multiplying them
     train, _ = split(mpg, 0.5, 0)
     scaled = Dataset(train.features, np.ldexp(train.target, j), train.feature_names)
     assert tuned_nu(scaled) == tuned_nu(train)
@@ -177,9 +188,10 @@ def test_tuned_nu_is_bit_equal_under_feature_units(mpg, column, j):
 
 def test_fixed_nu_skips_tuning():
     d = make_synthetic(30, 2, 1.0, 4)
-    model = fit_shooting(d, SRConfig(k=3, nu=0.5, seed=4))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ensemble, "minimize_nu", None)  # a call would fail
+        model = fit_shooting(d, SRConfig(k=3, nu=0.5, seed=4))
     assert model.nu == 0.5
-    assert model.nu_diagnostics is None
 
 
 def test_k_one_falls_back_with_warning():
@@ -212,7 +224,8 @@ def test_nu_is_a_python_float_on_every_path():
         ]
     for model in models:
         assert type(model.nu) is float
-    result = models[0].nu_diagnostics
+    result = tuned_result(d, 8, 0)
+    assert result.nu == models[0].nu
     for value in (result.nu, result.objective_value, result.corr_term, result.magnitude_term):
         assert type(value) is float
 
@@ -300,22 +313,38 @@ def test_projection_axis_aligned_collection():
     assert diag.target_coord - shift == pytest.approx(10.0, abs=1e-9)
 
 
+def near_tie_collection(rng) -> np.ndarray:
+    """11 rows in 12 dimensions whose covariance has eigenvalues 1, 0.9999,
+    0.5, 0.25, ... along random orthogonal axes: the top two nearly tie."""
+    scores = rng.standard_normal((11, 10))
+    scores -= scores.mean(axis=0)
+    variances = np.array([1.0, 0.9999, *0.5 ** np.arange(1, 9)])
+    scores = np.linalg.qr(scores)[0] * np.sqrt(11.0 * variances)
+    axes = np.linalg.qr(rng.standard_normal((12, 12)))[0][:, :10]
+    return scores @ axes.T + rng.standard_normal(12)
+
+
 def test_projection_matches_dense_eigendecomposition():
     rng = np.random.default_rng(31)
     initial = rng.standard_normal((12, 5))
     terminal = rng.standard_normal((12, 5))
     target = rng.standard_normal(12)
-    collection = np.vstack([initial.T, terminal.T, target[None, :]])
-    centered = collection - collection.mean(axis=0)
-    cov = centered.T @ centered / collection.shape[0]
-    vals, vecs = np.linalg.eigh(cov)
-    axis = vecs[:, -1]
-    if axis[np.argmax(np.abs(axis))] < 0:
-        axis = -axis
-    diag = project_trajectories(initial, terminal, target)
-    assert diag.initial_coords == pytest.approx(initial.T @ axis, abs=1e-7)
-    assert diag.terminal_coords == pytest.approx(terminal.T @ axis, abs=1e-7)
-    assert diag.target_coord == pytest.approx(float(target @ axis), abs=1e-7)
+    plain = np.vstack([initial.T, terminal.T, target[None, :]])
+    for collection in (plain, near_tie_collection(rng)):
+        initial, terminal, target = collection[:5].T, collection[5:10].T, collection[10]
+        centered = collection - collection.mean(axis=0)
+        cov = centered.T @ centered / collection.shape[0]
+        vals, vecs = np.linalg.eigh(cov)
+        axis = vecs[:, -1]
+        if axis[np.argmax(np.abs(axis))] < 0:
+            axis = -axis
+        # the angle between the axes, in radians
+        got = ensemble._leading_component(collection)
+        assert math.atan2(np.linalg.norm(got - (got @ axis) * axis), got @ axis) <= 1e-6
+        diag = project_trajectories(initial, terminal, target)
+        assert diag.initial_coords == pytest.approx(initial.T @ axis, abs=1e-7)
+        assert diag.terminal_coords == pytest.approx(terminal.T @ axis, abs=1e-7)
+        assert diag.target_coord == pytest.approx(float(target @ axis), abs=1e-7)
 
 
 def test_fitted_ensemble_terminal_coords_near_target():

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from shooting import (
     GBMConfig,
     PersistError,
+    RandomForest,
     RFConfig,
     RegressionTree,
     SRConfig,
@@ -52,7 +53,6 @@ def test_shooting_round_trip_exact(tmp_path, train, query):
     save_model(model, str(path))
     loaded = load_model(str(path))
     assert loaded.nu == model.nu
-    assert loaded.nu_diagnostics is None  # diagnostics are not persisted
     assert np.array_equal(predict(loaded, query), predict(model, query))
 
 
@@ -175,13 +175,25 @@ def test_reject_unserializable_object():
         model_to_dict({"not": "a model"})
 
 
-def test_save_refuses_a_model_load_would_refuse(tmp_path, models):
-    with pytest.raises(PersistError, match="no trees"):
-        model_to_dict(replace(models["rf"][0], trees=()))
-    path = tmp_path / "gbm.json"
-    with pytest.raises(PersistError, match="learning_rate"):
-        save_model(replace(models["gbm"][0], learning_rate=2.0), str(path))
-    assert not path.exists()
+def test_no_model_load_would_refuse_can_be_built(models):
+    # each model checks its own fields when built, so save_model is never
+    # given one that the loader would refuse
+    sr = models["shooting"][0]
+    p, k = sr.offsets.shape
+    with pytest.raises(ValueError, match="^trees"):
+        RandomForest((), 3)
+    with pytest.raises(ValueError, match="^learning_rate"):
+        replace(models["gbm"][0], learning_rate=2.0)
+    with pytest.raises(ValueError, match="^offsets"):
+        replace(sr, offsets=np.zeros((p, k + 1)))
+    with pytest.raises(ValueError, match="^nu"):
+        replace(sr, nu=-1.0)
+
+
+@pytest.mark.parametrize("kind", ["shooting", "rf", "gbm"])
+def test_documents_hold_exactly_the_model_fields(models, kind):
+    model = models[kind][0]
+    assert set(model_to_dict(model)["model"]) == {f.name for f in fields(model)}
 
 
 def test_load_invalid_json(tmp_path):
