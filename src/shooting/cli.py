@@ -8,6 +8,7 @@ to downstream tooling.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -17,14 +18,14 @@ import numpy as np
 from .baselines import GBMConfig, RFConfig, fit_gbm, fit_rf, predict_gbm, predict_rf
 from .data import (
     Dataset,
+    DegenerateTestError,
     ParseError,
-    TrialReport,
     load_auto_mpg,
     make_synthetic,
     mse,
+    paired_t_test,
     r_squared,
     split,
-    summarize_trials,
 )
 from .ensemble import (
     SRConfig,
@@ -110,6 +111,7 @@ OPTIONS = {
     },
     "nu-curve": {
         **_COMMON,
+        "k": ("int", 100, "[2, inf)", "offset count; correlations need 2"),
         "val-fraction": ("float", 0.25, "(0, 1)", "validation share"),
         "points": ("int", 33, "[2, inf)", "sweep grid size"),
         "magnitude-weight": _WEIGHT,
@@ -246,6 +248,14 @@ def _hist_rows(values: list[float]) -> list[list[str]]:
     ]
 
 
+def _split(d: Dataset, cfg: dict, seed: int) -> tuple[Dataset, Dataset]:
+    """split(), with a share that leaves a partition too small a config error."""
+    try:
+        return split(d, cfg["val-fraction"], seed)
+    except ValueError as exc:
+        raise CLIError(EXIT_CONFIG, f"val-fraction {cfg['val-fraction']}: {exc}") from exc
+
+
 def _sr_config(cfg: dict) -> SRConfig:
     nu = cfg.get("nu", "auto")
     weight = cfg.get("magnitude-weight", "balanced")
@@ -262,43 +272,40 @@ def run_benchmark(cfg: dict) -> int:
         raise CLIError(EXIT_CONFIG, "benchmark requires --data (or 'data' in config)")
     d = _load_dataset(cfg)
     out = _ensure_out(cfg)
-    reports = []
+    scores = {model: [] for model in MODEL_ORDER}
+    nus = []
+    trial_rows = []
     for t in range(1, cfg["trials"] + 1):
+        seeds = [derive_seed(cfg["seed"], TRIAL_STREAM, t, j) for j in range(4)]
+        train, val = _split(d, cfg, seeds[0])
         try:
-            seeds = [derive_seed(cfg["seed"], TRIAL_STREAM, t, j) for j in range(4)]
-            train, val = split(d, cfg["val-fraction"], seeds[0])
-            sr_cfg = _sr_config({**cfg, "seed": seeds[1]})
-            sr = fit_shooting(train, sr_cfg)
+            sr = fit_shooting(train, _sr_config({**cfg, "seed": seeds[1]}))
             rf = fit_rf(train, RFConfig(n_trees=cfg["k"], seed=seeds[2]))
             gbm = fit_gbm(train, GBMConfig(n_stages=cfg["k"], seed=seeds[3]))
-            scores = {
+            trial = {
                 "SR": r_squared(val.target, predict(sr, val.features)),
                 "GBM": r_squared(val.target, predict_gbm(gbm, val.features)),
                 "RF": r_squared(val.target, predict_rf(rf, val.features)),
             }
         except (ValueError, FloatingPointError) as exc:
             raise CLIError(EXIT_NUMERIC, f"trial {t} failed: {exc}") from exc
-        reports.append(TrialReport(t, scores, sr.nu))
-
-    trial_rows = []
-    for r in reports:
+        nus.append(sr.nu)
         for model in MODEL_ORDER:
-            nu_cell = _fmt(r.nu_selected) if model == "SR" else ""
-            trial_rows.append([str(r.trial_index), model, _fmt(r.scores[model]), nu_cell])
+            scores[model].append(trial[model])
+            nu_cell = _fmt(sr.nu) if model == "SR" else ""
+            trial_rows.append([str(t), model, _fmt(trial[model]), nu_cell])
     write_csv(os.path.join(out, "trials.csv"), ["trial", "model", "score", "nu"], trial_rows)
 
-    summary = summarize_trials(reports, sidedness="greater")
+    # one-sided paired t-test of SR against each baseline; "na" where it is
+    # undefined (one trial, or score differences without spread)
     summary_rows = []
-    for model in MODEL_ORDER:
-        if model == "SR":
-            t_cell = p_cell = ""
-        else:
-            pair = ("SR", model)
-            t_cell = _fmt(summary.t_stats[pair]) if pair in summary.t_stats else "na"
-            p_cell = _fmt(summary.p_values[pair]) if pair in summary.p_values else "na"
-        summary_rows.append(
-            [model, _fmt(summary.means[model]), _fmt(summary.stds[model]), t_cell, p_cell]
-        )
+    for model, values in scores.items():
+        cells = ["", ""] if model == "SR" else ["na", "na"]
+        if model != "SR" and len(values) > 1:
+            with contextlib.suppress(DegenerateTestError):
+                cells = [_fmt(v) for v in paired_t_test(scores["SR"], values, "greater")]
+        std = np.std(values, ddof=1) if len(values) > 1 else 0.0
+        summary_rows.append([model, _fmt(np.mean(values)), _fmt(std), *cells])
     write_csv(
         os.path.join(out, "summary.csv"),
         ["model", "mean", "std", "t_vs_SR", "p_vs_SR"],
@@ -308,13 +315,13 @@ def run_benchmark(cfg: dict) -> int:
     write_csv(
         os.path.join(out, "nu_hist.csv"),
         ["bin_left", "bin_right", "count"],
-        _hist_rows([r.nu_selected for r in reports]),
+        _hist_rows(nus),
     )
     for model in MODEL_ORDER:
         write_csv(
             os.path.join(out, f"score_hist_{model.lower()}.csv"),
             ["bin_left", "bin_right", "count"],
-            _hist_rows([r.scores[model] for r in reports]),
+            _hist_rows(scores[model]),
         )
 
     for row in summary_rows:
@@ -329,7 +336,7 @@ def run_benchmark(cfg: dict) -> int:
 def run_nu_curve(cfg: dict) -> int:
     d = _load_dataset(cfg)
     out = _ensure_out(cfg)
-    train, val = split(d, cfg["val-fraction"], cfg["seed"])
+    train, val = _split(d, cfg, cfg["seed"])
     start = shooting_start(train, cfg["k"], cfg["seed"])
     _, offsets, z = start
     cache = build_cache(z, offsets.projected)

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 from math import isinf, sqrt
 
 import numpy as np
@@ -219,49 +218,3 @@ def paired_t_test(a, b, sidedness: str = "two-sided") -> tuple[float, float]:
     n = diff.size
     t = float(diff.mean()) / (sd / sqrt(n))
     return t, student_t_p(t, n - 1, sidedness)
-
-
-@dataclass(frozen=True)
-class TrialReport:
-    """Validation scores of one train/validation trial."""
-
-    trial_index: int
-    scores: dict[str, float] = field(default_factory=dict)
-    nu_selected: float = 0.0
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Aggregate of per-trial scores with pairwise paired t-tests."""
-
-    means: dict[str, float]
-    stds: dict[str, float]
-    t_stats: dict[tuple[str, str], float]
-    p_values: dict[tuple[str, str], float]
-    n_trials: int
-
-
-def summarize_trials(reports: list[TrialReport], sidedness: str = "two-sided") -> ComparisonReport:
-    """Aggregate trial scores into means, stds, and pairwise tests.
-
-    Pairs whose test is undefined (fewer than 2 trials, or identical score
-    differences) are omitted from the t/p maps.
-    """
-    if not reports:
-        raise ValueError("need at least one trial")
-    models = list(reports[0].scores)
-    by_model = {name: np.array([r.scores[name] for r in reports]) for name in models}
-    n = len(reports)
-    means = {name: float(v.mean()) for name, v in by_model.items()}
-    stds = {name: float(v.std(ddof=1)) if n > 1 else 0.0 for name, v in by_model.items()}
-    t_stats: dict[tuple[str, str], float] = {}
-    p_values: dict[tuple[str, str], float] = {}
-    if n > 1:
-        for left, right in combinations(models, 2):
-            try:
-                t, p = paired_t_test(by_model[left], by_model[right], sidedness)
-            except DegenerateTestError:
-                continue
-            t_stats[(left, right)] = t
-            p_values[(left, right)] = p
-    return ComparisonReport(means, stds, t_stats, p_values, n)

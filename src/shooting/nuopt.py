@@ -149,8 +149,12 @@ def objective(
     matrix, both assembled purely from the cache.
     """
     corr_term = float(np.linalg.norm(correlation_matrix(cache, nu)))
-    sq = cache.k * cache.sum_zz - 2.0 * nu * cache.sum_zx + nu * nu * cache.sum_xx
-    magnitude_term = magnitude_weight * float(np.sqrt(max(sq, 0.0)))
+    # k * sum_zz overflows for large targets; scaling the sums by one even
+    # power of two and the root back by half of it is exact
+    e = math.frexp(max(cache.sum_zz, cache.sum_xx))[1] & ~1
+    zz, zx, xx = (math.ldexp(s, -e) for s in (cache.sum_zz, cache.sum_zx, cache.sum_xx))
+    sq = cache.k * zz - 2.0 * nu * zx + nu * nu * xx
+    magnitude_term = magnitude_weight * math.ldexp(math.sqrt(max(sq, 0.0)), e // 2)
     return corr_term + magnitude_term, corr_term, magnitude_term
 
 

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from shooting import cli, load_auto_mpg, split
+from shooting import cli, load_auto_mpg, paired_t_test, split
 from shooting.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK
 
 
@@ -69,6 +69,36 @@ def test_benchmark_summary_csv(bench_dir):
     for row in rows[1:]:
         float(row[1]), float(row[2]), float(row[3])
         assert 0.0 <= float(row[4]) <= 1.0
+
+
+def test_benchmark_summary_recomputed_from_trials(bench_dir):
+    # every summary cell is the mean, the ddof=1 std and the one-sided
+    # paired test of SR against the baseline, over trials.csv's scores
+    _, trial_rows = read_csv(bench_dir / "trials.csv")
+    scores = {m: [float(r[2]) for r in trial_rows if r[1] == m] for m in ("SR", "GBM", "RF")}
+    _, rows = read_csv(bench_dir / "summary.csv")
+    for model, mean, std, t_cell, p_cell in rows:
+        assert mean == cli._fmt(np.mean(scores[model]))
+        assert std == cli._fmt(np.std(scores[model], ddof=1))
+        if model == "SR":
+            assert t_cell == p_cell == ""
+        else:
+            t, p = paired_t_test(scores["SR"], scores[model], "greater")
+            assert [t_cell, p_cell] == [cli._fmt(t), cli._fmt(p)]
+
+
+def test_benchmark_constant_difference_is_na(tmp_path, monkeypatch):
+    # per trial the scores come as SR, GBM, RF: SR - GBM is 0.25 in every
+    # trial, so its test is undefined, while SR - RF varies
+    fake = iter([0.875, 0.625, 0.5, 0.75, 0.5, 0.625, 0.5, 0.25, 0.375])
+    monkeypatch.setattr(cli, "r_squared", lambda y_true, y_pred: next(fake))
+    out = tmp_path / "constant"
+    argv = ["benchmark", "--data", "data/auto-mpg.data", "--trials", "3", "--k", "3"]
+    assert run(argv + ["--out", str(out)]) == EXIT_OK
+    rows = {row[0]: row[1:] for row in read_csv(out / "summary.csv")[1]}
+    assert rows["GBM"][2:] == ["na", "na"]
+    t, p = paired_t_test([0.875, 0.75, 0.5], [0.5, 0.625, 0.375], "greater")
+    assert rows["RF"][2:] == [cli._fmt(t), cli._fmt(p)]
 
 
 def test_benchmark_histograms(bench_dir):
@@ -234,6 +264,29 @@ def test_invalid_val_fraction(tmp_path, capsys):
     )
     assert code == EXIT_CONFIG
     assert "val-fraction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["benchmark", "--trials", "1", "--k", "3", "--val-fraction", "0.001"],
+        ["benchmark", "--trials", "1", "--k", "3", "--val-fraction", "0.999"],
+        ["nu-curve", "--val-fraction", "0.001"],
+    ],
+    ids=["benchmark-no-validation-rows", "benchmark-no-training-rows", "nu-curve"],
+)
+def test_val_fraction_leaving_a_tiny_partition_is_config_error(tmp_path, capsys, argv):
+    # 392 rows: a share of 0.001 leaves no validation row, 0.999 no training row
+    code = run(argv + ["--data", "data/auto-mpg.data", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "val-fraction" in err and "too small" in err
+
+
+def test_nu_curve_single_offset_is_config_error(tmp_path, capsys):
+    # the correlation objective needs two offset columns
+    assert run(["nu-curve", "--k", "1", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "k must lie in [2, inf)" in capsys.readouterr().err
 
 
 def test_invalid_nu_flag(capsys):

@@ -18,7 +18,6 @@ from shooting import (
     DegenerateTestError,
     MetricError,
     ParseError,
-    TrialReport,
     load_auto_mpg,
     make_synthetic,
     mse,
@@ -26,7 +25,6 @@ from shooting import (
     r_squared,
     split,
     student_t_p,
-    summarize_trials,
 )
 
 # ---------------------------------------------------------------- Dataset
@@ -311,32 +309,3 @@ def test_paired_t_antisymmetric(values, seed):
     t_ba, p_ba = paired_t_test(b, a)
     assert t_ab == pytest.approx(-t_ba, rel=1e-9, abs=1e-12)
     assert p_ab == pytest.approx(p_ba, rel=1e-9)
-
-
-# ---------------------------------------------------------------- summary
-
-
-def test_summarize_trials_means_and_pairs():
-    reports = [
-        TrialReport(1, {"SR": 0.9, "GBM": 0.8, "RF": 0.7}, 1.0),
-        TrialReport(2, {"SR": 0.8, "GBM": 0.7, "RF": 0.75}, 1.2),
-        TrialReport(3, {"SR": 0.95, "GBM": 0.85, "RF": 0.8}, 0.9),
-    ]
-    rep = summarize_trials(reports, sidedness="greater")
-    assert rep.n_trials == 3
-    assert rep.means["SR"] == pytest.approx((0.9 + 0.8 + 0.95) / 3)
-    assert ("SR", "GBM") in rep.p_values
-    assert ("SR", "RF") in rep.p_values
-    # SR minus GBM is constant 0.1 across trials: degenerate pair is omitted
-    degenerate = [
-        TrialReport(1, {"SR": 0.9, "GBM": 0.8}, 1.0),
-        TrialReport(2, {"SR": 0.7, "GBM": 0.6}, 1.0),
-    ]
-    rep2 = summarize_trials(degenerate)
-    assert ("SR", "GBM") not in rep2.p_values
-
-
-def test_summarize_single_trial():
-    rep = summarize_trials([TrialReport(1, {"SR": 0.9, "RF": 0.8}, 1.0)])
-    assert rep.stds == {"SR": 0.0, "RF": 0.0}
-    assert rep.p_values == {}

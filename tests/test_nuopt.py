@@ -18,6 +18,8 @@ from shooting import (
     correlation_matrix,
     minimize_nu,
     objective,
+    shooting_start,
+    split,
 )
 from shooting.nuopt import DEFAULT_GRID_POINTS, DEFAULT_NU_TOL
 
@@ -226,6 +228,20 @@ def test_objective_needs_only_the_cache():
     # the per-evaluation boundary: no length-m inputs after build_cache
     params = list(inspect.signature(objective).parameters)
     assert params == ["cache", "nu", "magnitude_weight"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("j", [0, 300, 480, 500, -500])
+def test_magnitude_term_scales_exactly(mpg, j):
+    # z and XD x 2^j put sum_zz near 2^(2j + 10); at j = 500 the plain
+    # k * sum_zz overflowed. The term scales by 2^j and nu is the same double
+    train, _ = split(mpg, 0.5, 0)
+    _, offsets, z = shooting_start(train, 20, 1)
+    base = build_cache(z, offsets.projected)
+    cache = build_cache(np.ldexp(z, j), np.ldexp(offsets.projected, j))
+    assert objective(cache, 2.0)[2] == math.ldexp(objective(base, 2.0)[2], j)
+    result = minimize_nu(cache, magnitude_weight=balanced_magnitude_weight(cache))
+    assert result.nu == 2.6505337802984257
 
 
 def test_balanced_weight_equalizes_at_zero():
