@@ -1,7 +1,7 @@
 """Ordinary least squares with coefficient-covariance offset sampling.
 
-The fitted model keeps the coefficient covariance s^2 (X'X)^-1 and its
-lower-triangular factor so that coefficient perturbations can be drawn
+The fitted model keeps a lower-triangular factor of the coefficient
+covariance s^2 (X'X)^-1 so that coefficient perturbations can be drawn
 from the same multivariate normal law that describes resampling noise.
 """
 
@@ -42,13 +42,13 @@ def augment(features) -> np.ndarray:
 class LinearModel:
     """OLS coefficients plus the sampling law of their estimation noise.
 
-    coefficients has the intercept first; covariance is the possibly
-    jittered matrix that covariance_factor reproduces as L L'.
+    coefficients has the intercept first; covariance_factor is L with
+    L L' the coefficient covariance, plus jitter times the identity when
+    it needed jitter to factor.
     """
 
     coefficients: np.ndarray
     residual_variance: float
-    covariance: np.ndarray
     covariance_factor: np.ndarray
     jitter: float = 0.0
 
@@ -118,9 +118,7 @@ def fit_ols(d: Dataset) -> LinearModel:
         raise FactorizationError("coefficient covariance leaves the float range")
     cov = 0.5 * (cov + cov.T)
     factor, jitter = _factor_covariance(cov)
-    if jitter:
-        cov = cov + jitter * np.eye(p)
-    return LinearModel(coef, s2, cov, factor, jitter)
+    return LinearModel(coef, s2, factor, jitter)
 
 
 def sample_offsets(model: LinearModel, features, k: int, seed: int) -> OffsetSet:
@@ -143,13 +141,3 @@ def sample_offsets(model: LinearModel, features, k: int, seed: int) -> OffsetSet
         draws[:, i] = model.covariance_factor @ z
     return OffsetSet(draws, x @ draws)
 
-
-def predict_linear(model: LinearModel, features) -> np.ndarray:
-    """Linear prediction on the intercept-augmented features."""
-    x = augment(features)
-    if x.shape[1] != model.coefficients.size:
-        raise ValueError(
-            f"feature count {x.shape[1] - 1} does not match model "
-            f"({model.coefficients.size - 1})"
-        )
-    return x @ model.coefficients

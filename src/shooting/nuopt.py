@@ -52,7 +52,8 @@ class NuCache:
     c_* are population covariances of z and the projected offset columns;
     sum_* are the uncentered sums that rebuild the Frobenius norm of the
     gradient-target matrix: |z|^2, the sum of z'x_i and the sum of
-    |x_i|^2. constant_columns flags offset columns with zero variance.
+    |x_i|^2. All of them are of z and the columns times 2^-scale.
+    constant_columns flags offset columns with zero variance.
     """
 
     c_zz: float
@@ -63,6 +64,7 @@ class NuCache:
     sum_xx: float
     m: int
     constant_columns: np.ndarray
+    scale: int = 0
 
     @property
     def k(self) -> int:
@@ -81,7 +83,15 @@ class NuResult:
 
 
 def build_cache(z, projected_offsets) -> NuCache:
-    """One pass over the m-length vectors; everything after is m-free."""
+    """One pass over the m-length vectors; everything after is m-free.
+
+    z and the columns are first scaled by 2^-scale, a power of two that
+    puts their largest magnitude in [0.5, 1), so no product or sum below
+    can overflow, whatever units the caller's targets are in. The scaling
+    is exact for every entry that stays a normal double, correlations
+    ignore it, and objective reports the magnitude term in the caller's
+    units.
+    """
     z = np.asarray(z, dtype=float)
     x = np.asarray(projected_offsets, dtype=float)
     if z.ndim != 1 or x.ndim != 2 or x.shape[0] != z.size:
@@ -93,6 +103,9 @@ def build_cache(z, projected_offsets) -> NuCache:
         raise ValueError("need at least 2 offset columns")
     if np.ptp(z) == 0.0:
         raise DegenerateCorrelationError("z is constant; correlations undefined")
+    scale = math.frexp(max(np.abs(z).max(), np.abs(x).max()))[1]
+    z = np.ldexp(z, -scale)
+    x = np.ldexp(x, -scale)
     zc = z - z.mean()
     xc = x - x.mean(axis=0)
     c_zz = float(zc @ zc) / m
@@ -109,6 +122,7 @@ def build_cache(z, projected_offsets) -> NuCache:
         sum_xx=float(np.trace(x.T @ x)),
         m=m,
         constant_columns=constant,
+        scale=scale,
     )
 
 
@@ -149,12 +163,11 @@ def objective(
     matrix, both assembled purely from the cache.
     """
     corr_term = float(np.linalg.norm(correlation_matrix(cache, nu)))
-    # k * sum_zz overflows for large targets; scaling the sums by one even
-    # power of two and the root back by half of it is exact
-    e = math.frexp(max(cache.sum_zz, cache.sum_xx))[1] & ~1
-    zz, zx, xx = (math.ldexp(s, -e) for s in (cache.sum_zz, cache.sum_zx, cache.sum_xx))
-    sq = cache.k * zz - 2.0 * nu * zx + nu * nu * xx
-    magnitude_term = magnitude_weight * math.ldexp(math.sqrt(max(sq, 0.0)), e // 2)
+    # the sums are of the columns times 2^-scale: the root times 2^scale
+    # is in the caller's units
+    sq = cache.k * cache.sum_zz - 2.0 * nu * cache.sum_zx + nu * nu * cache.sum_xx
+    root = math.ldexp(math.sqrt(max(sq, 0.0)), cache.scale)
+    magnitude_term = magnitude_weight * root
     return corr_term + magnitude_term, corr_term, magnitude_term
 
 
@@ -167,7 +180,7 @@ def balanced_magnitude_weight(cache: NuCache) -> float:
     """
     if cache.sum_zz <= 0.0:
         return 1.0
-    return float(np.sqrt(cache.k / cache.sum_zz))
+    return math.ldexp(math.sqrt(cache.k / cache.sum_zz), -cache.scale)
 
 
 def minimize_nu(cache: NuCache, magnitude_weight: float = 1.0) -> NuResult:

@@ -4,7 +4,7 @@ Nodes live in flat parallel arrays rather than linked objects. Fitting
 takes nodes first in, first out, so node ids run in level order and the
 links are implied: the j-th internal node by id has children 2j + 1 and
 2j + 2. A RegressionTree holds exactly what a saved tree holds and checks
-that rule when built. Prediction walks a packed forest (below).
+that rule when built. A model's prediction walks a packed forest (below).
 Ties in the computed SSE go to the lowest (feature, position), so refitting
 on identical data reproduces the identical structure, though rounding can
 decide between cuts whose exact SSE ties.
@@ -23,7 +23,9 @@ inherits its rows already in value order and every feature row has the
 same length. The split search then runs over all features at once:
 row-wise prefix sums of y and y^2, the SSE of each cut, infeasible cuts
 set to inf, and one flat argmin, whose first-minimum rule is the tie
-break above.
+break above. A child at max_depth carries no orders, since it only takes
+the mean of its rows: in a depth-3 boosting stage, every child of a
+depth-2 split.
 
 The trees are those of a per-node stable argsort, bit for bit. A node's
 row ids are always in increasing order (the root is arange, each child a
@@ -58,7 +60,12 @@ its memory does not grow with the rows either. Leaf values come back in
 tree order, so each model keeps its own reduction order and its
 predictions are those of one walk per tree, bit for bit: the exact row
 mean for SR and RF, and for GBM one cumsum down the stages, which adds
-them in stage order. predict_tree is the one-tree case of the same walk.
+them in stage order.
+
+predict_tree walks its one tree directly instead, with no Forest to pack:
+boosting calls it once per stage on the training rows, where packing a
+one-tree forest cost more than the walk. It routes by the same
+comparison, so its leaf values are those of the forest walk bit for bit.
 
 The exact row mean (row_means) is each row's correctly rounded sum, which
 math.fsum returns, over k. Past SMALL_BLOCK values a block's sums come
@@ -320,24 +327,27 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
         f, p = split
         n_left = p + 1
         # the cut keeps the first n_left rows of the split feature's order;
-        # filtering every feature's order by them keeps each in value order
+        # filtering every feature's order by them keeps each in value order.
+        # A child at max_depth only takes its mean, so it gets no orders
+        searched = max_depth is None or depth + 1 < max_depth
+        left_order = right_order = None
         if type(idx) is list:
             below, above = xl[f][order[f][p]], xl[f][order[f][n_left]]
             in_left = set(order[f][:n_left])
             left_idx = [r for r in idx if r in in_left]
             right_idx = [r for r in idx if r not in in_left]
             # a one-row child is a leaf and never reads its order
-            left_order = right_order = None
-            if n_left > 1:
+            if searched and n_left > 1:
                 left_order = [[r for r in rows if r in in_left] for rows in order]
-            if size - n_left > 1:
+            if searched and size - n_left > 1:
                 right_order = [[r for r in rows if r not in in_left] for rows in order]
         else:
             below, above = float(xs[f, p]), float(xs[f, n_left])
             goes_left[order[f, :n_left]] = True
-            in_left = goes_left[order]
-            left_order = order[in_left].reshape(n, n_left)
-            right_order = order[~in_left].reshape(n, size - n_left)
+            if searched:
+                in_left = goes_left[order]
+                left_order = order[in_left].reshape(n, n_left)
+                right_order = order[~in_left].reshape(n, size - n_left)
             row_left = goes_left[idx]
             left_idx, right_idx = idx[row_left], idx[~row_left]
             goes_left[left_idx] = False
@@ -540,9 +550,24 @@ class TreeModel:
 
 
 def predict_tree(tree: RegressionTree, features) -> np.ndarray:
-    """Route each row to its leaf (<= goes left) and return leaf means."""
+    """Route each row to its leaf (<= goes left) and return leaf means.
+
+    The one tree is walked directly, with no Forest to pack: node i moves
+    on to step[i] + (x > thr[i]). At the j-th internal node that is child
+    2j + 1 or 2j + 2. A leaf's threshold is inf, which no finite x exceeds,
+    so a leaf steps to itself.
+    """
     x = check_features(features, tree.n_features)
-    out = np.empty(x.shape[0])
-    for rows, values in pack_forest((tree,)).leaves(x):
-        out[rows] = values[0]
-    return out
+    feature = tree.feature
+    internal = feature != LEAF
+    # seen[i]: internal nodes up to node i, so the j-th internal node has
+    # seen j + 1, and leaf i holds value[i - seen[i]]
+    seen = np.cumsum(internal)
+    step = np.where(internal, 2 * seen - 1, np.arange(feature.size))
+    thr = np.full(feature.size, np.inf)
+    thr[internal] = tree.threshold
+    rows = np.arange(x.shape[0])
+    node = np.zeros(x.shape[0], dtype=np.int64)
+    for _ in range(tree.depth):
+        node = step[node] + (x[rows, feature[node]] > thr[node])
+    return tree.value[node - seen[node]]

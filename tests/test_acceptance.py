@@ -152,7 +152,8 @@ def test_criterion_04_unbiasedness():
     mc_mean = total / draws
     # per-row variance of the k-averaged initial vector, then the SE of
     # its Monte-Carlo mean over the resamples
-    var_rows = np.einsum("ij,jk,ik->i", x, linear.covariance, x) * (nu * nu / k)
+    factor = linear.covariance_factor
+    var_rows = np.einsum("ij,jk,ik->i", x, factor @ factor.T, x) * (nu * nu / k)
     se = np.sqrt(var_rows / draws)
     deviations = np.abs(mc_mean - base) / se
     elapsed = time.perf_counter() - start

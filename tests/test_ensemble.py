@@ -186,6 +186,38 @@ def test_tuned_nu_is_bit_equal_under_feature_units(mpg, column, j):
     assert tuned_nu(Dataset(features, train.target, train.feature_names)) == tuned_nu(train)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("j", [-200, -40, 40, 300])
+def test_predictions_scale_with_the_target(mpg, j):
+    # Y x 2^j scales z, every offset and every gradient target exactly, so
+    # the trees keep their cuts and the predictions scale by 2^j
+    train, val = split(mpg, 0.5, 0)
+    scaled = Dataset(train.features, np.ldexp(train.target, j), train.feature_names)
+    config = SRConfig(k=20, seed=1)
+    want = np.ldexp(predict(fit_shooting(train, config), val.features), j)
+    assert np.array_equal(predict(fit_shooting(scaled, config), val.features), want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("j", [-40, -20, 20, 40])
+@pytest.mark.parametrize("column", [3, 6])  # weight and origin
+def test_feature_units_leave_trees_and_predictions(mpg, column, j):
+    # the gradient targets do not depend on the units of a feature, and a
+    # cut's midpoint scales with its column, so the trees cut the same
+    # features and every query routes to the same leaves
+    def rescaled(d: Dataset) -> np.ndarray:
+        features = d.features.copy()
+        features[:, column] = np.ldexp(features[:, column], j)
+        return features
+
+    train, val = split(mpg, 0.5, 0)
+    config = SRConfig(k=20, seed=1)
+    base = fit_shooting(train, config)
+    model = fit_shooting(Dataset(rescaled(train), train.target, train.feature_names), config)
+    assert all(np.array_equal(a.feature, b.feature) for a, b in zip(model.trees, base.trees))
+    assert np.array_equal(predict(model, rescaled(val)), predict(base, val.features))
+
+
 def test_fixed_nu_skips_tuning():
     d = make_synthetic(30, 2, 1.0, 4)
     with pytest.MonkeyPatch.context() as patch:

@@ -14,7 +14,6 @@ from shooting import (
     SingularDesignError,
     augment,
     fit_ols,
-    predict_linear,
     sample_offsets,
 )
 
@@ -26,7 +25,6 @@ def test_exact_fit_zero_covariance():
     model = fit_ols(d)
     assert model.coefficients == pytest.approx([1.0, 2.0], abs=1e-12)
     assert model.residual_variance == pytest.approx(0.0, abs=1e-24)
-    assert np.allclose(model.covariance, 0.0, atol=1e-20)
     assert np.allclose(model.covariance_factor, 0.0, atol=1e-20)
     assert model.jitter == 0.0
 
@@ -81,7 +79,8 @@ def test_four_point_line(tiny):
     assert model.residual_variance == pytest.approx(0.15, abs=1e-12)
     # C = s^2 (X'X)^-1 = 0.15/20 * [14 -6; -6 4]
     expected_cov = 0.15 / 20.0 * np.array([[14.0, -6.0], [-6.0, 4.0]])
-    assert np.allclose(model.covariance, expected_cov, atol=1e-12)
+    factor = model.covariance_factor
+    assert np.allclose(factor @ factor.T, expected_cov, atol=1e-12)
 
 
 @given(seed=st.integers(0, 10_000), m=st.integers(8, 40), n=st.integers(1, 4))
@@ -105,11 +104,11 @@ def test_factor_reconstructs_covariance(seed):
     x = rng.standard_normal((25, 3))
     y = rng.standard_normal(25)
     model = fit_ols(Dataset(x, y, ["a", "b", "c"]))
+    xa = augment(x)
+    covariance = model.residual_variance * np.linalg.inv(xa.T @ xa)
     reconstructed = model.covariance_factor @ model.covariance_factor.T
-    err = np.linalg.norm(reconstructed - model.covariance)
-    assert err <= 1e-8 * max(np.linalg.norm(model.covariance), 1e-30)
-    assert np.allclose(model.covariance, model.covariance.T, atol=1e-10)
-    assert np.diag(model.covariance).min() >= 0.0
+    err = np.linalg.norm(reconstructed - covariance)
+    assert err <= 1e-8 * max(np.linalg.norm(covariance), 1e-30)
 
 
 # ---------------------------------------------------------- sample_offsets
@@ -119,7 +118,6 @@ def _identity_model(p: int) -> LinearModel:
     return LinearModel(
         coefficients=np.zeros(p),
         residual_variance=1.0,
-        covariance=np.eye(p),
         covariance_factor=np.eye(p),
     )
 
@@ -183,36 +181,3 @@ def test_sampling_unbiased_monte_carlo(tiny):
     assert np.all(np.abs(mean) <= 4.0 * se)
     assert np.all(np.abs((base + projected.mean(axis=1)) - base) <= 4.0 * se)
 
-
-# ---------------------------------------------------------- predict_linear
-
-
-def test_predict_identity_slope():
-    model = LinearModel(
-        np.array([0.0, 1.0]), 0.0, np.zeros((2, 2)), np.zeros((2, 2))
-    )
-    assert predict_linear(model, np.array([[5.0]])) == pytest.approx([5.0])
-
-
-def test_predict_matches_line_example():
-    model = LinearModel(
-        np.array([1.0, 2.0]), 0.0, np.zeros((2, 2)), np.zeros((2, 2))
-    )
-    out = predict_linear(model, np.array([[0.0], [1.0], [2.0]]))
-    assert out == pytest.approx([1.0, 3.0, 5.0], abs=1e-12)
-
-
-def test_predict_empty_matrix():
-    model = LinearModel(
-        np.array([1.0, 2.0]), 0.0, np.zeros((2, 2)), np.zeros((2, 2))
-    )
-    out = predict_linear(model, np.zeros((0, 1)))
-    assert out.shape == (0,)
-
-
-def test_predict_dimension_mismatch():
-    model = LinearModel(
-        np.array([1.0, 2.0]), 0.0, np.zeros((2, 2)), np.zeros((2, 2))
-    )
-    with pytest.raises(ValueError):
-        predict_linear(model, np.zeros((3, 4)))

@@ -46,12 +46,14 @@ def brute_objective(z: np.ndarray, x: np.ndarray, nu: float):
 def test_hand_covariances_exact():
     cache, _, _ = hand_cache()
     # population covariances of z=(1,-1,0), x1=(1,0,-1), x2=(0,1,-1),
-    # all zero-mean: c_zz=2/3, c_z1=1/3, c_z2=-1/3, c_11=c_22=2/3, c_12=1/3
-    assert cache.c_zz == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert cache.c_zi == pytest.approx([1.0 / 3.0, -1.0 / 3.0], rel=1e-12)
-    assert cache.c_ij[0, 0] == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert cache.c_ij[1, 1] == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert cache.c_ij[0, 1] == pytest.approx(1.0 / 3.0, rel=1e-12)
+    # all zero-mean: c_zz=2/3, c_z1=1/3, c_z2=-1/3, c_11=c_22=2/3, c_12=1/3,
+    # cached for z and x times 2^-1, which puts their largest magnitude at 0.5
+    assert cache.scale == 1
+    assert 4.0 * cache.c_zz == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert 4.0 * cache.c_zi == pytest.approx([1.0 / 3.0, -1.0 / 3.0], rel=1e-12)
+    assert 4.0 * cache.c_ij[0, 0] == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert 4.0 * cache.c_ij[1, 1] == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert 4.0 * cache.c_ij[0, 1] == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert cache.m == 3
     assert cache.k == 2
 
@@ -86,6 +88,9 @@ def test_cache_matches_direct_recomputation(seed):
     z = rng.standard_normal(m)
     x = rng.standard_normal((m, k))
     cache = build_cache(z, x)
+    # the cache holds z and x times 2^-scale
+    assert 0.5 <= math.ldexp(max(np.abs(z).max(), np.abs(x).max()), -cache.scale) < 1.0
+    z, x = np.ldexp(z, -cache.scale), np.ldexp(x, -cache.scale)
     zc = z - z.mean()
     xc = x - x.mean(axis=0)
     assert cache.c_zz == pytest.approx(float(zc @ zc) / m, rel=1e-9)
@@ -231,10 +236,13 @@ def test_objective_needs_only_the_cache():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("j", [0, 300, 480, 500, -500])
+@pytest.mark.parametrize("j", [0, 300, 480, 500, 502, 505, 510, -500, -520])
 def test_magnitude_term_scales_exactly(mpg, j):
-    # z and XD x 2^j put sum_zz near 2^(2j + 10); at j = 500 the plain
-    # k * sum_zz overflowed. The term scales by 2^j and nu is the same double
+    # z and XD x 2^j put sum_zz near 2^(2j + 10): unscaled, k * sum_zz
+    # overflowed at j = 500, the covariance products at 505 and 510, and
+    # at -520 the variances fell below the smallest normal double. The
+    # cache scales them back by a power of two, so the term scales by 2^j
+    # and nu is the same double
     train, _ = split(mpg, 0.5, 0)
     _, offsets, z = shooting_start(train, 20, 1)
     base = build_cache(z, offsets.projected)
