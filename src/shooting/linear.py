@@ -24,6 +24,10 @@ class FactorizationError(ValueError):
     """Covariance factorization failed even after jitter escalation."""
 
 
+class TargetOverflowError(ValueError):
+    """The targets' sum of squares y.y overflows the float range."""
+
+
 MAX_CONDITION = 1e12
 
 # Jitter ladder: 1e-12 * trace(C)/(n+1) escalating tenfold up to 1e-6 * same.
@@ -98,11 +102,17 @@ def fit_ols(d: Dataset) -> LinearModel:
     singular_values = np.linalg.svd(np.ldexp(x, -exponents), compute_uv=False)
     if singular_values[-1] == 0.0 or singular_values[0] / singular_values[-1] > MAX_CONDITION:
         raise SingularDesignError("design matrix condition estimate exceeds 1e12")
+    with np.errstate(over="ignore"):
+        yy = float(y @ y)
+    # the exactness test below reads y.y, and an infinite one would pass
+    # any residual; a finite one bounds the residual sum of squares
+    if not np.isfinite(yy):
+        raise TargetOverflowError("targets too large: y.y overflows the float range")
     q, r = np.linalg.qr(x)
     coef = scipy.linalg.solve_triangular(r, q.T @ y)
     resid = y - x @ coef
     rss = float(resid @ resid)
-    if rss <= 1e-26 * float(y @ y):
+    if rss <= 1e-26 * yy:
         # QR leaves machine-noise residuals on exactly-linear data; a true
         # zero here lets the degenerate zero-covariance path engage
         rss = 0.0

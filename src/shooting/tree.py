@@ -23,9 +23,10 @@ inherits its rows already in value order and every feature row has the
 same length. The split search then runs over all features at once:
 row-wise prefix sums of y and y^2, the SSE of each cut, infeasible cuts
 set to inf, and one flat argmin, whose first-minimum rule is the tie
-break above. A child at max_depth carries no orders, since it only takes
-the mean of its rows: in a depth-3 boosting stage, every child of a
-depth-2 split.
+break above. Only a child of more than SMALL_NODE rows that will be
+searched gets orders: a small one sorts its rows when searched (below),
+and one at max_depth, such as every child of a depth-2 split in a
+depth-3 boosting stage, only takes the mean of its rows.
 
 The trees are those of a per-node stable argsort, bit for bit. A node's
 row ids are always in increasing order (the root is arange, each child a
@@ -38,15 +39,17 @@ Fully grown trees are mostly tiny nodes: in a k = 100 SR fit on auto-mpg,
 87% of internal nodes hold 16 rows or fewer and a third hold 2, and there
 the numpy search above pays dozens of calls of fixed dispatch cost per
 node. A node of at most SMALL_NODE rows that will be searched therefore
-carries its rows and per-feature orders as Python lists, and is searched
-and partitioned on Python floats (x and y become lists the first time
-this happens, so shallow trees that never search a small node never
-convert). The scalar search redoes the numpy arithmetic exactly: node
-totals round as np.sum's pairwise loop does (_node_sum), prefix sums run
-in order from the first value as cumsum does, the SSE expression keeps
-its operation order, and the first strict minimum in (feature, position)
-order wins, so the trees are the same bit for bit. A change to the tie
-rule must go into both searches.
+carries only its rows, as a Python list, and is searched and partitioned
+on Python floats (x and y become lists the first time this happens, so
+shallow trees that never search a small node never convert). The search
+sorts the rows per feature, stably and with -0.0 tied to 0.0 as in numpy,
+so each order is the presort filtered to the node; a two-row node's one
+cut has just two SSEs, one per row first. The scalar search redoes the
+numpy arithmetic exactly: node totals round as np.sum's pairwise loop
+does (_node_sum), prefix sums run in order from the first value as cumsum
+does, the SSE expression keeps its operation order, and the first strict
+minimum in (feature, position) order wins, so the trees are the same bit
+for bit. A change to the tie rule must go into both searches.
 
 Prediction packs a model's trees into one Forest: the node arrays joined
 end to end, deepest tree first, each internal node with a two-wide child
@@ -174,8 +177,9 @@ def _best_split(
     if n == 0:
         return None
     head = ys[:, :-1]
-    c1 = np.cumsum(head, axis=1)
-    c2 = np.cumsum(head * head, axis=1)
+    # the ufuncs that np.cumsum runs, without its Python wrapper
+    c1 = np.add.accumulate(head, axis=1)
+    c2 = np.add.accumulate(head * head, axis=1)
     nl = np.arange(1, m, dtype=float)
     nr = m - nl
     sse = (c2 - c1 * c1 / nl) + (total2 - c2 - (total1 - c1) ** 2 / nr)
@@ -212,39 +216,52 @@ def _node_sum(values: list[float]) -> float:
 
 
 def _small_split(
-    xl: list[list[float]],
-    yl: list[float],
-    order: list[list[int]],
-    total1: float,
-    total2: float,
-) -> tuple[int, int] | None:
-    """_best_split on Python floats: the same SSE expression in the same
-    operation order, with prefix sums that start at the first value as
-    cumsum does, and the first strict minimum in (feature, position) order.
-    order[f] holds the node's rows in feature f's value order."""
+    xl: list[list[float]], yl: list[float], idx: list[int], total1: float, total2: float
+) -> tuple[int, list[int], int] | None:
+    """_best_split on Python floats for the rows idx, in increasing order,
+    each feature's order a stable sort of them: the same SSE expression in
+    the same operation order, prefix sums from the first value as cumsum's,
+    and the first strict minimum in (feature, position) order. Returns the
+    feature, the rows in its value order and the left child's size."""
+    size = len(idx)
     best = math.inf
     found = None
-    for f, rows in enumerate(order):
-        size = len(rows)
-        xf = xl[f]
+    if size == 2:
+        # one cut, whose SSE depends only on which row comes first; nl and
+        # size - nl are 1.0
+        a, b = idx
+        sses = []
+        for c1 in (yl[a], yl[b]):
+            c2, d = c1 * c1, total1 - c1
+            sses.append((c2 - c1 * c1 / 1.0) + (total2 - c2 - d * d / 1.0))
+        sse_a, sse_b = sses
+        for f, xf in enumerate(xl):
+            if xf[a] < xf[b]:
+                if sse_a < best:
+                    best, found = sse_a, (f, idx, 1)
+            elif xf[b] < xf[a] and sse_b < best:
+                best, found = sse_b, (f, [b, a], 1)
+        return found
+    for f, xf in enumerate(xl):
+        rows = sorted(idx, key=xf.__getitem__)
         v = yl[rows[0]]
         c1 = v
         c2 = v * v
         below = xf[rows[0]]
-        for p in range(1, size):
-            r = rows[p]
+        nl = 1.0
+        for r in rows[1:]:
             above = xf[r]
             if below < above:
-                nl = float(p)
                 d = total1 - c1
                 sse = (c2 - c1 * c1 / nl) + (total2 - c2 - d * d / (size - nl))
                 if sse < best:
                     best = sse
-                    found = (f, p - 1)
+                    found = (f, rows, int(nl))
             v = yl[r]
             c1 += v
             c2 += v * v
             below = above
+            nl += 1.0
     return found
 
 
@@ -286,12 +303,12 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
     feat: list[int] = []
     thr: list[float] = []
     value: list[float] = []
-    # a node carries its rows in increasing order and, per feature, the same
-    # rows in stable value order: arrays, or lists once the node is small.
+    # a node carries its rows in increasing order, as an array or, once it
+    # is small, a list. A node of more than SMALL_NODE rows that will be
+    # searched also carries, per feature, its rows in stable value order.
     # Nodes are taken first in, first out, so in level order
-    queue: deque[tuple[object, object, int]] = deque(
-        [(np.arange(y.size), np.argsort(xt, axis=1, kind="stable"), 0)]
-    )
+    root_order = np.argsort(xt, axis=1, kind="stable") if y.size > SMALL_NODE else None
+    queue: deque[tuple[object, object, int]] = deque([(np.arange(y.size), root_order, 0)])
     while queue:
         idx, order, depth = queue.popleft()
         size = len(idx)
@@ -301,53 +318,53 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
             # nothing to split; the mean of one value is the value, plus
             # 0.0 because np.sum turns a lone -0.0 into 0.0
             mean = float(y[idx[0]]) + 0.0
-        # a capped node only takes its mean, so one that still holds arrays
-        # stays in numpy and a shallow tree need never convert
+        # a capped node only takes its mean, so one that still holds an
+        # array stays in numpy and a shallow tree need never convert
         elif size <= SMALL_NODE and (not capped or type(idx) is list):
             if not yl:
                 xl, yl = xt.tolist(), y.tolist()
             if type(idx) is not list:
-                idx, order = idx.tolist(), order.tolist()
+                idx = idx.tolist()
             ysub = [yl[r] for r in idx]
             total1 = _node_sum(ysub)
             mean = total1 / size
             if not (capped or min(ysub) == max(ysub)):
-                split = _small_split(xl, yl, order, total1, _node_sum([v * v for v in ysub]))
+                split = _small_split(xl, yl, idx, total1, _node_sum([v * v for v in ysub]))
         else:
             ysub = y[idx]
-            total1 = float(ysub.sum())
+            # the ufuncs that .sum(), .min() and .max() run
+            total1 = float(np.add.reduce(ysub))
             mean = total1 / size  # ysub.mean(), bit for bit
-            if not (capped or ysub.min() == ysub.max()):
+            if not (capped or np.minimum.reduce(ysub) == np.maximum.reduce(ysub)):
                 xs = xt[feature_ids, order]
-                split = _best_split(xs, y[order], total1, float((ysub * ysub).sum()))
+                split = _best_split(xs, y[order], total1, float(np.add.reduce(ysub * ysub)))
         if split is None:
             feat.append(LEAF)
             value.append(mean)
             continue
-        f, p = split
-        n_left = p + 1
-        # the cut keeps the first n_left rows of the split feature's order;
-        # filtering every feature's order by them keeps each in value order.
-        # A child at max_depth only takes its mean, so it gets no orders
-        searched = max_depth is None or depth + 1 < max_depth
+        # the cut keeps the first n_left rows of the split feature's order
         left_order = right_order = None
         if type(idx) is list:
-            below, above = xl[f][order[f][p]], xl[f][order[f][n_left]]
-            in_left = set(order[f][:n_left])
-            left_idx = [r for r in idx if r in in_left]
-            right_idx = [r for r in idx if r not in in_left]
-            # a one-row child is a leaf and never reads its order
-            if searched and n_left > 1:
-                left_order = [[r for r in rows if r in in_left] for rows in order]
-            if searched and size - n_left > 1:
-                right_order = [[r for r in rows if r not in in_left] for rows in order]
+            f, rows, n_left = split
+            below, above = xl[f][rows[n_left - 1]], xl[f][rows[n_left]]
+            # each child's rows back in increasing order
+            left_idx, right_idx = sorted(rows[:n_left]), sorted(rows[n_left:])
         else:
+            f, p = split
+            n_left = p + 1
             below, above = float(xs[f, p]), float(xs[f, n_left])
             goes_left[order[f, :n_left]] = True
-            if searched:
+            # filtering every feature's order by the left rows keeps each in
+            # value order; only a big child that will be searched needs one
+            searched = max_depth is None or depth + 1 < max_depth
+            big_left = searched and n_left > SMALL_NODE
+            big_right = searched and size - n_left > SMALL_NODE
+            if big_left or big_right:
                 in_left = goes_left[order]
-                left_order = order[in_left].reshape(n, n_left)
-                right_order = order[~in_left].reshape(n, size - n_left)
+                if big_left:
+                    left_order = order[in_left].reshape(n, n_left)
+                if big_right:
+                    right_order = order[~in_left].reshape(n, size - n_left)
             row_left = goes_left[idx]
             left_idx, right_idx = idx[row_left], idx[~row_left]
             goes_left[left_idx] = False

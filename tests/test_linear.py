@@ -12,6 +12,7 @@ from shooting import (
     FactorizationError,
     LinearModel,
     SingularDesignError,
+    TargetOverflowError,
     augment,
     fit_ols,
     sample_offsets,
@@ -60,6 +61,16 @@ def test_covariance_past_the_float_range_is_a_factorization_error(mpg, j):
     features[:, 3] = np.ldexp(features[:, 3], j)
     with pytest.raises(FactorizationError, match="float range"):
         fit_ols(Dataset(features, mpg.target, mpg.feature_names))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("j", [504, 510])
+def test_targets_whose_square_sum_overflows_are_refused(mpg, j):
+    # an infinite y.y would pass any residual as an exact fit and report a
+    # residual variance of 0.0
+    target = np.ldexp(mpg.target, j)
+    with pytest.raises(TargetOverflowError, match="overflows"):
+        fit_ols(Dataset(mpg.features, target, mpg.feature_names))
 
 
 def test_too_few_rows_is_singular():

@@ -336,6 +336,25 @@ def test_tie_breaks_lowest_feature_then_threshold():
     y2 = np.array([0.0, 1.0, 0.0])
     tree2 = fit_tree(x2, y2)
     assert tree2.threshold[0] == pytest.approx(0.5)
+    # two rows that feature 0 ties, feature 1 orders b first and feature 2
+    # a first: both cuts have SSE 0.0, so feature 1 wins, with b left
+    x3 = np.array([[5.0, 1.0, 0.0], [5.0, 0.0, 1.0]])
+    tree3 = fit_tree(x3, np.array([0.0, 1.0]))
+    assert tree3.feature[0] == 1
+    assert np.array_equal(predict_tree(tree3, x3), [0.0, 1.0])
+    # the same pair on targets whose two cut SSEs round apart (feature 2
+    # wins on the first), and signed-zero targets: a pair of them is
+    # constant, a leaf reading 0.0
+    cases = [
+        (x3, np.array([0.1, 0.7])),
+        (x3, np.array([0.7, 0.1])),
+        (np.array([[0.0, 1.0], [-0.0, 0.0]]), np.array([3.0, -1e-3])),
+        (x3, np.array([-0.0, 0.0])),
+        (x3, np.array([-0.0, -0.0])),
+        (np.array([[0.0], [1.0], [2.0]]), np.array([-0.0, 0.0, 1.0])),
+    ]
+    for x, y in cases:
+        assert_same_tree(fit_tree(x, y), reference_fit_tree(x, y))
 
 
 def test_midpoint_rounding_guard():
@@ -497,6 +516,10 @@ def test_nodes_laid_out_in_level_order(seed, m, n, max_depth):
     bootstrap=st.booleans(),
     max_depth=st.sampled_from([None, 0, 1, 3]),
 )
+# two and three rows that some features tie (0.0 against -0.0 among them)
+# and others order in opposite directions
+@example(seed=7, m=2, n=4, decimals=0, bootstrap=False, max_depth=None)
+@example(seed=7, m=3, n=4, decimals=0, bootstrap=False, max_depth=None)
 @settings(max_examples=300, deadline=None)
 def test_presorted_growth_matches_per_node_sort(
     seed, m, n, decimals, bootstrap, max_depth
