@@ -69,6 +69,8 @@ class GradientBoosting(TreeModel):
         super().__post_init__()
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
+        if not np.isfinite(self.base_value):
+            raise ValueError("base_value must be finite")
 
 
 def fit_rf(train: Dataset, config: RFConfig = RFConfig()) -> RandomForest:

@@ -276,12 +276,12 @@ def run_benchmark(cfg: dict) -> int:
     nus = []
     trial_rows = []
     for t in range(1, cfg["trials"] + 1):
-        seeds = [derive_seed(cfg["seed"], TRIAL_STREAM, t, j) for j in range(4)]
+        seeds = [derive_seed(cfg["seed"], TRIAL_STREAM, t, j) for j in range(3)]
         train, val = _split(d, cfg, seeds[0])
         try:
             sr = fit_shooting(train, _sr_config({**cfg, "seed": seeds[1]}))
             rf = fit_rf(train, RFConfig(n_trees=cfg["k"], seed=seeds[2]))
-            gbm = fit_gbm(train, GBMConfig(n_stages=cfg["k"], seed=seeds[3]))
+            gbm = fit_gbm(train, GBMConfig(n_stages=cfg["k"]))
             trial = {
                 "SR": r_squared(val.target, predict(sr, val.features)),
                 "GBM": r_squared(val.target, predict_gbm(gbm, val.features)),

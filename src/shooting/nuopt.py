@@ -62,7 +62,6 @@ class NuCache:
     sum_zz: float
     sum_zx: float
     sum_xx: float
-    m: int
     constant_columns: np.ndarray
     scale: int = 0
 
@@ -120,7 +119,6 @@ def build_cache(z, projected_offsets) -> NuCache:
         sum_zz=float(z @ z),
         sum_zx=float((z @ x).sum()),
         sum_xx=float(np.trace(x.T @ x)),
-        m=m,
         constant_columns=constant,
         scale=scale,
     )

@@ -196,7 +196,8 @@ def model_from_dict(doc: dict):
     body = doc.get("model")
     if not isinstance(body, dict):
         raise PersistError("missing model body")
-    if kind not in _KINDS:
+    # a list or dict kind is unhashable, so test its type first
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise PersistError(f"unknown model kind {kind!r}")
     try:
         # the constructor checks the model's own fields

@@ -51,24 +51,27 @@ does, the SSE expression keeps its operation order, and the first strict
 minimum in (feature, position) order wins, so the trees are the same bit
 for bit. A change to the tie rule must go into both searches.
 
-Prediction packs a model's trees into one Forest: the node arrays joined
-end to end, deepest tree first, each internal node with a two-wide child
-table indexed by the comparison x <= threshold, and each leaf a self-loop,
-so a row that reached its leaf stays there. One walk moves a (trees, rows)
-node-index matrix down every tree at once, one step per level of the
-deepest tree, and level d touches only the trees deeper than d. Rows go
-through in blocks of BLOCK_ROWS, so the matrix stays small for any number
-of rows, and every predict finishes a block before walking the next, so
-its memory does not grow with the rows either. Leaf values come back in
-tree order, so each model keeps its own reduction order and its
-predictions are those of one walk per tree, bit for bit: the exact row
-mean for SR and RF, and for GBM one cumsum down the stages, which adds
-them in stage order.
+Every walk takes one step rule, from _steps: node i moves on to
+step[i] + (x > threshold[i]). At the j-th internal node step is 2j + 1,
+so x <= threshold goes to child 2j + 1 and the rest to 2j + 2. At a leaf
+step is the leaf's own id and threshold is inf, which no finite x
+exceeds, so a row that reached its leaf stays there.
 
-predict_tree walks its one tree directly instead, with no Forest to pack:
-boosting calls it once per stage on the training rows, where packing a
-one-tree forest cost more than the walk. It routes by the same
-comparison, so its leaf values are those of the forest walk bit for bit.
+Prediction packs a model's trees into one Forest: the node arrays joined
+end to end, deepest tree first, the steps shifted to the packed ids. One
+walk moves a (trees, rows) node-index matrix down every tree at once, one
+step per level of the deepest tree, and level d touches only the trees
+deeper than d. Rows go through in blocks of BLOCK_ROWS, so the matrix
+stays small for any number of rows, and every predict finishes a block
+before walking the next, so its memory does not grow with the rows
+either. Leaf values come back in tree order, so each model keeps its own
+reduction order and its predictions are those of one walk per tree, bit
+for bit: the exact row mean for SR and RF, and for GBM one cumsum down
+the stages, which adds them in stage order.
+
+predict_tree walks its one tree with the same arrays, with no Forest to
+pack: boosting calls it once per stage on the training rows, where
+packing a one-tree forest cost more than the walk.
 
 The exact row mean (row_means) is each row's correctly rounded sum, which
 math.fsum returns, over k. Past SMALL_BLOCK values a block's sums come
@@ -78,8 +81,8 @@ mostly, still go to fsum. A correctly rounded sum is unique, so the means
 are fsum's bit for bit.
 
 fit_tree rejects non-finite features, as every predict does: a NaN sorts
-last and never compares <= a threshold, so a tree grown on one would hold
-cuts that no row it may predict can follow.
+last, so growth would put it right of every cut, but it never compares
+> a threshold, so the walk would send it left.
 """
 
 from __future__ import annotations
@@ -141,10 +144,7 @@ class RegressionTree:
     @cached_property
     def left(self) -> np.ndarray:
         """Left children: 2j + 1 at the j-th internal node, LEAF at leaves."""
-        internal = self.feature != LEAF
-        left = np.full(self.feature.size, LEAF, dtype=np.int64)
-        left[internal] = 2 * np.arange(self.threshold.size) + 1
-        return left
+        return np.where(self.feature != LEAF, _steps(self)[0], LEAF)
 
     @property
     def right(self) -> np.ndarray:
@@ -159,6 +159,17 @@ class RegressionTree:
             node = int(ids[(node - 1) // 2])
             depth += 1
         return depth
+
+
+def _steps(tree: RegressionTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The walk's arrays: step (2j + 1 at the j-th internal node, the node's
+    own id at a leaf), threshold (inf at leaves) and seen, the internal
+    nodes up to each node, so leaf i holds value[i - seen[i]]."""
+    internal = tree.feature != LEAF
+    seen = np.cumsum(internal)
+    threshold = np.full(internal.size, np.inf)
+    threshold[internal] = tree.threshold
+    return np.where(internal, 2 * seen - 1, np.arange(internal.size)), threshold, seen
 
 
 def _best_split(
@@ -486,18 +497,16 @@ def row_means(columns: np.ndarray) -> np.ndarray:
 class Forest:
     """Trees packed into one node array, walked together.
 
-    Trees sit end to end, deepest first, with their node indices shifted
-    to the packed positions. Node i moves on to child[2 * i + (x <= t)],
-    so child[2 * i] is its right child and child[2 * i + 1] its left; a
-    leaf points both at itself and reads feature 0, so a row that reached
-    its leaf stays there. active[d] counts the trees deeper than d, which
-    are the first active[d] trees. slot[i] is tree i's position in the
-    packed order.
+    Trees sit end to end, deepest first, and step holds their steps
+    shifted to the packed ids. A leaf keeps feature LEAF, which reads
+    another finite value of the block that its inf threshold ignores.
+    active[d] counts the trees deeper than d, which are the first
+    active[d] trees. slot[i] is tree i's position in the packed order.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    child: np.ndarray
+    step: np.ndarray
     value: np.ndarray
     roots: np.ndarray
     active: tuple[int, ...]
@@ -516,8 +525,7 @@ class Forest:
             node = np.repeat(self.roots[:, None], n, axis=1)
             for a in self.active:
                 at = node[:a]
-                go_left = block[self.feature[at] + row_base] <= self.threshold[at]
-                node[:a] = self.child[2 * at + go_left]
+                node[:a] = self.step[at] + (block[self.feature[at] + row_base] > self.threshold[at])
             yield slice(start, start + n), self.value[node[self.slot]]
 
 
@@ -527,21 +535,16 @@ def pack_forest(trees) -> Forest:
     packed = [trees[i] for i in order]
     sizes = [tree.n_nodes for tree in packed]
     roots = np.cumsum([0, *sizes[:-1]])
-    shift = np.repeat(roots, sizes)
+    step, threshold, _ = map(np.concatenate, zip(*map(_steps, packed)))
     feature = np.concatenate([tree.feature for tree in packed])
-    internal = feature != LEAF
-    # the walk reads thresholds at internal nodes and values at leaves only
-    threshold, value = np.zeros(feature.size), np.zeros(feature.size)
-    threshold[internal] = np.concatenate([tree.threshold for tree in packed])
-    value[~internal] = np.concatenate([tree.value for tree in packed])
-    left = np.concatenate([tree.left for tree in packed]) + shift
-    own = np.arange(feature.size)
-    child = np.column_stack([np.where(internal, left + 1, own), np.where(internal, left, own)])
+    # the walk reads values at leaves only
+    value = np.zeros(feature.size)
+    value[feature == LEAF] = np.concatenate([tree.value for tree in packed])
     depths = [tree.depth for tree in packed]  # deepest first
     return Forest(
-        feature=np.where(internal, feature, 0),
+        feature=feature,
         threshold=threshold,
-        child=child.ravel(),
+        step=step + np.repeat(roots, sizes),
         value=value,
         roots=roots,
         active=tuple(sum(depth > d for depth in depths) for d in range(depths[0])),
@@ -569,22 +572,14 @@ class TreeModel:
 def predict_tree(tree: RegressionTree, features) -> np.ndarray:
     """Route each row to its leaf (<= goes left) and return leaf means.
 
-    The one tree is walked directly, with no Forest to pack: node i moves
-    on to step[i] + (x > thr[i]). At the j-th internal node that is child
-    2j + 1 or 2j + 2. A leaf's threshold is inf, which no finite x exceeds,
-    so a leaf steps to itself.
+    The one tree is walked directly by the step rule, with no Forest to
+    pack.
     """
     x = check_features(features, tree.n_features)
+    step, threshold, seen = _steps(tree)
     feature = tree.feature
-    internal = feature != LEAF
-    # seen[i]: internal nodes up to node i, so the j-th internal node has
-    # seen j + 1, and leaf i holds value[i - seen[i]]
-    seen = np.cumsum(internal)
-    step = np.where(internal, 2 * seen - 1, np.arange(feature.size))
-    thr = np.full(feature.size, np.inf)
-    thr[internal] = tree.threshold
     rows = np.arange(x.shape[0])
     node = np.zeros(x.shape[0], dtype=np.int64)
     for _ in range(tree.depth):
-        node = step[node] + (x[rows, feature[node]] > thr[node])
+        node = step[node] + (x[rows, feature[node]] > threshold[node])
     return tree.value[node - seen[node]]

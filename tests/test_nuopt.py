@@ -54,7 +54,6 @@ def test_hand_covariances_exact():
     assert 4.0 * cache.c_ij[0, 0] == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert 4.0 * cache.c_ij[1, 1] == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert 4.0 * cache.c_ij[0, 1] == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert cache.m == 3
     assert cache.k == 2
 
 
@@ -307,7 +306,6 @@ def test_whole_range_degenerate_errors():
         sum_zz=0.0,
         sum_zx=0.0,
         sum_xx=0.0,
-        m=3,
         constant_columns=np.ones(2, dtype=bool),
     )
     with pytest.raises(DegenerateCorrelationError):

@@ -6,6 +6,7 @@ import base64
 import copy
 import hashlib
 import json
+import math
 import pathlib
 import zlib
 from dataclasses import fields, replace
@@ -154,9 +155,11 @@ def test_reject_wrong_version(train):
 def test_reject_unknown_kind(train):
     model = fit_rf(train, RFConfig(n_trees=1))
     doc = model_to_dict(model)
-    doc["kind"] = "mystery"
-    with pytest.raises(PersistError, match="unknown model kind"):
-        model_from_dict(doc)
+    # a JSON list or object is unhashable, so no lookup may see it
+    for kind in ["mystery", [], {}, ["rf"]]:
+        doc["kind"] = kind
+        with pytest.raises(PersistError, match="unknown model kind"):
+            model_from_dict(doc)
 
 
 def test_reject_truncated_body(train):
@@ -184,6 +187,9 @@ def test_no_model_load_would_refuse_can_be_built(models):
         RandomForest((), 3)
     with pytest.raises(ValueError, match="^learning_rate"):
         replace(models["gbm"][0], learning_rate=2.0)
+    for bad in [math.nan, math.inf, -math.inf]:
+        with pytest.raises(ValueError, match="^base_value"):
+            replace(models["gbm"][0], base_value=bad)
     with pytest.raises(ValueError, match="^offsets"):
         replace(sr, offsets=np.zeros((p, k + 1)))
     with pytest.raises(ValueError, match="^nu"):

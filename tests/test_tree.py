@@ -269,7 +269,13 @@ def test_midpoint_overflow_keeps_split_consistent(lo, hi):
     tree = fit_tree(x, y)
     assert tree.n_nodes == 3
     assert lo <= tree.threshold[0] < hi
-    assert np.array_equal(predict_tree(tree, x), y)
+    # the extremes route by the cut too, and a leaf's inf threshold holds
+    # the largest finite value, in the direct and the packed walk alike
+    big = np.finfo(float).max
+    q = np.concatenate([x, [[-big], [big]]])
+    expected = np.concatenate([y, y])
+    assert np.array_equal(predict_tree(tree, q), expected)
+    assert np.array_equal(predict_rf(RandomForest((tree,), 1), q), expected)
 
 
 def test_params_validation():
