@@ -7,12 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .rng import BOOTSTRAP_STREAM, make_rng
+from .rng import BOOTSTRAP_STREAM, check_int, make_rng
 from .tree import (
     RegressionTree,
     TreeModel,
     check_features,
-    check_int,
     fit_tree,
     predict_tree,
     row_means,
@@ -66,11 +65,11 @@ class GradientBoosting(TreeModel):
     n_features: int
 
     def __post_init__(self):
-        super().__post_init__()
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
         if not np.isfinite(self.base_value):
             raise ValueError("base_value must be finite")
+        super().__post_init__()
 
 
 def fit_rf(train: Dataset, config: RFConfig = RFConfig()) -> RandomForest:

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isinf, sqrt
+from math import isfinite, isinf, sqrt
 
 import numpy as np
 
-from .rng import SPLIT_STREAM, SYNTH_STREAM, make_rng
+from .rng import SPLIT_STREAM, SYNTH_STREAM, check_int, make_rng
 
 
 class ParseError(ValueError):
@@ -117,8 +117,8 @@ def load_auto_mpg(path) -> Dataset:
 
 def make_synthetic(m: int, n: int, noise_sd: float, seed: int) -> Dataset:
     """Gaussian features with a noisy linear response, reproducible per seed."""
-    if m < 2 or n < 1:
-        raise ValueError("need m >= 2 and n >= 1")
+    check_int(m, "m", 2)
+    check_int(n, "n", 1)
     if noise_sd < 0:
         raise ValueError("noise_sd must be nonnegative")
     rng = make_rng(seed, SYNTH_STREAM)
@@ -155,12 +155,22 @@ def _in_range(*sums: float) -> None:
         raise MetricError("squared errors overflow the float range")
 
 
+def _vectors(a, b, least: int) -> tuple[np.ndarray, np.ndarray]:
+    """a and b as float vectors of one length, at least least; ValueError
+    otherwise, or for a NaN or inf entry, before any arithmetic could turn
+    it into a NaN result."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape or a.size < least:
+        raise ValueError(f"need two equal-length vectors, at least {least} long")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("inputs must be finite")
+    return a, b
+
+
 def r_squared(y_true, y_pred) -> float:
     """Coefficient of determination 1 - SSres/SStot."""
-    y_true = np.asarray(y_true, dtype=float)
-    y_pred = np.asarray(y_pred, dtype=float)
-    if y_true.ndim != 1 or y_true.shape != y_pred.shape or y_true.size < 2:
-        raise ValueError("need two equal-length vectors with at least 2 entries")
+    y_true, y_pred = _vectors(y_true, y_pred, 2)
     with np.errstate(over="ignore"):
         ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
         ss_res = float(np.sum((y_true - y_pred) ** 2))
@@ -172,10 +182,7 @@ def r_squared(y_true, y_pred) -> float:
 
 def mse(y_true, y_pred) -> float:
     """Mean squared error."""
-    y_true = np.asarray(y_true, dtype=float)
-    y_pred = np.asarray(y_pred, dtype=float)
-    if y_true.ndim != 1 or y_true.shape != y_pred.shape or y_true.size < 1:
-        raise ValueError("need two equal-length vectors with at least 1 entry")
+    y_true, y_pred = _vectors(y_true, y_pred, 1)
     with np.errstate(over="ignore"):
         value = float(np.mean((y_true - y_pred) ** 2))
     _in_range(value)
@@ -190,9 +197,11 @@ def student_t_p(t: float, df: int, sidedness: str = "two-sided") -> float:
     # imported here: scipy.special is most of the package's import time
     from scipy import special
 
-    if df < 1:
+    if not df >= 1:
         raise ValueError("df must be >= 1")
     t = float(t)
+    if not isfinite(t):
+        raise ValueError("t must be finite")
     x = df / (df + t * t)
     two_sided = float(special.betainc(df / 2.0, 0.5, x))
     if sidedness == "two-sided":
@@ -207,10 +216,7 @@ def paired_t_test(a, b, sidedness: str = "two-sided") -> tuple[float, float]:
 
     "greater" tests the alternative mean(a) > mean(b).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape or a.size < 2:
-        raise ValueError("need two equal-length vectors with at least 2 entries")
+    a, b = _vectors(a, b, 2)
     diff = a - b
     sd = float(diff.std(ddof=1))
     if sd == 0.0:

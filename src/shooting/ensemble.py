@@ -26,7 +26,8 @@ import numpy as np
 from .data import Dataset
 from .linear import LinearModel, OffsetSet, augment, fit_ols, sample_offsets
 from .nuopt import DegenerateCorrelationError, balanced_magnitude_weight, build_cache, minimize_nu
-from .tree import RegressionTree, TreeModel, check_features, check_int, fit_tree, row_means
+from .rng import check_int
+from .tree import RegressionTree, TreeModel, check_features, fit_tree, row_means
 
 # nu used when the correlation objective is degenerate (perfect linear fit)
 FALLBACK_NU = 1.0
@@ -68,14 +69,16 @@ class ShootingEnsemble(TreeModel):
     trees: tuple[RegressionTree, ...]
 
     def __post_init__(self):
-        super().__post_init__()
-        if np.ndim(self.coefficients) != 1:
-            raise ValueError("coefficients must be a vector")
+        if np.ndim(self.coefficients) != 1 or not np.isfinite(self.coefficients).all():
+            raise ValueError("coefficients must be a finite vector")
         p = self.coefficients.size
         if np.shape(self.offsets) != (p, self.k):
             raise ValueError(f"offsets must have shape ({p}, {self.k})")
+        if not np.isfinite(self.offsets).all():
+            raise ValueError("offsets must be finite")
         if not 0.0 <= self.nu < math.inf:
             raise ValueError("nu must be finite and >= 0")
+        super().__post_init__()
 
     @property
     def k(self) -> int:

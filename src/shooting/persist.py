@@ -18,31 +18,31 @@ node order; its width comes from the model. A tree of n nodes has
 (n - 1) / 2 internal ones and (n + 1) / 2 leaves, so the node counts fix
 the length of every blob. Loading inflates each blob no further than one
 byte past that length and refuses any other length, data after the zlib
-stream, and bad base64 or zlib. It then builds each tree through
-RegressionTree, whose constructor checks the one structural rule (n = 2I
-+ 1 nodes for I internal ones with the j-th internal node at an id <= 2j,
-so every node's parent comes before it), feature indices in
-[0, n_features) and one threshold per internal node and one value per
-leaf. The model's constructor checks its own fields: at least one tree;
-a coefficient vector, (p, k) offsets and a finite nu >= 0 for the
-ensemble; a learning_rate in (0, 1] for boosting. So no model that
-save_model could be given fails to load. This module checks what the
-JSON can hold beyond that: node counts that are positive odd integers,
-finite numbers and no booleans. A document holds exactly its kind's
-dataclass fields, each read by the one decoder of that field name. So a
-loaded model never indexes outside its arrays or stops on an internal
-node; any file or document that fails a check raises PersistError.
+stream, and bad base64 or zlib.
+
+This module checks only what JSON itself can get wrong: exactly the
+kind's dataclass fields, each read by the one decoder of that field
+name, number types, booleans in number lists, node counts that are
+positive odd integers, and the blobs. Each value is checked by the class
+that holds it, for a loaded model as for one built in code: each tree is
+built through RegressionTree at the model's width, which checks the one
+structural rule (n = 2I + 1 nodes for I internal ones, the j-th at an id
+<= 2j, so every node's parent comes before it), feature indices in
+[0, n_features), the counts, finite floats and an int64 width; the
+model's constructor checks its own fields, then a tuple of trees as wide
+as the model. So no model that save_model could be given fails to load,
+a loaded model never indexes outside its arrays or stops on an internal
+node, and a document that fails a check raises PersistError.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import math
 import os
 import tempfile
 import zlib
-from dataclasses import fields, replace
+from dataclasses import fields
 from itertools import accumulate
 
 import numpy as np
@@ -66,37 +66,23 @@ class PersistError(ValueError):
     """Unrecognized or malformed model document."""
 
 
-def _width(value) -> int:
-    """A feature count, the width every tree of the model takes: one that
-    no int64 holds is refused here rather than left for predict."""
-    if type(value) is not int or not 0 <= value < 2**63:
-        raise PersistError(f"expected a feature count, got {value!r}")
-    return value
-
-
-def _numbers(values):
-    """values, unless a JSON true or false sits in them (also in nested
-    lists): numpy would read it as 1 or 0 and the model would load."""
+def _floats(values) -> np.ndarray:
+    """values as a float array, unless a JSON true or false sits in them
+    (also in nested lists): numpy would read it as 1 or 0 and the model
+    would load."""
     types = set(map(type, values)) if isinstance(values, list) else set()
     if bool in types:
         raise PersistError("expected numbers, got a boolean")
     if list in types:
         for row in values:
-            _numbers(row)
-    return values
+            _floats(row)
+    return np.array(values, dtype=float)
 
 
 def _number(value) -> float:
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise PersistError(f"expected a finite number, got {value!r}")
+    if type(value) not in (int, float):
+        raise PersistError(f"expected a number, got {value!r}")
     return float(value)
-
-
-def _finite(values) -> np.ndarray:
-    arr = np.array(_numbers(values), dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise PersistError("expected finite numbers")
-    return arr
 
 
 def _blob(arrays, code: str) -> str:
@@ -125,10 +111,7 @@ def _inflate(blob, name: str, size: int) -> np.ndarray:
         raise PersistError(f"{name}: truncated zlib stream")
     if stream.unused_data:
         raise PersistError(f"{name}: data after the zlib stream")
-    arr = np.frombuffer(raw, "<" + code).astype(code)
-    if code[0] == "f" and not np.isfinite(arr).all():
-        raise PersistError(f"{name}: expected finite numbers")
-    return arr
+    return np.frombuffer(raw, "<" + code).astype(code)
 
 
 def _trees(doc) -> tuple:
@@ -149,14 +132,14 @@ def _trees(doc) -> tuple:
 
 _KINDS = {"shooting": ShootingEnsemble, "rf": RandomForest, "gbm": GradientBoosting}
 # model field -> its decoder; "trees" holds each tree's arrays until the
-# model's width is known
+# model's width is known, and RegressionTree checks that width
 _DECODERS = {
-    "coefficients": _finite,
-    "offsets": _finite,
+    "coefficients": _floats,
+    "offsets": _floats,
     "nu": _number,
     "base_value": _number,
     "learning_rate": _number,
-    "n_features": _width,
+    "n_features": lambda width: width,
     "trees": _trees,
 }
 # kind -> the fields its document holds, in the class's order
@@ -170,7 +153,7 @@ def _encode(value):
         for name, code in _BLOBS.items():
             doc[name] = _blob([getattr(tree, name) for tree in value], code)
         return doc
-    return value.tolist() if isinstance(value, np.ndarray) else value
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
 
 
 def _fields(names, doc) -> dict:
@@ -200,12 +183,13 @@ def model_from_dict(doc: dict):
     if not isinstance(kind, str) or kind not in _KINDS:
         raise PersistError(f"unknown model kind {kind!r}")
     try:
-        # the constructor checks the model's own fields
-        model = _KINDS[kind](**_fields(_FIELDS[kind], body))
-        trees = tuple(RegressionTree(*arrays, n_features=model.n_features) for arrays in model.trees)
+        values = _fields(_FIELDS[kind], body)
+        # each tree takes the model's width: the coefficients but the intercept for SR
+        width = values["n_features"] if "n_features" in values else values["coefficients"].size - 1
+        values["trees"] = tuple(RegressionTree(*arrays, n_features=width) for arrays in values["trees"])
+        return _KINDS[kind](**values)
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise PersistError(f"malformed {kind} document: {exc}") from exc
-    return replace(model, trees=trees)
 
 
 def write_text_atomic(path: str, text: str) -> None:

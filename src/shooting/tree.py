@@ -88,12 +88,13 @@ last, so growth would put it right of every cut, but it never compares
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .rng import check_int
 
 LEAF = -1
 # rows per block of a forest walk, so the (trees, rows) node-index matrix
@@ -113,8 +114,8 @@ class RegressionTree:
     """A tree in level order, as a saved document holds it: feature has one
     entry per node (LEAF at leaves), threshold one per internal node and
     value one per leaf, each in node order. The constructor checks the one
-    level-order rule, from which the links and the depth follow, and the
-    feature range and counts.
+    level-order rule, from which the links and the depth follow, the
+    feature range and counts, finite floats and an int64 width.
     """
 
     feature: np.ndarray
@@ -123,6 +124,9 @@ class RegressionTree:
     n_features: int
 
     def __post_init__(self):
+        check_int(self.n_features, "n_features", 0)
+        if self.n_features >= 2**63:
+            raise ValueError(f"n_features must be an int64 count, got {self.n_features}")
         ids = np.flatnonzero(self.feature != LEAF)
         i = ids.size
         # the j-th internal node's children 2j + 1 and 2j + 2 come after it
@@ -132,6 +136,9 @@ class RegressionTree:
             raise ValueError("feature index out of range")
         if self.threshold.shape != (i,) or self.value.shape != (i + 1,):
             raise ValueError("expected one threshold per internal node and one value per leaf")
+        for name in ("threshold", "value"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
 
     @property
     def n_nodes(self) -> int:
@@ -162,14 +169,15 @@ class RegressionTree:
 
 
 def _steps(tree: RegressionTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The walk's arrays: step (2j + 1 at the j-th internal node, the node's
-    own id at a leaf), threshold (inf at leaves) and seen, the internal
-    nodes up to each node, so leaf i holds value[i - seen[i]]."""
+    """The walk's arrays, one entry per node: step (2j + 1 at the j-th
+    internal node, the node's own id at a leaf), threshold (inf at leaves)
+    and value (the leaf's value at a leaf, 0 at internal nodes)."""
     internal = tree.feature != LEAF
-    seen = np.cumsum(internal)
     threshold = np.full(internal.size, np.inf)
     threshold[internal] = tree.threshold
-    return np.where(internal, 2 * seen - 1, np.arange(internal.size)), threshold, seen
+    value = np.zeros(internal.size)
+    value[~internal] = tree.value
+    return np.where(internal, 2 * np.cumsum(internal) - 1, np.arange(internal.size)), threshold, value
 
 
 def _best_split(
@@ -395,15 +403,6 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
     )
 
 
-def check_int(value, name: str, least: int | None = None) -> None:
-    """ValueError unless value is an integer (numpy's too, bool not) of at
-    least least: numpy would fail on a count of 2.5 or truncate a seed."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}")
-
-
 def check_features(features, n_features: int) -> np.ndarray:
     """The features as a float matrix; ValueError unless 2-D, n_features
     columns wide and finite. Every predict calls this once: a NaN or inf
@@ -535,11 +534,8 @@ def pack_forest(trees) -> Forest:
     packed = [trees[i] for i in order]
     sizes = [tree.n_nodes for tree in packed]
     roots = np.cumsum([0, *sizes[:-1]])
-    step, threshold, _ = map(np.concatenate, zip(*map(_steps, packed)))
+    step, threshold, value = map(np.concatenate, zip(*map(_steps, packed)))
     feature = np.concatenate([tree.feature for tree in packed])
-    # the walk reads values at leaves only
-    value = np.zeros(feature.size)
-    value[feature == LEAF] = np.concatenate([tree.value for tree in packed])
     depths = [tree.depth for tree in packed]  # deepest first
     return Forest(
         feature=feature,
@@ -553,15 +549,20 @@ def pack_forest(trees) -> Forest:
 
 
 class TreeModel:
-    """What the SR, RF and GBM models share: a trees field, at least one
-    tree, and the trees packed for predict. Each model is a frozen
-    dataclass over this base that declares trees among its own fields, so
-    its field list is exactly what its saved document holds, and its
-    __post_init__ calls this one before checking its own fields."""
+    """What the SR, RF and GBM models share: a tuple of at least one tree,
+    each as wide as the model, and the trees packed for predict. Each model
+    is a frozen dataclass over this base that declares trees among its own
+    fields, so its field list is exactly what its saved document holds, and
+    its __post_init__ checks its own fields before calling this one."""
 
     def __post_init__(self):
+        if type(self.trees) is not tuple or not all(isinstance(t, RegressionTree) for t in self.trees):
+            raise ValueError("trees must be a tuple of RegressionTrees")
         if not self.trees:
             raise ValueError("trees: a model needs at least one tree")
+        check_int(self.n_features, "n_features")
+        if any(tree.n_features != self.n_features for tree in self.trees):
+            raise ValueError(f"trees must be n_features = {self.n_features} wide")
 
     @cached_property
     def forest(self) -> Forest:
@@ -576,10 +577,10 @@ def predict_tree(tree: RegressionTree, features) -> np.ndarray:
     pack.
     """
     x = check_features(features, tree.n_features)
-    step, threshold, seen = _steps(tree)
+    step, threshold, value = _steps(tree)
     feature = tree.feature
     rows = np.arange(x.shape[0])
     node = np.zeros(x.shape[0], dtype=np.int64)
     for _ in range(tree.depth):
         node = step[node] + (x[rows, feature[node]] > threshold[node])
-    return tree.value[node - seen[node]]
+    return value[node]

@@ -18,14 +18,18 @@ from shooting import (
     DegenerateTestError,
     MetricError,
     ParseError,
+    fit_ols,
     load_auto_mpg,
     make_synthetic,
     mse,
     paired_t_test,
     r_squared,
+    sample_offsets,
+    shooting_start,
     split,
     student_t_p,
 )
+from shooting.rng import derive_seed, make_rng
 
 # ---------------------------------------------------------------- Dataset
 
@@ -130,6 +134,42 @@ def test_synthetic_validation():
         make_synthetic(1, 3, 1.0, seed=0)
     with pytest.raises(ValueError):
         make_synthetic(10, 3, -1.0, seed=0)
+    # counts are integers: numpy would fail on 10.0 rows with a TypeError
+    with pytest.raises(ValueError, match="^m must be an integer"):
+        make_synthetic(10.0, 2, 1.0, seed=0)
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        make_synthetic(10, True, 1.0, seed=0)
+
+
+# ------------------------------------------------------------------ seeds
+
+
+@pytest.mark.parametrize("seed", [7.9, 2.5, 1.5, True, "7", None])
+def test_seeds_must_be_integers(seed):
+    # int() would truncate 7.9 into seed 7's stream and read True as 1
+    d = make_synthetic(10, 2, 1.0, seed=0)
+    model = fit_ols(d)
+    calls = [
+        lambda: make_rng(seed),
+        lambda: make_rng(0, seed, 1),
+        lambda: derive_seed(seed),
+        lambda: derive_seed(3, 6, seed),
+        lambda: split(d, 0.5, seed),
+        lambda: make_synthetic(5, 2, 1.0, seed),
+        lambda: sample_offsets(model, d.features, 2, seed),
+        lambda: shooting_start(d, 3, seed),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            call()
+
+
+def test_integer_seeds_keep_their_streams():
+    # numpy integers and negative seeds are seeds as before: a negative
+    # part is taken modulo 2^64
+    assert make_rng(np.int64(7)).random() == make_rng(7).random()
+    assert derive_seed(-1, 2) == derive_seed(2**64 - 1, 2)
+    assert make_rng(-5, 3).random() == make_rng(2**64 - 5, 3).random()
 
 
 # ------------------------------------------------------------------ split
@@ -226,6 +266,22 @@ def test_mse_values():
 def test_scores_past_the_float_range_are_metric_errors(score, y_true, y_pred):
     with pytest.raises(MetricError, match="overflow"):
         score(np.array(y_true), np.array(y_pred))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scores_and_tests_refuse_nonfinite_inputs(bad):
+    # refused before any arithmetic: no NaN result and no numpy warning
+    for score in [mse, r_squared, paired_t_test]:
+        good = np.array([1.0, 2.0, 4.0])
+        worse = good.copy()
+        worse[1] = bad
+        for args in [(worse, good), (good, worse), (worse, worse)]:
+            with pytest.raises(ValueError, match="finite"):
+                score(*args)
+    with pytest.raises(ValueError, match="finite"):
+        student_t_p(bad, 5)
+    with pytest.raises(ValueError, match="df"):
+        student_t_p(2.0, math.nan)
 
 
 # --------------------------------------------------------------- t-tests

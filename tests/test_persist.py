@@ -179,21 +179,96 @@ def test_reject_unserializable_object():
 
 
 def test_no_model_load_would_refuse_can_be_built(models):
-    # each model checks its own fields when built, so save_model is never
-    # given one that the loader would refuse
-    sr = models["shooting"][0]
+    # each tree and model checks its own fields when built, so save_model
+    # is never given one that the loader would refuse
+    sr, rf, gbm = (models[kind][0] for kind in ["shooting", "rf", "gbm"])
     p, k = sr.offsets.shape
     with pytest.raises(ValueError, match="^trees"):
         RandomForest((), 3)
     with pytest.raises(ValueError, match="^learning_rate"):
-        replace(models["gbm"][0], learning_rate=2.0)
+        replace(gbm, learning_rate=2.0)
     for bad in [math.nan, math.inf, -math.inf]:
         with pytest.raises(ValueError, match="^base_value"):
-            replace(models["gbm"][0], base_value=bad)
+            replace(gbm, base_value=bad)
     with pytest.raises(ValueError, match="^offsets"):
         replace(sr, offsets=np.zeros((p, k + 1)))
     with pytest.raises(ValueError, match="^nu"):
         replace(sr, nu=-1.0)
+    # a tree holds finite thresholds and leaf values: a NaN leaf would
+    # predict NaN, an inf threshold send every row left
+    tree = rf.trees[0]
+    for name in ["threshold", "value"]:
+        for bad in [math.nan, math.inf, -math.inf]:
+            arr = getattr(tree, name).copy()
+            arr[-1] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                replace(tree, **{name: arr})
+    # and a width that is an int64 count; a single leaf reads no feature,
+    # so no range check stands in for this one
+    leaf = RegressionTree(np.array([-1]), np.empty(0), np.array([2.5]), 3)
+    for width in [7.5, True, 2**63, 10**400, -1, "3"]:
+        with pytest.raises(ValueError, match="^n_features"):
+            replace(leaf, n_features=width)
+    # every tree as wide as its model: predict would read other rows'
+    # features through the flat block index
+    for model, width in [(rf, 2), (rf, 6), (gbm, 6)]:
+        with pytest.raises(ValueError, match="^trees must be n_features = .* wide"):
+            replace(model, n_features=width)
+    with pytest.raises(ValueError, match="^trees must be n_features = .* wide"):
+        replace(sr, coefficients=np.zeros(p + 4), offsets=np.zeros((p + 4, k)))
+    wide = replace(tree, n_features=6)
+    for model in [sr, rf, gbm]:
+        with pytest.raises(ValueError, match="^trees must be n_features = .* wide"):
+            replace(model, trees=(wide,) * len(model.trees))
+    # the trees in a tuple: a list predicts but is no JSON document
+    for model in [sr, rf, gbm]:
+        with pytest.raises(ValueError, match="^trees must be a tuple"):
+            replace(model, trees=list(model.trees))
+    with pytest.raises(ValueError, match="^trees must be a tuple"):
+        replace(rf, trees=(tree, "tree"))
+    # finite B and D: predict would blame the features, save_model json
+    for name in ["coefficients", "offsets"]:
+        for bad in [math.nan, math.inf]:
+            arr = getattr(sr, name).copy()
+            arr.flat[1] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be (a )?finite"):
+                replace(sr, **{name: arr})
+
+
+def test_wider_model_with_rebuilt_trees_round_trips(tmp_path, models, query):
+    # a forest may be wider than every feature its trees read, as long as
+    # each tree is built at the model's width
+    rf = models["rf"][0]
+    wide = RandomForest(tuple(replace(tree, n_features=5) for tree in rf.trees), 5)
+    path = tmp_path / "wide.json"
+    save_model(wide, str(path))
+    loaded = load_model(str(path))
+    assert loaded.n_features == 5
+    for got, built in zip(loaded.trees, wide.trees, strict=True):
+        for name in ["feature", "threshold", "value"]:
+            assert getattr(got, name).tobytes() == getattr(built, name).tobytes()
+        assert got.n_features == 5
+    x = np.hstack([query, np.full((query.shape[0], 2), 7.0)])
+    assert predict_rf(loaded, x).tobytes() == predict_rf(wide, x).tobytes()
+    assert predict_rf(wide, x).tobytes() == predict_rf(rf, query).tobytes()
+
+
+def test_numpy_integer_width_saves(models):
+    # the width as a numpy integer is a count like any other
+    rf = models["rf"][0]
+    loaded = model_from_dict(json.loads(json.dumps(model_to_dict(replace(rf, n_features=np.int64(3))))))
+    assert loaded.n_features == 3 and type(loaded.n_features) is int
+
+
+@pytest.mark.parametrize("kind", ["rf", "gbm"])
+@pytest.mark.parametrize(
+    "width", [2**63, 10**400, True, 3.0, -1, "3"], ids=["2^63", "10^400", "true", "3.0", "-1", "string"]
+)
+def test_reject_width_that_is_not_a_count(saved, kind, width):
+    doc = copy.deepcopy(saved[kind][0])
+    doc["model"]["n_features"] = width
+    with pytest.raises(PersistError, match="n_features"):
+        model_from_dict(doc)
 
 
 @pytest.mark.parametrize("kind", ["shooting", "rf", "gbm"])
