@@ -9,6 +9,7 @@ import numpy as np
 from .data import Dataset
 from .rng import BOOTSTRAP_STREAM, check_int, make_rng
 from .tree import (
+    Presort,
     RegressionTree,
     TreeModel,
     check_features,
@@ -94,14 +95,16 @@ def predict_rf(model: RandomForest, features) -> np.ndarray:
 
 
 def fit_gbm(train: Dataset, config: GBMConfig = GBMConfig()) -> GradientBoosting:
-    """Stagewise residual fitting from a constant mean start."""
+    """Stagewise residual fitting from a constant mean start; every stage
+    grows on one Presort of the features."""
     x = train.features
+    presort = Presort(x)
     y = train.target
     base = float(y.mean())
     current = np.full(train.n_rows, base)
     trees = []
     for _ in range(config.n_stages):
-        tree = fit_tree(x, y - current, config.max_depth)
+        tree = fit_tree(presort, y - current, config.max_depth)
         trees.append(tree)
         current = current + config.learning_rate * predict_tree(tree, x)
     return GradientBoosting(base, config.learning_rate, tuple(trees), train.n_features)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, isinf, sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -148,11 +148,11 @@ def split(d: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]
     return _take(d, perm[n_val:]), _take(d, perm[:n_val])
 
 
-def _in_range(*sums: float) -> None:
-    """Finite inputs can still square past the float range: such a score
-    is a MetricError, not inf."""
-    if any(map(isinf, sums)):
-        raise MetricError("squared errors overflow the float range")
+def _in_range(what: str, *sums: float) -> None:
+    """Finite inputs can still subtract or square past the float range:
+    such a score is a MetricError, not inf or NaN."""
+    if not all(map(isfinite, sums)):
+        raise MetricError(f"{what} overflow the float range")
 
 
 def _vectors(a, b, least: int) -> tuple[np.ndarray, np.ndarray]:
@@ -171,10 +171,10 @@ def _vectors(a, b, least: int) -> tuple[np.ndarray, np.ndarray]:
 def r_squared(y_true, y_pred) -> float:
     """Coefficient of determination 1 - SSres/SStot."""
     y_true, y_pred = _vectors(y_true, y_pred, 2)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
         ss_res = float(np.sum((y_true - y_pred) ** 2))
-    _in_range(ss_tot, ss_res)
+    _in_range("squared errors", ss_tot, ss_res)
     if ss_tot == 0.0:
         raise MetricError("R^2 is undefined for a constant target")
     return 1.0 - ss_res / ss_tot
@@ -185,7 +185,7 @@ def mse(y_true, y_pred) -> float:
     y_true, y_pred = _vectors(y_true, y_pred, 1)
     with np.errstate(over="ignore"):
         value = float(np.mean((y_true - y_pred) ** 2))
-    _in_range(value)
+    _in_range("squared errors", value)
     return value
 
 
@@ -217,8 +217,11 @@ def paired_t_test(a, b, sidedness: str = "two-sided") -> tuple[float, float]:
     "greater" tests the alternative mean(a) > mean(b).
     """
     a, b = _vectors(a, b, 2)
-    diff = a - b
-    sd = float(diff.std(ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = a - b
+        sd = float(diff.std(ddof=1))
+    # an inf or NaN mean makes sd one too
+    _in_range("paired differences", float(np.abs(diff).max()), sd)
     if sd == 0.0:
         raise DegenerateTestError("paired differences have zero variance")
     n = diff.size

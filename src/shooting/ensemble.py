@@ -27,7 +27,7 @@ from .data import Dataset
 from .linear import LinearModel, OffsetSet, augment, fit_ols, sample_offsets
 from .nuopt import DegenerateCorrelationError, balanced_magnitude_weight, build_cache, minimize_nu
 from .rng import check_int
-from .tree import RegressionTree, TreeModel, check_features, fit_tree, row_means
+from .tree import Presort, RegressionTree, TreeModel, check_features, fit_tree, row_means
 
 # nu used when the correlation objective is degenerate (perfect linear fit)
 FALLBACK_NU = 1.0
@@ -114,10 +114,11 @@ def fit_at_nu(
     nu: float,
 ) -> ShootingEnsemble:
     """The ensemble at this nu from a shooting_start on the same rows: one
-    tree per gradient target."""
+    tree per gradient target, all grown on one Presort of the features."""
     linear, offsets, z = start
     targets = gradient_targets(z, offsets.projected, nu)
-    trees = tuple(fit_tree(train.features, targets[:, i]) for i in range(targets.shape[1]))
+    presort = Presort(train.features)
+    trees = tuple(fit_tree(presort, targets[:, i]) for i in range(targets.shape[1]))
     return ShootingEnsemble(linear.coefficients, offsets.offsets, nu, trees)
 
 

@@ -15,18 +15,21 @@ exactly constant targets, or no feature has two distinct values to cut
 between. Any cut between distinct values is feasible, so a leaf may hold
 a single row. Fitting draws no random numbers.
 
-Growth sorts each feature once per tree, not once per node. The root holds
-an (n_features, m) matrix of row ids, row f in stable value order of
-feature f. A split keeps the first n_left entries of the chosen feature's
-row and filters every row of the matrix by that row set, so each child
-inherits its rows already in value order and every feature row has the
-same length. The split search then runs over all features at once:
-row-wise prefix sums of y and y^2, the SSE of each cut, infeasible cuts
-set to inf, and one flat argmin, whose first-minimum rule is the tie
-break above. Only a child of more than SMALL_NODE rows that will be
-searched gets orders: a small one sorts its rows when searched (below),
-and one at max_depth, such as every child of a depth-2 split in a
-depth-3 boosting stage, only takes the mean of its rows.
+Growth sorts each feature once per fit, not once per tree or node: a
+Presort checks and sorts the feature matrix, and a fit that grows many
+trees on one matrix (SR's k trees, GBM's stages) passes the same one to
+each. The root holds an (n_features, m) matrix of row ids, row f in
+stable value order of feature f. A split keeps the first n_left entries
+of the chosen feature's row and filters every row of the matrix by that
+row set, so each child inherits its rows already in value order and
+every feature row has the same length. The split search then runs over
+all features at once: row-wise prefix sums of y and y^2, the SSE of each
+cut, infeasible cuts set to inf, and one flat argmin, whose
+first-minimum rule is the tie break above. Only a child of more than
+SMALL_NODE rows that will be searched gets orders: a small one sorts its
+rows when searched (below), and one at max_depth, such as every child of
+a depth-2 split in a depth-3 boosting stage, only takes the mean of its
+rows.
 
 The trees are those of a per-node stable argsort, bit for bit. A node's
 row ids are always in increasing order (the root is arange, each child a
@@ -35,18 +38,19 @@ by row id, which is the global stable order filtered to the node. The
 prefix sums therefore add the same values in the same sequence, and node
 totals and leaf means are sums of y over the node's rows in row order.
 
-Fully grown trees are mostly tiny nodes: in a k = 100 SR fit on auto-mpg,
-87% of internal nodes hold 16 rows or fewer and a third hold 2, and there
-the numpy search above pays dozens of calls of fixed dispatch cost per
-node. A node of at most SMALL_NODE rows that will be searched therefore
-carries only its rows, as a Python list, and is searched and partitioned
-on Python floats (x and y become lists the first time this happens, so
-shallow trees that never search a small node never convert). The search
-sorts the rows per feature, stably and with -0.0 tied to 0.0 as in numpy,
-so each order is the presort filtered to the node; a two-row node's one
-cut has just two SSEs, one per row first. The scalar search redoes the
-numpy arithmetic exactly: node totals round as np.sum's pairwise loop
-does (_node_sum), prefix sums run in order from the first value as cumsum
+Fully grown trees are mostly tiny nodes: in a k = 100 SR fit on
+auto-mpg, 87% of internal nodes hold 16 rows or fewer and a third hold
+2, and there the numpy search above pays dozens of calls of fixed
+dispatch cost per node. A node of at most SMALL_NODE rows that will be
+searched therefore carries only its rows, as a Python list, and is
+searched and partitioned on Python floats (x becomes lists once per
+Presort and y once per tree, the first time this happens, so shallow
+trees that never search a small node never convert). The search sorts
+the rows per feature, stably and with -0.0 tied to 0.0 as in numpy, so
+each order is the presort filtered to the node; a two-row node's one cut
+has just two SSEs, one per row first. The scalar search redoes the numpy
+arithmetic exactly: node totals round as np.sum's pairwise loop does
+(_node_sum), prefix sums run in order from the first value as cumsum
 does, the SSE expression keeps its operation order, and the first strict
 minimum in (feature, position) order wins, so the trees are the same bit
 for bit. A change to the tie rule must go into both searches.
@@ -89,7 +93,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -284,36 +288,63 @@ def _small_split(
     return found
 
 
+class Presort:
+    """A feature matrix checked and sorted once, for every tree grown on it.
+
+    Refuses a matrix that is not 2-D, has no rows or holds a non-finite
+    value, with fit_tree's messages. Holds, read-only, xt (one row per
+    feature) and, above SMALL_NODE rows, order: each feature's row ids in
+    stable value order. lists, xt as Python lists for the small-node
+    search, is made on first use. fit_tree wraps a plain matrix in one; a
+    fit that grows many trees on one matrix builds one and passes it to
+    every tree.
+    """
+
+    def __init__(self, features):
+        x = np.asarray(features, dtype=float)
+        if x.ndim != 2:
+            raise ValueError("features must be a 2-D matrix")
+        if x.shape[0] == 0:
+            raise ValueError("cannot fit a tree on zero rows")
+        if not np.isfinite(x).all():
+            raise ValueError("features must be finite")
+        # a copy, never a view of the caller's matrix
+        self.xt = np.array(x.T, order="C")
+        self.order = np.argsort(self.xt, axis=1, kind="stable") if x.shape[0] > SMALL_NODE else None
+        for a in (self.xt, self.order):
+            if a is not None:
+                a.flags.writeable = False
+
+    @cached_property
+    def lists(self) -> list[list[float]]:
+        return self.xt.tolist()
+
+
 def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
     """Grow a tree top-down; every leaf predicts the mean of its rows.
 
-    A node stays a leaf when it holds one row, sits at max_depth (None
-    means no limit), has exactly constant targets, or has no two distinct
-    values in any feature to cut between.
+    features is a matrix or a Presort of one. A node stays a leaf when it
+    holds one row, sits at max_depth (None means no limit), has exactly
+    constant targets, or has no two distinct values in any feature to cut
+    between.
     """
     if max_depth is not None:
         check_int(max_depth, "max_depth", 0)
-    x = np.asarray(features, dtype=float)
+    presort = features if isinstance(features, Presort) else Presort(features)
+    xt = presort.xt
     y = np.asarray(targets, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("features must be a 2-D matrix")
-    if y.ndim != 1 or y.size != x.shape[0]:
+    if y.ndim != 1 or y.size != xt.shape[1]:
         raise ValueError("targets must be a vector matching the feature rows")
-    if y.size == 0:
-        raise ValueError("cannot fit a tree on zero rows")
-    if not np.isfinite(x).all():
-        raise ValueError("features must be finite")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
     with np.errstate(over="ignore"):
         # bounds every prefix-sum term of the SSE, (sum y)^2 <= m * sum y^2
         if not np.isfinite(y.size * float(np.sum(y * y))):
             raise ValueError("targets too large: squared-error sums overflow")
-    n = x.shape[1]
-    xt = np.ascontiguousarray(x.T)
+    n = xt.shape[0]
     feature_ids = np.arange(n)[:, None]
     goes_left = np.zeros(y.size, dtype=bool)
-    # x and y as Python lists, made when the first small node is searched
+    # x and y as Python lists, taken when the first small node is searched
     xl: list[list[float]] = []
     yl: list[float] = []
 
@@ -326,8 +357,7 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
     # is small, a list. A node of more than SMALL_NODE rows that will be
     # searched also carries, per feature, its rows in stable value order.
     # Nodes are taken first in, first out, so in level order
-    root_order = np.argsort(xt, axis=1, kind="stable") if y.size > SMALL_NODE else None
-    queue: deque[tuple[object, object, int]] = deque([(np.arange(y.size), root_order, 0)])
+    queue: deque[tuple[object, object, int]] = deque([(np.arange(y.size), presort.order, 0)])
     while queue:
         idx, order, depth = queue.popleft()
         size = len(idx)
@@ -341,7 +371,7 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
         # array stays in numpy and a shallow tree need never convert
         elif size <= SMALL_NODE and (not capped or type(idx) is list):
             if not yl:
-                xl, yl = xt.tolist(), y.tolist()
+                xl, yl = presort.lists, y.tolist()
             if type(idx) is not list:
                 idx = idx.tolist()
             ysub = [yl[r] for r in idx]
@@ -550,10 +580,11 @@ def pack_forest(trees) -> Forest:
 
 class TreeModel:
     """What the SR, RF and GBM models share: a tuple of at least one tree,
-    each as wide as the model, and the trees packed for predict. Each model
-    is a frozen dataclass over this base that declares trees among its own
-    fields, so its field list is exactly what its saved document holds, and
-    its __post_init__ checks its own fields before calling this one."""
+    each as wide as the model, no boolean in any other field, and the
+    trees packed for predict. Each model is a frozen dataclass over this
+    base that declares trees among its own fields, so its field list is
+    exactly what its saved document holds, and its __post_init__ checks
+    its own fields before calling this one."""
 
     def __post_init__(self):
         if type(self.trees) is not tuple or not all(isinstance(t, RegressionTree) for t in self.trees):
@@ -563,6 +594,11 @@ class TreeModel:
         check_int(self.n_features, "n_features")
         if any(tree.n_features != self.n_features for tree in self.trees):
             raise ValueError(f"trees must be n_features = {self.n_features} wide")
+        for field in fields(self):
+            # True passes every range check as 1 and saves as JSON true,
+            # which the loader refuses
+            if field.name != "trees" and np.asarray(getattr(self, field.name)).dtype == bool:
+                raise ValueError(f"{field.name} must hold numbers, not booleans")
 
     @cached_property
     def forest(self) -> Forest:

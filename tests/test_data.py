@@ -261,6 +261,12 @@ def test_mse_values():
         (r_squared, [0.0, 1.0, 2.0], [5e306, -5e306, 0.0]),
         # SStot overflows while SSres is 0: the quotient would read R^2 = 1
         (r_squared, [1e200, -1e200, 0.0], [1e200, -1e200, 0.0]),
+        # the mean's pairwise sum adds inf to -inf: R^2 would read NaN
+        (r_squared, [1.7e308] * 4 + [-1.7e308] * 4 + [1.0] * 8, [0.0] * 16),
+        # the spread of the differences overflows: t would read 0
+        (paired_t_test, [1.5e308, -1.5e308, 0.0], [0.0, 0.0, 0.0]),
+        # the differences themselves do
+        (paired_t_test, [1e308, -1e308, 0.0], [-1e308, 1e308, 1.0]),
     ],
 )
 def test_scores_past_the_float_range_are_metric_errors(score, y_true, y_pred):

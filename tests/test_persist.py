@@ -233,6 +233,17 @@ def test_no_model_load_would_refuse_can_be_built(models):
             arr.flat[1] = bad
             with pytest.raises(ValueError, match=f"^{name} must be (a )?finite"):
                 replace(sr, **{name: arr})
+    # numbers, not booleans: True passes every range check as 1, and the
+    # file would hold a JSON true that the loader refuses
+    for model, name, bad in [
+        (sr, "nu", True),
+        (gbm, "learning_rate", np.True_),
+        (gbm, "base_value", True),
+        (sr, "coefficients", sr.coefficients.astype(bool)),
+        (sr, "offsets", sr.offsets.astype(bool)),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must hold numbers"):
+            replace(model, **{name: bad})
 
 
 def test_wider_model_with_rebuilt_trees_round_trips(tmp_path, models, query):

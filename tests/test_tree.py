@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from shooting import (
     GBMConfig,
     GradientBoosting,
+    Presort,
     RFConfig,
     RandomForest,
     RegressionTree,
@@ -112,8 +113,11 @@ def reference_fit_tree(features, targets, max_depth=None):
     Same control flow, level order and stopping rules as fit_tree, with
     each node's rows re-sorted per feature and routed by comparing against
     the threshold. Nodes are numbered as they are made; the tree keeps the
-    thresholds of internal nodes and the values of leaves.
+    thresholds of internal nodes and the values of leaves. A Presort is
+    unwrapped to its matrix and not otherwise read.
     """
+    if isinstance(features, Presort):
+        features = features.xt.T
     x = np.ascontiguousarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
     n = x.shape[1]
@@ -239,6 +243,11 @@ def test_fit_errors():
         fit_tree(np.zeros((2, 1)), np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         fit_tree(np.zeros((3, 1)), np.zeros(2))
+    # a Presort carries the feature checks; the targets are checked per tree
+    with pytest.raises(ValueError, match="zero rows"):
+        Presort(np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="targets must be a vector"):
+        fit_tree(Presort(np.zeros((3, 1))), np.zeros(2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -603,6 +612,40 @@ def test_models_grow_reference_trees(mpg, monkeypatch):
         assert len(trees) == len(reference)
         for a, b in zip(trees, reference):
             assert_same_tree(a, b)
+
+
+def test_one_presort_per_fit(mpg, monkeypatch):
+    # every tree of one SR or GBM fit grows on the one Presort the fit
+    # builds: a per-tree argsort or list conversion must not come back
+    train, _ = split(mpg, val_fraction=0.5, seed=3)
+    built, received = [], []
+
+    class CountedPresort(Presort):
+        def __init__(self, features):
+            super().__init__(features)
+            self.bytes_at_build = (self.xt.tobytes(), self.order.tobytes())
+            built.append(self)
+
+    def recording_fit_tree(features, targets, max_depth=None):
+        received.append(features)
+        return fit_tree(features, targets, max_depth)
+
+    for module in (ensemble, baselines):
+        monkeypatch.setattr(module, "Presort", CountedPresort)
+        monkeypatch.setattr(module, "fit_tree", recording_fit_tree)
+    for fit, config in [(fit_shooting, SRConfig(k=5, seed=3)), (fit_gbm, GBMConfig(n_stages=5))]:
+        built.clear()
+        received.clear()
+        model = fit(train, config)
+        assert len(built) == 1
+        (presort,) = built
+        assert len(received) == len(model.trees) == 5
+        assert all(features is presort for features in received)
+        # the shared arrays are read-only and unchanged by every tree
+        assert not (presort.xt.flags.writeable or presort.order.flags.writeable)
+        assert (presort.xt.tobytes(), presort.order.tobytes()) == presort.bytes_at_build
+        assert np.array_equal(presort.xt, train.features.T)
+        assert presort.lists == presort.xt.tolist()
 
 
 # ------------------------------------------------ packed forest vs per tree
