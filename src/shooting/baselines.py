@@ -45,6 +45,8 @@ class GBMConfig:
 
     def __post_init__(self):
         check_int(self.n_stages, "n_stages", 1)
+        if isinstance(self.learning_rate, (bool, np.bool_)):
+            raise ValueError("learning_rate must be a number, not a boolean")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
         if self.max_depth is not None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import inf, isfinite, sqrt
 
 import numpy as np
 
@@ -194,14 +194,14 @@ def student_t_p(t: float, df: int, sidedness: str = "two-sided") -> float:
 
     sidedness "two-sided" gives P(|T| >= |t|); "greater" gives P(T >= t).
     """
-    # imported here: scipy.special is most of the package's import time
-    from scipy import special
-
-    if not df >= 1:
-        raise ValueError("df must be >= 1")
+    if not 1 <= df < inf:
+        raise ValueError("df must be finite and >= 1")
     t = float(t)
     if not isfinite(t):
         raise ValueError("t must be finite")
+    # imported here: the t-test is the package's one use of scipy
+    from scipy import special
+
     x = df / (df + t * t)
     two_sided = float(special.betainc(df / 2.0, 0.5, x))
     if sidedness == "two-sided":

@@ -51,6 +51,9 @@ class SRConfig:
     def __post_init__(self):
         check_int(self.k, "k", 1)
         check_int(self.seed, "seed")
+        for name in ("nu", "magnitude_weight"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a boolean")
         if self.nu is not None and not 0.0 <= self.nu < math.inf:
             raise ValueError("fixed nu must be finite and >= 0")
         if self.magnitude_weight is not None and not 0.0 <= self.magnitude_weight < math.inf:

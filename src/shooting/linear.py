@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .data import Dataset
-from .rng import OFFSET_STREAM, make_rng
+from .rng import OFFSET_STREAM, check_int, make_rng
 
 
 class SingularDesignError(ValueError):
@@ -109,7 +108,12 @@ def fit_ols(d: Dataset) -> LinearModel:
     if not np.isfinite(yy):
         raise TargetOverflowError("targets too large: y.y overflows the float range")
     q, r = np.linalg.qr(x)
-    coef = scipy.linalg.solve_triangular(r, q.T @ y)
+    # back-substitution in dot form, one row at a time: on the tested build
+    # bit-equal to LAPACK's triangular solve, where np.linalg.solve is not
+    qty = q.T @ y
+    coef = np.empty(p)
+    for i in range(p - 1, -1, -1):
+        coef[i] = (qty[i] - r[i, i + 1 :] @ coef[i + 1 :]) / r[i, i]
     resid = y - x @ coef
     rss = float(resid @ resid)
     if rss <= 1e-26 * yy:
@@ -117,7 +121,7 @@ def fit_ols(d: Dataset) -> LinearModel:
         # zero here lets the degenerate zero-covariance path engage
         rss = 0.0
     s2 = rss / (m - p)
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
+    r_inv = np.linalg.inv(r)
     with np.errstate(over="ignore", invalid="ignore"):
         cov = s2 * (r_inv @ r_inv.T)
     # a column in units tiny or huge enough puts its coefficient's
@@ -137,8 +141,7 @@ def sample_offsets(model: LinearModel, features, k: int, seed: int) -> OffsetSet
     Column i comes from a stream derived from (seed, i), so the result is
     independent of evaluation order and stable under parallel sampling.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_int(k, "k", 1)
     p = model.coefficients.size
     x = augment(features)
     if x.shape[1] != p:

@@ -127,8 +127,8 @@ def build_cache(z, projected_offsets) -> NuCache:
 def correlation_matrix(cache: NuCache, nu: float) -> np.ndarray:
     """k x k Corr(z - nu*x_i, z - nu*x_j) from cached scalars, clipped to
     [-1, 1] with a unit diagonal; degenerate if any column has no variance."""
-    if nu < 0.0:
-        raise ValueError("nu must be >= 0")
+    if not 0.0 <= nu < math.inf:
+        raise ValueError("nu must be finite and >= 0")
     if nu >= LARGE_NU and cache.constant_columns.any():
         raise DegenerateCorrelationError(
             "constant offset column has no large-nu correlation", nu

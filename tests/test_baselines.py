@@ -159,6 +159,10 @@ def test_gbm_config_validation():
         GBMConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         GBMConfig(learning_rate=1.5)
+    # refused before any stage grows, as GradientBoosting would refuse it
+    for flag in [True, np.True_]:
+        with pytest.raises(ValueError, match="learning_rate must be a number"):
+            GBMConfig(learning_rate=flag)
 
 
 @pytest.mark.parametrize(

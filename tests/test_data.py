@@ -288,6 +288,8 @@ def test_scores_and_tests_refuse_nonfinite_inputs(bad):
         student_t_p(bad, 5)
     with pytest.raises(ValueError, match="df"):
         student_t_p(2.0, math.nan)
+    with pytest.raises(ValueError, match="df must be finite"):
+        student_t_p(2.0, math.inf)
 
 
 # --------------------------------------------------------------- t-tests
@@ -327,17 +329,67 @@ def test_t_p_matches_integration_oracle(df, t):
     assert student_t_p(t, df) == pytest.approx(t_two_sided_numeric(t, df), abs=1e-5)
 
 
-def test_import_leaves_scipy_special_unloaded():
-    # student_t_p imports it on first use: it is most of the import time
+def run_python(code: str) -> str:
+    """stdout of a fresh interpreter running code against this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(pathlib.Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")]
     )
-    code = "import sys, shooting, shooting.cli; print('scipy.special' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # student_t_p imports scipy.special on first use; nothing else needs scipy
+    code = (
+        "import sys, shooting, shooting.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    assert run_python(code).strip() == "[]"
+
+
+NO_SCIPY = """
+import sys, tempfile, os
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import numpy as np
+from shooting import (
+    GBMConfig, RFConfig, SRConfig, fit_gbm, fit_rf, fit_shooting, load_model,
+    make_synthetic, paired_t_test, predict, predict_gbm, predict_per_estimator,
+    predict_rf, predict_tree, save_model, split,
+)
+from shooting import cli
+
+train, val = split(make_synthetic(60, 3, 1.0, 0), 0.25, 0)
+sr = fit_shooting(train, SRConfig(k=4))
+rf = fit_rf(train, RFConfig(n_trees=4))
+gbm = fit_gbm(train, GBMConfig(n_stages=4))
+predicts = {
+    "sr": lambda m: predict(m, val.features),
+    "rf": lambda m: predict_rf(m, val.features),
+    "gbm": lambda m: predict_gbm(m, val.features),
+}
+assert predict_per_estimator(sr, val.features).shape == (val.n_rows, 4)
+assert predict_tree(sr.trees[0], val.features).shape == (val.n_rows,)
+with tempfile.TemporaryDirectory() as out:
+    for name, model in [("sr", sr), ("rf", rf), ("gbm", gbm)]:
+        path = os.path.join(out, name + ".json")
+        save_model(model, path)
+        loaded = load_model(path)
+        assert np.array_equal(predicts[name](loaded), predicts[name](model))
+    for argv in (["nu-curve", "--k", "3", "--points", "3"], ["pca-diag", "--k", "3"]):
+        assert cli.main(argv + ["--out", out]) == 0, argv
+try:
+    paired_t_test([1.0, 2.0, 4.0], [0.5, 1.0, 1.0])
+except ImportError:
+    print("t-test needs scipy")
+"""
+
+
+def test_everything_but_the_t_test_runs_without_scipy():
+    # fits, predicts, save/load and the CLI's nu-curve and pca-diag
+    assert run_python(NO_SCIPY).splitlines()[-1] == "t-test needs scipy"
 
 
 def test_t_p_sidedness():

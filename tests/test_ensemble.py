@@ -419,6 +419,14 @@ def test_config_rejects_nonfinite(field, value):
         SRConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [True, np.True_, False])
+@pytest.mark.parametrize("field", ["nu", "magnitude_weight"])
+def test_config_rejects_booleans(field, value):
+    # True would fit silently as 1.0
+    with pytest.raises(ValueError, match=f"{field} must be a number, not a boolean"):
+        SRConfig(**{field: value})
+
+
 # ------------------------------------------------- features too large
 
 

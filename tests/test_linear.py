@@ -16,6 +16,7 @@ from shooting import (
     augment,
     fit_ols,
     sample_offsets,
+    split,
 )
 
 # ----------------------------------------------------------------- fit_ols
@@ -71,6 +72,25 @@ def test_targets_whose_square_sum_overflows_are_refused(mpg, j):
     target = np.ldexp(mpg.target, j)
     with pytest.raises(TargetOverflowError, match="overflows"):
         fit_ols(Dataset(mpg.features, target, mpg.feature_names))
+
+
+@pytest.mark.parametrize("val_fraction, seed", [(0.5, 0), (0.5, 7), (0.25, 3), (0.25, 31)])
+def test_fit_ols_matches_lapack_triangular_solves_bit_for_bit(mpg, val_fraction, seed):
+    # fit_ols back-substitutes and inverts R in numpy; the reference is
+    # LAPACK's triangular solve, which it replaced without moving a bit
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    train, _ = split(mpg, val_fraction, seed)
+    x = augment(train.features)
+    m, p = x.shape
+    q, r = np.linalg.qr(x)
+    coef = scipy_linalg.solve_triangular(r, q.T @ train.target)
+    r_inv = scipy_linalg.solve_triangular(r, np.eye(p))
+    resid = train.target - x @ coef
+    cov = float(resid @ resid) / (m - p) * (r_inv @ r_inv.T)
+    model = fit_ols(train)
+    assert model.jitter == 0.0
+    assert np.array_equal(model.coefficients, coef)
+    assert np.array_equal(model.covariance_factor, np.linalg.cholesky(0.5 * (cov + cov.T)))
 
 
 def test_too_few_rows_is_singular():
@@ -177,6 +197,14 @@ def test_offsets_k_validation(tiny):
         sample_offsets(model, tiny.features, k=0, seed=0)
     with pytest.raises(ValueError):
         sample_offsets(model, np.zeros((3, 4)), k=2, seed=0)
+
+
+@pytest.mark.parametrize("k", [2.5, True, np.float64(2.0)])
+def test_offsets_k_must_be_an_integer(tiny, k):
+    # numpy would raise a TypeError for these, naming no argument
+    with pytest.raises(ValueError, match="k must be an integer"):
+        sample_offsets(fit_ols(tiny), tiny.features, k=k, seed=0)
+    assert sample_offsets(fit_ols(tiny), tiny.features, k=np.int64(2), seed=0).offsets.shape == (2, 2)
 
 
 def test_sampling_unbiased_monte_carlo(tiny):

@@ -222,10 +222,15 @@ def test_objective_continuity():
         assert close <= (slope + 1.0) * 1e-5
 
 
+@pytest.mark.filterwarnings("error")
 def test_objective_rejects_negative_nu():
     cache, _, _ = hand_cache()
     with pytest.raises(ValueError):
         objective(cache, -0.5)
+    # NaN would score (nan, nan, nan) and inf warn inside numpy
+    for nu in [math.nan, math.inf]:
+        with pytest.raises(ValueError, match="nu must be finite"):
+            objective(cache, nu)
 
 
 def test_objective_needs_only_the_cache():
