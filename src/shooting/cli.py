@@ -37,16 +37,9 @@ from .ensemble import (
     predict_per_estimator,
     project_trajectories,
     shooting_start,
+    tune_nu,
 )
-from .nuopt import (
-    DEFAULT_NU_HI,
-    DEFAULT_NU_LO,
-    DegenerateCorrelationError,
-    balanced_magnitude_weight,
-    build_cache,
-    minimize_nu,
-    objective,
-)
+from .nuopt import DEFAULT_NU_HI, DEFAULT_NU_LO, DegenerateCorrelationError, objective
 from .persist import write_text_atomic
 from .rng import TRIAL_STREAM, derive_seed
 
@@ -337,29 +330,27 @@ def run_nu_curve(cfg: dict) -> int:
     d = _load_dataset(cfg)
     out = _ensure_out(cfg)
     train, val = _split(d, cfg, cfg["seed"])
-    start = shooting_start(train, cfg["k"], cfg["seed"])
-    _, offsets, z = start
-    cache = build_cache(z, offsets.projected)
-    weight = cfg["magnitude-weight"]
-    if weight == "balanced":
-        weight = balanced_magnitude_weight(cache)
+    config = _sr_config(cfg)
+    start = shooting_start(train, config.k, config.seed)
+    # the fit's own nu decision; no search ran when it fell back
+    tuned, search = tune_nu(start, config.magnitude_weight)
     grid = [0.0] + list(
         np.logspace(np.log10(DEFAULT_NU_LO), np.log10(DEFAULT_NU_HI), cfg["points"])
     )
     rows = []
     for nu in grid:
-        try:
-            total, corr_term, magnitude_term = objective(cache, nu, weight)
-            cells = [_fmt(corr_term), _fmt(magnitude_term), _fmt(total)]
-        except DegenerateCorrelationError:
-            cells = ["", "", ""]
+        cells = ["", "", ""]
+        if search is not None:
+            with contextlib.suppress(DegenerateCorrelationError):
+                total, corr_term, magnitude_term = objective(search[0], nu, search[1])
+                cells = [_fmt(corr_term), _fmt(magnitude_term), _fmt(total)]
         sr = fit_at_nu(train, start, nu)
         val_mse = mse(val.target, predict(sr, val.features))
         rows.append([_fmt(nu)] + cells + [_fmt(val_mse)])
     path = os.path.join(out, "nu_curve.csv")
     write_csv(path, ["nu", "corr", "grad_mag", "objective", "val_mse"], rows)
-    result = minimize_nu(cache, magnitude_weight=weight)
-    print(f"minimizer: nu={_fmt(result.nu)} objective={_fmt(result.objective_value)}")
+    value = "na" if search is None else _fmt(search[2].objective_value)
+    print(f"minimizer: nu={_fmt(tuned)} objective={value}")
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -202,8 +202,12 @@ def student_t_p(t: float, df: int, sidedness: str = "two-sided") -> float:
     # imported here: the t-test is the package's one use of scipy
     from scipy import special
 
+    # betainc loses about eps/(1 - x) of relative precision: x near 1 takes the t CDF
     x = df / (df + t * t)
-    two_sided = float(special.betainc(df / 2.0, 0.5, x))
+    if x <= 1.0 - 2.0**-20:
+        two_sided = float(special.betainc(df / 2.0, 0.5, x))
+    else:
+        two_sided = float(2.0 * special.stdtr(df, -abs(t)))
     if sidedness == "two-sided":
         return two_sided
     if sidedness == "greater":

@@ -125,38 +125,33 @@ def fit_at_nu(
     return ShootingEnsemble(linear.coefficients, offsets.offsets, nu, trees)
 
 
-def fit_shooting(train: Dataset, config: SRConfig = SRConfig()) -> ShootingEnsemble:
-    """OLS, offset sampling, nu selection, then one tree per gradient target."""
-    start = shooting_start(train, config.k, config.seed)
+def tune_nu(start: tuple[LinearModel, OffsetSet, np.ndarray], magnitude_weight=None):
+    """(nu, search): the nu a fit selects from a shooting_start, and the
+    (cache, weight, NuResult) of nuopt's search, weight the balanced one
+    when magnitude_weight is None. With fewer than 2 offsets, an exact
+    linear fit or a degenerate surface there is nothing to search: one
+    RuntimeWarning, and (FALLBACK_NU, None)."""
     linear, offsets, z = start
-    if config.nu is not None:
-        nu = float(config.nu)
-    elif config.k < 2:
-        warnings.warn(
-            "nu tuning needs at least 2 estimators; using nu=1", RuntimeWarning
-        )
-        nu = FALLBACK_NU
-    else:
-        try:
-            if linear.residual_variance == 0.0:
-                # exact linear fit: offsets are all zero and z is machine
-                # noise, so the correlation surface carries no signal
-                raise DegenerateCorrelationError(
-                    "perfect linear fit leaves nothing to decorrelate"
-                )
-            cache = build_cache(z, offsets.projected)
-            weight = (
-                balanced_magnitude_weight(cache)
-                if config.magnitude_weight is None
-                else config.magnitude_weight
-            )
-            nu = minimize_nu(cache, magnitude_weight=weight).nu
-        except DegenerateCorrelationError as exc:
-            warnings.warn(
-                f"nu tuning degenerate ({exc}); using nu={FALLBACK_NU}",
-                RuntimeWarning,
-            )
-            nu = FALLBACK_NU
+    try:
+        if offsets.offsets.shape[1] < 2:
+            raise DegenerateCorrelationError("correlations need at least 2 estimators")
+        if linear.residual_variance == 0.0:
+            # exact linear fit: offsets are all zero and z is machine
+            # noise, so the correlation surface carries no signal
+            raise DegenerateCorrelationError("perfect linear fit leaves nothing to decorrelate")
+        cache = build_cache(z, offsets.projected)
+        weight = balanced_magnitude_weight(cache) if magnitude_weight is None else magnitude_weight
+        result = minimize_nu(cache, magnitude_weight=weight)
+    except DegenerateCorrelationError as exc:
+        warnings.warn(f"nu tuning degenerate ({exc}); using nu={FALLBACK_NU}", RuntimeWarning)
+        return FALLBACK_NU, None
+    return result.nu, (cache, weight, result)
+
+
+def fit_shooting(train: Dataset, config: SRConfig = SRConfig()) -> ShootingEnsemble:
+    """OLS, offset sampling, nu (fixed or tuned), then one tree per gradient target."""
+    start = shooting_start(train, config.k, config.seed)
+    nu = tune_nu(start, config.magnitude_weight)[0] if config.nu is None else float(config.nu)
     return fit_at_nu(train, start, nu)
 
 

@@ -160,6 +160,8 @@ def objective(
     magnitude_term the (weighted) Frobenius norm of the m x k target
     matrix, both assembled purely from the cache.
     """
+    if not 0.0 <= magnitude_weight < math.inf:
+        raise ValueError("magnitude_weight must be finite and >= 0")
     corr_term = float(np.linalg.norm(correlation_matrix(cache, nu)))
     # the sums are of the columns times 2^-scale: the root times 2^scale
     # is in the caller's units
@@ -187,8 +189,9 @@ def minimize_nu(cache: NuCache, magnitude_weight: float = 1.0) -> NuResult:
     bracket around the best point to DEFAULT_NU_TOL * (1 + nu).
 
     Degenerate evaluations count as +inf; only a fully degenerate range is
-    an error. Strictly-lower comparisons throughout, so a flat objective
-    returns the first grid point.
+    an error, and a bad weight is objective's plain ValueError.
+    Strictly-lower comparisons throughout, so a flat objective returns the
+    first grid point.
     """
     evaluations = 0
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -460,31 +461,46 @@ def test_nu_curve_minimizer_consistent_with_grid(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "data, k",
-    [(None, 6), ("data/auto-mpg.data", 100)],
-    ids=["synthetic", "auto-mpg"],
+    "data, k, noise",
+    [(None, 6, 1.0), ("data/auto-mpg.data", 100, 1.0), (None, 6, 0.0)],
+    ids=["synthetic", "auto-mpg", "noiseless"],
 )
-def test_nu_curve_minimizer_is_the_fitted_nu(tmp_path, capsys, data, k):
-    # nu-curve and fit_shooting tune nu on one path, so the printed
-    # minimizer is bit-equal to the nu a fit on the same split selects
+def test_nu_curve_minimizer_is_the_fitted_nu(tmp_path, capsys, data, k, noise):
+    # nu-curve and fit_shooting decide nu in one function, so the printed
+    # minimizer is bit-equal to the nu a fit on the same split selects,
+    # fallback included
     from shooting import SRConfig, ensemble, fit_shooting, fit_tree
     from shooting import load_auto_mpg, make_synthetic, split
 
     argv = ["nu-curve", "--k", str(k), "--points", "2", "--out", str(tmp_path)]
     # nu-curve's defaults: seed 0, validation share 0.25, 200 x 5 synthetic
     if data is None:
-        d = make_synthetic(200, 5, 1.0, 0)
+        d = make_synthetic(200, 5, noise, 0)
+        argv += ["--synth-noise", str(noise)]
     else:
         d = load_auto_mpg(data)
         argv += ["--data", data]
     train, _ = split(d, 0.25, 0)
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
         # one-leaf trees: only the tuning is under test
         patch.setattr(ensemble, "fit_tree", lambda x, y: fit_tree(x, y, max_depth=0))
         assert run(argv) == EXIT_OK
         model = fit_shooting(train, SRConfig(k=k, seed=0))
     printed = capsys.readouterr().out.split("minimizer: nu=")[1].split()[0]
     assert float(printed) == model.nu
+    fallbacks = sum(
+        issubclass(w.category, RuntimeWarning) and "perfect linear fit" in str(w.message)
+        for w in seen
+    )
+    _, rows = read_csv(tmp_path / "nu_curve.csv")
+    if noise == 0.0:
+        assert fallbacks == 2  # one from the command, one from the fit
+        assert model.nu == 1.0
+        assert all(row[1:4] == ["", "", ""] for row in rows)
+    else:
+        assert fallbacks == 0
+        assert all(all(row[1:4]) for row in rows)
 
 
 def test_nu_curve_fits_one_sr_start(tmp_path, monkeypatch):

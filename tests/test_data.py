@@ -329,6 +329,17 @@ def test_t_p_matches_integration_oracle(df, t):
     assert student_t_p(t, df) == pytest.approx(t_two_sided_numeric(t, df), abs=1e-5)
 
 
+@pytest.mark.parametrize("df", [1e6, 1e10, 1e15, 1e17, 1e300])
+@pytest.mark.parametrize("t", [0.5, 2.0, 8.0])
+def test_t_p_keeps_precision_at_large_df(df, t):
+    # df / (df + t^2) rounds toward 1, where betainc read 1.0 from df 1e17
+    from scipy import special
+
+    want = 2.0 * special.stdtr(df, -t)
+    assert abs(student_t_p(t, df) - want) <= 1e-9 * want
+    assert abs(student_t_p(-t, df) - want) <= 1e-9 * want
+
+
 def run_python(code: str) -> str:
     """stdout of a fresh interpreter running code against this checkout."""
     env = dict(os.environ)

@@ -233,6 +233,18 @@ def test_objective_rejects_negative_nu():
             objective(cache, nu)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -2.0])
+def test_bad_magnitude_weight_is_a_plain_value_error(weight):
+    # NaN scored (nan, corr, nan) and -2 a negative total, and the search
+    # blamed a degenerate range for a NaN weight
+    cache, _, _ = hand_cache()
+    for call in (lambda: objective(cache, 1.0, weight), lambda: minimize_nu(cache, weight)):
+        with pytest.raises(ValueError, match="magnitude_weight must be finite") as info:
+            call()
+        assert not isinstance(info.value, DegenerateCorrelationError)
+
+
 def test_objective_needs_only_the_cache():
     # the per-evaluation boundary: no length-m inputs after build_cache
     params = list(inspect.signature(objective).parameters)
