@@ -18,6 +18,8 @@ block, just as a one-row predict may differ from a batch in the last bits.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -125,6 +127,19 @@ def fit_at_nu(
     return ShootingEnsemble(linear.coefficients, offsets.offsets, nu, trees)
 
 
+def _caller_level() -> int:
+    """The warnings stacklevel, from the function that calls this one, of
+    the first frame outside this package: the caller that asked for it.
+    Under python -m shooting.cli it is the first frame in cli.py."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame.f_back and frame.f_code.co_filename.startswith(package):
+        if frame.f_globals.get("__name__") == "__main__":
+            break
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def tune_nu(start: tuple[LinearModel, OffsetSet, np.ndarray], magnitude_weight=None):
     """(nu, search): the nu a fit selects from a shooting_start, and the
     (cache, weight, NuResult) of nuopt's search, weight the balanced one
@@ -143,7 +158,8 @@ def tune_nu(start: tuple[LinearModel, OffsetSet, np.ndarray], magnitude_weight=N
         weight = balanced_magnitude_weight(cache) if magnitude_weight is None else magnitude_weight
         result = minimize_nu(cache, magnitude_weight=weight)
     except DegenerateCorrelationError as exc:
-        warnings.warn(f"nu tuning degenerate ({exc}); using nu={FALLBACK_NU}", RuntimeWarning)
+        message = f"nu tuning degenerate ({exc}); using nu={FALLBACK_NU}"
+        warnings.warn(message, RuntimeWarning, stacklevel=_caller_level())
         return FALLBACK_NU, None
     return result.nu, (cache, weight, result)
 

@@ -460,6 +460,14 @@ def test_nu_curve_minimizer_consistent_with_grid(tmp_path):
     assert result.objective_value <= min(objectives) + 1e-9
 
 
+def test_nu_curve_fallback_warning_names_the_caller(tmp_path):
+    # the first frame outside the package is this test's call of main
+    argv = ["nu-curve", "--synth-noise", "0", "--k", "6", "--points", "2", "--out", str(tmp_path)]
+    with pytest.warns(RuntimeWarning, match="perfect linear fit") as record:
+        assert cli.main(argv) == EXIT_OK
+    assert [w.filename for w in record] == [__file__]
+
+
 @pytest.mark.parametrize(
     "data, k, noise",
     [(None, 6, 1.0), ("data/auto-mpg.data", 100, 1.0), (None, 6, 0.0)],

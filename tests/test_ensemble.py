@@ -243,6 +243,14 @@ def test_noiseless_data_falls_back_with_warning():
     assert model.nu == 1.0
 
 
+def test_fallback_warning_names_the_caller():
+    # the warning points past the package's frames at the line that
+    # asked for a fit, not at the warnings.warn call
+    with pytest.warns(RuntimeWarning, match="degenerate") as record:
+        fit_shooting(make_synthetic(30, 2, 0.0, 8), SRConfig(k=4, seed=8))
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_nu_is_a_python_float_on_every_path():
     # this tuned nu is a golden-section step, not a grid point
     d = make_synthetic(80, 3, 1.0, 0)

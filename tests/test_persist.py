@@ -75,12 +75,18 @@ def test_gbm_round_trip_exact(tmp_path, train, query):
     assert np.array_equal(predict_gbm(loaded, query), predict_gbm(model, query))
 
 
-# tree field -> its type in a blob, little-endian
+# tree field -> its type in a blob, little-endian, at the 8-byte feature
+# ids format 4 held; format 5 declares the feature width
 CODES = {"feature": "<i8", "threshold": "<f8", "value": "<f8"}
 
 
+def codes(trees: dict) -> dict:
+    """CODES at the feature width a trees document declares."""
+    return {**CODES, "feature": f"<i{trees.get('feature_bytes', 8)}"}
+
+
 def blob(values, code: str) -> str:
-    """A tree blob as format 4 holds one: base64 of the zlib stream of the
+    """A tree blob as format 5 holds one: base64 of the zlib stream of the
     entries' little-endian bytes."""
     raw = np.asarray(values, dtype=code).tobytes()
     return base64.b64encode(zlib.compress(raw)).decode("ascii")
@@ -93,7 +99,7 @@ def unblob(text: str, code: str) -> list:
 def tree_lists(doc: dict) -> list[dict]:
     """Each tree of a document as lists: feature, threshold and value."""
     trees = doc["model"]["trees"]
-    flat = {name: unblob(trees[name], code) for name, code in CODES.items()}
+    flat = {name: unblob(trees[name], code) for name, code in codes(trees).items()}
     starts = dict.fromkeys(CODES, 0)
     out = []
     for n in trees["nodes"]:
@@ -106,23 +112,28 @@ def tree_lists(doc: dict) -> list[dict]:
     return out
 
 
-def set_tree_lists(doc: dict, trees: list[dict]) -> None:
-    """Write trees, given as lists, into a document as format 4 does."""
+def set_tree_lists(doc: dict, trees: list[dict], feature_bytes: int = 8) -> None:
+    """Write trees, given as lists, into a format 5 document with
+    feature ids feature_bytes wide; 8 holds any id a test writes."""
     doc["model"]["trees"] = {
         "nodes": [len(tree["feature"]) for tree in trees],
-        **{name: blob([v for tree in trees for v in tree[name]], code) for name, code in CODES.items()},
+        "feature_bytes": feature_bytes,
     }
+    for name, code in codes(doc["model"]["trees"]).items():
+        doc["model"]["trees"][name] = blob([v for tree in trees for v in tree[name]], code)
 
 
 def test_document_shape_and_leaf_thresholds(train):
     model = fit_rf(train, RFConfig(n_trees=2, seed=3))
     doc = model_to_dict(model)
     assert doc["format"] == "shooting-model"
-    assert doc["format_version"] == 4
+    assert doc["format_version"] == 5
     assert doc["kind"] == "rf"
     trees = doc["model"]["trees"]
-    # node counts and one base64 string per tree field, all trees joined
-    assert sorted(trees) == ["feature", "nodes", "threshold", "value"]
+    # node counts, the feature width and one base64 string per tree
+    # field, all trees joined; 3 features need one byte per id
+    assert sorted(trees) == ["feature", "feature_bytes", "nodes", "threshold", "value"]
+    assert trees["feature_bytes"] == 1
     assert len(trees["nodes"]) == 2
     for name in CODES:
         base64.b64decode(trees[name], validate=True)
@@ -147,9 +158,11 @@ def test_reject_wrong_format(train):
 def test_reject_wrong_version(train):
     model = fit_rf(train, RFConfig(n_trees=1))
     doc = model_to_dict(model)
-    doc["format_version"] = 99
-    with pytest.raises(PersistError, match="format_version"):
-        model_from_dict(doc)
+    # an integer: 5.0 and true are no version save_model writes
+    for version in [99, 5.0, True, "5", [5], None]:
+        doc["format_version"] = version
+        with pytest.raises(PersistError, match="format_version"):
+            model_from_dict(doc)
 
 
 def test_reject_unknown_kind(train):
@@ -351,11 +364,18 @@ def saved(models, query):
 @pytest.mark.parametrize("kind", ["shooting", "rf", "gbm"])
 def test_tree_documents_hold_the_trees_own_arrays(models, kind):
     model = models[kind][0]
-    trees = model_to_dict(model)["model"]["trees"]
-    # the node counts, then every tree field but the width, which the model holds
-    assert list(trees) == ["nodes"] + [f.name for f in fields(RegressionTree) if f.name != "n_features"]
+    doc = model_to_dict(model)
+    assert doc["format_version"] == 5
+    trees = doc["model"]["trees"]
+    # the node counts and the feature width, then every tree field but
+    # the model's width
+    assert list(trees) == ["nodes", "feature_bytes"] + [
+        f.name for f in fields(RegressionTree) if f.name != "n_features"
+    ]
     assert trees["nodes"] == [tree.n_nodes for tree in model.trees]
-    for name, code in CODES.items():
+    # 3 features: ids -1 to 2 fit one signed byte
+    assert trees["feature_bytes"] == 1
+    for name, code in codes(trees).items():
         # every tree's entries in tree order, as their IEEE bytes
         raw = zlib.decompress(base64.b64decode(trees[name]))
         assert raw == np.concatenate([getattr(t, name) for t in model.trees]).astype(code).tobytes()
@@ -532,7 +552,7 @@ def test_inflation_stops_at_the_length_the_counts_imply(saved, monkeypatch):
     # a feature blob that would inflate to 10 times what the counts imply
     doc = copy.deepcopy(saved["rf"][0])
     trees = doc["model"]["trees"]
-    nbytes = 8 * sum(trees["nodes"])
+    nbytes = trees["feature_bytes"] * sum(trees["nodes"])
     trees["feature"] = stream(bytes(10 * nbytes))
     produced = []
     real = zlib.decompressobj
@@ -757,3 +777,107 @@ def test_golden_format_4_files_load_to_pinned_values(kind):
     if kind in GOLDEN_PREDICTIONS:
         predict_fn, expected = GOLDEN_PREDICTIONS[kind]
         assert predict_fn(model, GOLDEN_QUERY).tolist() == expected
+
+
+# The same fits saved in format 5: feature ids one byte wide, the SR leaf
+# values stored. They decode to format 4's arrays, so they share its
+# digests.
+@pytest.mark.parametrize("kind", ["shooting", "rf", "gbm"])
+def test_golden_format_5_files_decode_to_format_4s_values(kind):
+    path = GOLDEN / f"{kind}-format5.json"
+    doc = json.loads(path.read_text())
+    assert doc["format_version"] == 5
+    assert doc["model"]["trees"]["feature_bytes"] == 1
+    model = load_model(str(path))
+    assert [tree.n_nodes for tree in model.trees] == GOLDEN_NODES[kind]
+    arrays = {name: np.concatenate([getattr(tree, name) for tree in model.trees]) for name in CODES}
+    assert arrays["feature"].dtype == np.int64
+    if kind == "shooting":
+        arrays.update(coefficients=model.coefficients, offsets=model.offsets)
+    digests = {
+        name: hashlib.sha256(arr.astype("<" + arr.dtype.str[1:]).tobytes()).hexdigest()
+        for name, arr in arrays.items()
+    }
+    assert digests == GOLDEN_DIGESTS[kind]
+    for name, value in GOLDEN_SCALARS[kind].items():
+        assert getattr(model, name) == value
+    if kind in GOLDEN_PREDICTIONS:
+        predict_fn, expected = GOLDEN_PREDICTIONS[kind]
+        assert predict_fn(model, GOLDEN_QUERY).tolist() == expected
+
+
+@pytest.mark.parametrize("kind", ["shooting", "rf", "gbm"])
+def test_only_shooting_leaf_values_are_stored(models, kind):
+    # an SR leaf holds one training row's gradient target, which deflate
+    # cannot shrink: that blob is written at zlib level 0, every other
+    # blob at level 1
+    model = models[kind][0]
+    trees = model_to_dict(model)["model"]["trees"]
+    for name, code in codes(trees).items():
+        raw = np.concatenate([getattr(tree, name) for tree in model.trees]).astype(code).tobytes()
+        level = 0 if (kind, name) == ("shooting", "value") else 1
+        assert base64.b64decode(trees[name]) == zlib.compress(raw, level)
+
+
+@pytest.mark.parametrize(
+    "width, feature_bytes",
+    # the largest id is width - 1; 2^31 + 1 features need an id of 2^31
+    [(1, 1), (127, 1), (128, 1), (129, 2), (32767, 2), (32768, 2), (32769, 4),
+     (2**31, 4), (2**31 + 1, 8)],
+)
+def test_feature_ids_take_the_narrowest_width(width, feature_bytes):
+    # a split on the last feature, a -0.0 leaf; a 1-wide model reads
+    # feature 0 at its root
+    tree = RegressionTree(np.array([width - 1, -1, -1]), np.array([0.5]), np.array([1.0, -0.0]), width)
+    model = RandomForest((tree, replace(tree, feature=np.array([0, -1, -1]))), width)
+    doc = json.loads(json.dumps(model_to_dict(model)))
+    assert doc["model"]["trees"]["feature_bytes"] == feature_bytes
+    loaded = model_from_dict(doc)
+    assert loaded.n_features == width
+    for got, built in zip(loaded.trees, model.trees, strict=True):
+        assert got.feature.dtype == np.int64
+        for name in ["feature", "threshold", "value"]:
+            assert getattr(got, name).tobytes() == getattr(built, name).tobytes()
+    if width <= 32769:
+        x = np.zeros((2, width))
+        x[1, -1] = 1.0
+        assert predict_rf(loaded, x).tobytes() == predict_rf(model, x).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["shooting", "rf", "gbm"])
+@pytest.mark.parametrize("feature_bytes", [1, 2, 4, 8])
+def test_any_declared_width_loads_int64_features(saved, query, kind, feature_bytes):
+    doc, predict_fn, expected = copy.deepcopy(saved[kind])
+    trees = tree_lists(doc)
+    set_tree_lists(doc, trees, feature_bytes)
+    loaded = model_from_dict(doc)
+    assert all(tree.feature.dtype == np.int64 for tree in loaded.trees)
+    assert [tree.feature.tolist() for tree in loaded.trees] == [tree["feature"] for tree in trees]
+    assert predict_fn(loaded, query).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "version, feature_bytes",
+    [(5, None), (4, 8), (4, 1), (5, True), (5, 3), (5, "1"), (5, 8.0), (5, 16), (5, 0), (5, -1)],
+    ids=["missing in 5", "8 in 4", "1 in 4", "true", "3", "string", "float", "16", "0", "-1"],
+)
+def test_reject_feature_bytes(saved, version, feature_bytes):
+    doc = copy.deepcopy(saved["rf"][0])
+    doc["format_version"] = version
+    trees = doc["model"]["trees"]
+    if feature_bytes is None:
+        del trees["feature_bytes"]
+    else:
+        trees["feature_bytes"] = feature_bytes
+    with pytest.raises(PersistError, match=f"feature_bytes|format_version {version} trees hold"):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("declared, written", [(1, 2), (2, 1), (2, 4), (4, 2), (4, 8), (8, 4)])
+def test_reject_feature_blob_one_width_off(saved, declared, written):
+    # ids written at the next width up or down from the declared one
+    doc = copy.deepcopy(saved["rf"][0])
+    set_tree_lists(doc, tree_lists(doc), written)
+    doc["model"]["trees"]["feature_bytes"] = declared
+    with pytest.raises(PersistError, match="feature: the node counts imply"):
+        model_from_dict(doc)
