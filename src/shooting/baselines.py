@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .rng import BOOTSTRAP_STREAM, check_int, make_rng
+from .rng import BOOTSTRAP_STREAM, check_float, check_int, make_rng
 from .tree import (
     Presort,
     RegressionTree,
@@ -45,8 +45,7 @@ class GBMConfig:
 
     def __post_init__(self):
         check_int(self.n_stages, "n_stages", 1)
-        if isinstance(self.learning_rate, (bool, np.bool_)):
-            raise ValueError("learning_rate must be a number, not a boolean")
+        check_float(self.learning_rate, "learning_rate")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
         if self.max_depth is not None:

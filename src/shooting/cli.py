@@ -91,7 +91,6 @@ def _synth(m: int, n: int) -> dict:
 
 
 _NU = ("float", "auto", "[0, inf)", "'auto' or a fixed value")
-_WEIGHT = ("float", "balanced", "[0, inf)", "'balanced' or a weight on the magnitude term")
 OPTIONS = {
     "benchmark": {
         **_COMMON,
@@ -100,14 +99,12 @@ OPTIONS = {
         # validation shares push RF above its reported range
         "val-fraction": ("float", 0.5, "(0, 1)", "validation share"),
         "nu": _NU,
-        "magnitude-weight": _WEIGHT,
     },
     "nu-curve": {
         **_COMMON,
         "k": ("int", 100, "[2, inf)", "offset count; correlations need 2"),
         "val-fraction": ("float", 0.25, "(0, 1)", "validation share"),
         "points": ("int", 33, "[2, inf)", "sweep grid size"),
-        "magnitude-weight": _WEIGHT,
         **_synth(200, 5),
     },
     "pca-diag": {
@@ -250,14 +247,8 @@ def _split(d: Dataset, cfg: dict, seed: int) -> tuple[Dataset, Dataset]:
 
 
 def _sr_config(cfg: dict) -> SRConfig:
-    nu = cfg.get("nu", "auto")
-    weight = cfg.get("magnitude-weight", "balanced")
-    return SRConfig(
-        k=cfg["k"],
-        nu=None if nu == "auto" else nu,
-        seed=cfg["seed"],
-        magnitude_weight=None if weight == "balanced" else weight,
-    )
+    nu = None if cfg["nu"] == "auto" else cfg["nu"]
+    return SRConfig(k=cfg["k"], nu=nu, seed=cfg["seed"])
 
 
 def run_benchmark(cfg: dict) -> int:
@@ -330,10 +321,9 @@ def run_nu_curve(cfg: dict) -> int:
     d = _load_dataset(cfg)
     out = _ensure_out(cfg)
     train, val = _split(d, cfg, cfg["seed"])
-    config = _sr_config(cfg)
-    start = shooting_start(train, config.k, config.seed)
+    start = shooting_start(train, cfg["k"], cfg["seed"])
     # the fit's own nu decision; no search ran when it fell back
-    tuned, search = tune_nu(start, config.magnitude_weight)
+    tuned, search = tune_nu(start)
     grid = [0.0] + list(
         np.logspace(np.log10(DEFAULT_NU_LO), np.log10(DEFAULT_NU_HI), cfg["points"])
     )

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite, sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
-from .rng import SPLIT_STREAM, SYNTH_STREAM, check_int, make_rng
+from .rng import SPLIT_STREAM, SYNTH_STREAM, check_float, check_int, make_rng
 
 
 class ParseError(ValueError):
@@ -22,24 +22,12 @@ class DegenerateTestError(ValueError):
     """The test statistic is undefined (zero-variance differences)."""
 
 
-MPG_FEATURE_NAMES = [
-    "cylinders",
-    "displacement",
-    "horsepower",
-    "weight",
-    "acceleration",
-    "model_year",
-    "origin",
-]
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix with an aligned regression target."""
 
     features: np.ndarray
     target: np.ndarray
-    feature_names: list[str]
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=float)
@@ -59,8 +47,6 @@ class Dataset:
             raise ValueError("features contain non-finite values")
         if not np.all(np.isfinite(target)):
             raise ValueError("target contains non-finite values")
-        if len(self.feature_names) != n:
-            raise ValueError("feature_names must have one entry per column")
 
     @property
     def n_rows(self) -> int:
@@ -97,8 +83,10 @@ def load_auto_mpg(path) -> Dataset:
     """Read the whitespace-delimited UCI fuel-economy file.
 
     The mpg column becomes the target; the seven numeric columns after it
-    become the features. Rows whose horsepower entry is "?" are dropped and
-    the quoted car-name field is discarded.
+    become the features, in file order: cylinders, displacement,
+    horsepower, weight, acceleration, model year and origin. Rows whose
+    horsepower entry is "?" are dropped and the quoted car-name field is
+    discarded.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -112,25 +100,24 @@ def load_auto_mpg(path) -> Dataset:
     if len(rows) < 2:
         raise ParseError(f"{path}: need at least 2 usable rows, got {len(rows)}")
     table = np.array(rows)
-    return Dataset(table[:, 1:], table[:, 0], list(MPG_FEATURE_NAMES))
+    return Dataset(table[:, 1:], table[:, 0])
 
 
 def make_synthetic(m: int, n: int, noise_sd: float, seed: int) -> Dataset:
     """Gaussian features with a noisy linear response, reproducible per seed."""
     check_int(m, "m", 2)
     check_int(n, "n", 1)
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be nonnegative")
+    check_float(noise_sd, "noise_sd", 0)
     rng = make_rng(seed, SYNTH_STREAM)
     weights = rng.standard_normal(n)
     bias = rng.standard_normal()
     features = rng.standard_normal((m, n))
     target = features @ weights + bias + noise_sd * rng.standard_normal(m)
-    return Dataset(features, target, [f"x{j}" for j in range(n)])
+    return Dataset(features, target)
 
 
 def _take(d: Dataset, idx: np.ndarray) -> Dataset:
-    return Dataset(d.features[idx], d.target[idx], list(d.feature_names))
+    return Dataset(d.features[idx], d.target[idx])
 
 
 def split(d: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -194,11 +181,9 @@ def student_t_p(t: float, df: int, sidedness: str = "two-sided") -> float:
 
     sidedness "two-sided" gives P(|T| >= |t|); "greater" gives P(T >= t).
     """
-    if not 1 <= df < inf:
-        raise ValueError("df must be finite and >= 1")
+    check_float(df, "df", 1)
+    check_float(t, "t")
     t = float(t)
-    if not isfinite(t):
-        raise ValueError("t must be finite")
     # imported here: the t-test is the package's one use of scipy
     from scipy import special
 

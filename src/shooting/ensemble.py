@@ -28,7 +28,7 @@ import numpy as np
 from .data import Dataset
 from .linear import LinearModel, OffsetSet, augment, fit_ols, sample_offsets
 from .nuopt import DegenerateCorrelationError, balanced_magnitude_weight, build_cache, minimize_nu
-from .rng import check_int
+from .rng import check_float, check_int
 from .tree import Presort, RegressionTree, TreeModel, check_features, fit_tree, row_means
 
 # nu used when the correlation objective is degenerate (perfect linear fit)
@@ -37,29 +37,19 @@ FALLBACK_NU = 1.0
 
 @dataclass(frozen=True)
 class SRConfig:
-    """Ensemble settings: k fully grown trees. nu None means tune it over
-    nuopt's fixed search; a float fixes it.
-
-    magnitude_weight None applies the balanced weight (magnitude term
-    rescaled to the correlation term's nu=0 value); 1.0 gives the raw
-    unweighted sum of the two terms.
-    """
+    """Ensemble settings: k fully grown trees. nu None means tune_nu picks
+    it, over nuopt's fixed search at the balanced magnitude weight; a
+    float fixes it."""
 
     k: int = 100
     nu: float | None = None
     seed: int = 0
-    magnitude_weight: float | None = None
 
     def __post_init__(self):
         check_int(self.k, "k", 1)
         check_int(self.seed, "seed")
-        for name in ("nu", "magnitude_weight"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, not a boolean")
-        if self.nu is not None and not 0.0 <= self.nu < math.inf:
-            raise ValueError("fixed nu must be finite and >= 0")
-        if self.magnitude_weight is not None and not 0.0 <= self.magnitude_weight < math.inf:
-            raise ValueError("magnitude_weight must be finite and >= 0")
+        if self.nu is not None:
+            check_float(self.nu, "nu", 0)
 
 
 @dataclass(frozen=True)
@@ -140,12 +130,12 @@ def _caller_level() -> int:
     return level
 
 
-def tune_nu(start: tuple[LinearModel, OffsetSet, np.ndarray], magnitude_weight=None):
+def tune_nu(start: tuple[LinearModel, OffsetSet, np.ndarray]):
     """(nu, search): the nu a fit selects from a shooting_start, and the
-    (cache, weight, NuResult) of nuopt's search, weight the balanced one
-    when magnitude_weight is None. With fewer than 2 offsets, an exact
-    linear fit or a degenerate surface there is nothing to search: one
-    RuntimeWarning, and (FALLBACK_NU, None)."""
+    (cache, weight, NuResult) of nuopt's search at the balanced magnitude
+    weight. With fewer than 2 offsets, an exact linear fit or a degenerate
+    surface there is nothing to search: one RuntimeWarning, and
+    (FALLBACK_NU, None)."""
     linear, offsets, z = start
     try:
         if offsets.offsets.shape[1] < 2:
@@ -155,7 +145,7 @@ def tune_nu(start: tuple[LinearModel, OffsetSet, np.ndarray], magnitude_weight=N
             # noise, so the correlation surface carries no signal
             raise DegenerateCorrelationError("perfect linear fit leaves nothing to decorrelate")
         cache = build_cache(z, offsets.projected)
-        weight = balanced_magnitude_weight(cache) if magnitude_weight is None else magnitude_weight
+        weight = balanced_magnitude_weight(cache)
         result = minimize_nu(cache, magnitude_weight=weight)
     except DegenerateCorrelationError as exc:
         message = f"nu tuning degenerate ({exc}); using nu={FALLBACK_NU}"
@@ -167,7 +157,7 @@ def tune_nu(start: tuple[LinearModel, OffsetSet, np.ndarray], magnitude_weight=N
 def fit_shooting(train: Dataset, config: SRConfig = SRConfig()) -> ShootingEnsemble:
     """OLS, offset sampling, nu (fixed or tuned), then one tree per gradient target."""
     start = shooting_start(train, config.k, config.seed)
-    nu = tune_nu(start, config.magnitude_weight)[0] if config.nu is None else float(config.nu)
+    nu = tune_nu(start)[0] if config.nu is None else float(config.nu)
     return fit_at_nu(train, start, nu)
 
 

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import check_float
+
 # Above this nu a constant offset column makes the correlation limit
 # meaningless, so flagged columns turn the evaluation degenerate.
 LARGE_NU = 1e6
@@ -127,8 +129,7 @@ def build_cache(z, projected_offsets) -> NuCache:
 def correlation_matrix(cache: NuCache, nu: float) -> np.ndarray:
     """k x k Corr(z - nu*x_i, z - nu*x_j) from cached scalars, clipped to
     [-1, 1] with a unit diagonal; degenerate if any column has no variance."""
-    if not 0.0 <= nu < math.inf:
-        raise ValueError("nu must be finite and >= 0")
+    check_float(nu, "nu", 0)
     if nu >= LARGE_NU and cache.constant_columns.any():
         raise DegenerateCorrelationError(
             "constant offset column has no large-nu correlation", nu
@@ -160,8 +161,7 @@ def objective(
     magnitude_term the (weighted) Frobenius norm of the m x k target
     matrix, both assembled purely from the cache.
     """
-    if not 0.0 <= magnitude_weight < math.inf:
-        raise ValueError("magnitude_weight must be finite and >= 0")
+    check_float(magnitude_weight, "magnitude_weight", 0)
     corr_term = float(np.linalg.norm(correlation_matrix(cache, nu)))
     # the sums are of the columns times 2^-scale: the root times 2^scale
     # is in the caller's units

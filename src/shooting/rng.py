@@ -7,6 +7,7 @@ in which the streams are consumed.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -30,6 +31,16 @@ def check_int(value, name: str, least: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}")
+
+
+def check_float(value, name: str, least: float | None = None) -> None:
+    """ValueError unless value is a finite number of at least least: a
+    bool (numpy's too) would read as 1.0 or 0.0, and a NaN slips past a
+    plain "< least" check."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, not a boolean")
+    if not math.isfinite(value) or (least is not None and value < least):
+        raise ValueError(f"{name} must be finite" + ("" if least is None else f" and >= {least}"))
 
 
 def _entropy(parts) -> list[int]:

@@ -41,7 +41,6 @@ def tiny() -> Dataset:
     return Dataset(
         np.array([[0.0], [1.0], [2.0], [3.0]]),
         np.array([0.0, 1.0, 2.0, 4.0]),
-        ["x0"],
     )
 
 

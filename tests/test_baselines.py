@@ -163,6 +163,9 @@ def test_gbm_config_validation():
     for flag in [True, np.True_]:
         with pytest.raises(ValueError, match="learning_rate must be a number"):
             GBMConfig(learning_rate=flag)
+    for rate in [math.nan, math.inf]:
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            GBMConfig(learning_rate=rate)
 
 
 @pytest.mark.parametrize(
@@ -192,7 +195,7 @@ def test_configs_accept_numpy_integers():
 
 
 def test_constant_target_collapses_both_models():
-    d = Dataset(np.arange(8.0).reshape(4, 2), np.full(4, 3.0), ["a", "b"])
+    d = Dataset(np.arange(8.0).reshape(4, 2), np.full(4, 3.0))
     forest = fit_rf(d, RFConfig(n_trees=3))
     gbm = fit_gbm(d, GBMConfig(n_stages=3))
     q = np.zeros((5, 2))

@@ -309,7 +309,6 @@ OUT_OF_BOUND = {
     "synth-n": 0,
     "synth-noise": -0.5,
     "nu": -1.0,
-    "magnitude-weight": -1.0,
 }
 
 
@@ -354,6 +353,19 @@ def test_flag_and_config_share_the_bound(tmp_path, capsys, command, key):
 def test_every_bound_has_an_out_of_bound_case():
     bounded = {k for t in cli.OPTIONS.values() for k, opt in t.items() if opt[2]}
     assert bounded == set(OUT_OF_BOUND)
+
+
+@pytest.mark.parametrize("command", ["benchmark", "nu-curve"])
+def test_magnitude_weight_is_not_an_option(tmp_path, capsys, command):
+    # nu is always tuned at the balanced weight: neither source may set one
+    with pytest.raises(SystemExit) as info:
+        run([command, "--magnitude-weight", "1"])
+    assert info.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --magnitude-weight" in capsys.readouterr().err
+    cfg = tmp_path / "weight.json"
+    cfg.write_text(json.dumps({"data": "data/auto-mpg.data", "magnitude-weight": 1.0}))
+    assert run([command, "--config", str(cfg)]) == EXIT_CONFIG
+    assert "unknown config keys: magnitude-weight" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- config file

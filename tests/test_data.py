@@ -36,19 +36,20 @@ from shooting.rng import derive_seed, make_rng
 
 def test_dataset_rejects_single_row():
     with pytest.raises(ValueError):
-        Dataset(np.array([[1.0]]), np.array([1.0]), ["a"])
+        Dataset(np.array([[1.0]]), np.array([1.0]))
 
 
 def test_dataset_rejects_nonfinite():
     with pytest.raises(ValueError):
-        Dataset(np.array([[1.0], [np.nan]]), np.array([1.0, 2.0]), ["a"])
+        Dataset(np.array([[1.0], [np.nan]]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        Dataset(np.array([[1.0], [2.0]]), np.array([1.0, np.inf]), ["a"])
+        Dataset(np.array([[1.0], [2.0]]), np.array([1.0, np.inf]))
 
 
-def test_dataset_rejects_name_mismatch():
-    with pytest.raises(ValueError):
-        Dataset(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), ["a", "b"])
+def test_dataset_holds_no_column_names():
+    # a Dataset is (features, target); load_auto_mpg's docstring names the columns
+    with pytest.raises(TypeError):
+        Dataset(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), ["a"])
 
 
 # ------------------------------------------------------------- UCI loader
@@ -59,7 +60,6 @@ def test_mpg_shape_and_first_row(mpg):
     assert mpg.n_features == 7
     assert mpg.target[0] == 18.0
     assert mpg.features[0].tolist() == [8.0, 307.0, 130.0, 3504.0, 12.0, 70.0, 1.0]
-    assert mpg.feature_names[2] == "horsepower"
 
 
 def test_mpg_missing_horsepower_dropped(tmp_path):
@@ -139,6 +139,10 @@ def test_synthetic_validation():
         make_synthetic(10.0, 2, 1.0, seed=0)
     with pytest.raises(ValueError, match="^n must be an integer"):
         make_synthetic(10, True, 1.0, seed=0)
+    # NaN failed later as a non-finite target, and True drew noise of sd 1.0
+    for noise_sd in [math.nan, math.inf, True, np.True_, False]:
+        with pytest.raises(ValueError, match="^noise_sd must be"):
+            make_synthetic(10, 2, noise_sd, seed=0)
 
 
 # ------------------------------------------------------------------ seeds
@@ -409,6 +413,15 @@ def test_t_p_sidedness():
     assert student_t_p(-1.7, 5, "greater") == pytest.approx(1.0 - two / 2.0, rel=1e-12)
     with pytest.raises(ValueError):
         student_t_p(1.0, 5, "less-ish")
+
+
+@pytest.mark.parametrize("flag", [True, np.True_, False])
+def test_t_p_refuses_boolean_arguments(flag):
+    # True read as df = 1 or t = 1.0
+    with pytest.raises(ValueError, match="^df must be a number, not a boolean"):
+        student_t_p(2.0, flag)
+    with pytest.raises(ValueError, match="^t must be a number, not a boolean"):
+        student_t_p(flag, 5)
 
 
 def test_paired_t_degenerate():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -93,7 +95,7 @@ def test_noiseless_targets_are_pure_offset_projections():
 
 def tuned_result(train: Dataset, k: int, seed: int):
     """minimize_nu on the cache of fit_shooting's start, as fit_shooting
-    runs it at the default magnitude weight."""
+    runs it at the balanced magnitude weight."""
     _, offsets, z = shooting_start(train, k, seed)
     cache = build_cache(z, offsets.projected)
     return minimize_nu(cache, magnitude_weight=balanced_magnitude_weight(cache))
@@ -146,7 +148,7 @@ def test_tuned_nu_ignores_the_target(mpg, split_seed, y_seed, log_scale, shift):
     train, _ = split(mpg, 0.5, split_seed)
     config = SRConfig(seed=split_seed)
     y = 10.0**log_scale * np.random.default_rng(y_seed).standard_normal(train.n_rows)
-    noise = Dataset(train.features, y + shift, train.feature_names)
+    noise = Dataset(train.features, y + shift)
     with pytest.MonkeyPatch.context() as patch:
         # one-leaf trees: only the tuning is under test, and it precedes them
         patch.setattr(ensemble, "fit_tree", lambda x, y: fit_tree(x, y, max_depth=0))
@@ -169,7 +171,7 @@ def test_tuned_nu_is_bit_equal_under_target_scale(mpg, j):
     # perfect linear fit, and the correlations scale the variances by a
     # power of two before multiplying them
     train, _ = split(mpg, 0.5, 0)
-    scaled = Dataset(train.features, np.ldexp(train.target, j), train.feature_names)
+    scaled = Dataset(train.features, np.ldexp(train.target, j))
     assert tuned_nu(scaled) == tuned_nu(train)
 
 
@@ -183,7 +185,7 @@ def test_tuned_nu_is_bit_equal_under_feature_units(mpg, column, j):
     train, _ = split(mpg, 0.5, 0)
     features = train.features.copy()
     features[:, column] = np.ldexp(features[:, column], j)
-    assert tuned_nu(Dataset(features, train.target, train.feature_names)) == tuned_nu(train)
+    assert tuned_nu(Dataset(features, train.target)) == tuned_nu(train)
 
 
 @pytest.mark.filterwarnings("error")
@@ -192,7 +194,7 @@ def test_predictions_scale_with_the_target(mpg, j):
     # Y x 2^j scales z, every offset and every gradient target exactly, so
     # the trees keep their cuts and the predictions scale by 2^j
     train, val = split(mpg, 0.5, 0)
-    scaled = Dataset(train.features, np.ldexp(train.target, j), train.feature_names)
+    scaled = Dataset(train.features, np.ldexp(train.target, j))
     config = SRConfig(k=20, seed=1)
     want = np.ldexp(predict(fit_shooting(train, config), val.features), j)
     assert np.array_equal(predict(fit_shooting(scaled, config), val.features), want)
@@ -213,7 +215,7 @@ def test_feature_units_leave_trees_and_predictions(mpg, column, j):
     train, val = split(mpg, 0.5, 0)
     config = SRConfig(k=20, seed=1)
     base = fit_shooting(train, config)
-    model = fit_shooting(Dataset(rescaled(train), train.target, train.feature_names), config)
+    model = fit_shooting(Dataset(rescaled(train), train.target), config)
     assert all(np.array_equal(a.feature, b.feature) for a, b in zip(model.trees, base.trees))
     assert np.array_equal(predict(model, rescaled(val)), predict(base, val.features))
 
@@ -407,8 +409,9 @@ def test_config_validation():
         SRConfig(k=0)
     with pytest.raises(ValueError):
         SRConfig(nu=-1.0)
-    with pytest.raises(ValueError):
-        SRConfig(magnitude_weight=-0.1)
+    # tune_nu always searches at the balanced weight
+    with pytest.raises(TypeError):
+        SRConfig(magnitude_weight=1.0)
 
 
 @pytest.mark.parametrize("field, value", [("k", 2.5), ("k", True), ("seed", 1.5)])
@@ -420,7 +423,7 @@ def test_config_rejects_counts_that_are_not_integers(field, value):
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("field", ["nu", "magnitude_weight"])
+@pytest.mark.parametrize("field", ["nu"])
 def test_config_rejects_nonfinite(field, value):
     # nan would slip past a plain "< 0" check and fit with a wrong nu
     with pytest.raises(ValueError, match="finite"):
@@ -428,7 +431,7 @@ def test_config_rejects_nonfinite(field, value):
 
 
 @pytest.mark.parametrize("value", [True, np.True_, False])
-@pytest.mark.parametrize("field", ["nu", "magnitude_weight"])
+@pytest.mark.parametrize("field", ["nu"])
 def test_config_rejects_booleans(field, value):
     # True would fit silently as 1.0
     with pytest.raises(ValueError, match=f"{field} must be a number, not a boolean"):
@@ -485,3 +488,17 @@ def test_huge_features_never_give_nan(mpg, mpg_model, value):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="row 3: features too large"):
             predict(mpg_model, x)
+
+
+# ---------------------------------------------------------------- README
+
+
+def test_readme_python_examples_run(monkeypatch, capsys):
+    # each python block of the README, run from the repo root as written
+    root = pathlib.Path(__file__).resolve().parent.parent
+    blocks = re.findall(r"^```python\n(.*?)^```", (root / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    monkeypatch.chdir(root)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out

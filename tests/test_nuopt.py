@@ -231,16 +231,23 @@ def test_objective_rejects_negative_nu():
     for nu in [math.nan, math.inf]:
         with pytest.raises(ValueError, match="nu must be finite"):
             objective(cache, nu)
+    # True would score as nu = 1.0 and False as 0.0
+    for nu in [True, np.True_, False]:
+        for call in (objective, correlation_matrix):
+            with pytest.raises(ValueError, match="nu must be a number, not a boolean"):
+                call(cache, nu)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("weight", [math.nan, math.inf, -2.0])
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -2.0, True, np.True_, False])
 def test_bad_magnitude_weight_is_a_plain_value_error(weight):
-    # NaN scored (nan, corr, nan) and -2 a negative total, and the search
-    # blamed a degenerate range for a NaN weight
+    # NaN scored (nan, corr, nan) and -2 a negative total, the search
+    # blamed a degenerate range for a NaN weight, and True scored at 1.0
     cache, _, _ = hand_cache()
+    boolean = isinstance(weight, (bool, np.bool_))
+    match = "a number, not a boolean" if boolean else "finite"
     for call in (lambda: objective(cache, 1.0, weight), lambda: minimize_nu(cache, weight)):
-        with pytest.raises(ValueError, match="magnitude_weight must be finite") as info:
+        with pytest.raises(ValueError, match=f"magnitude_weight must be {match}") as info:
             call()
         assert not isinstance(info.value, DegenerateCorrelationError)
 
