@@ -12,10 +12,13 @@ Produces three groups of artifacts under the output directory:
                the collection's leading principal axis
 
 Everything is seeded; rerunning overwrites the same files byte-for-byte.
+Each stage's wall time goes to stderr, so stdout stays the same from run
+to run.
 """
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -57,7 +60,9 @@ def main() -> int:
     ]
     for name, argv in stages:
         print(f"== {name} ==", flush=True)
+        start = time.perf_counter()
         code = cli.main(argv)
+        print(f"{name}: {time.perf_counter() - start:.2f} s", file=sys.stderr, flush=True)
         if code != 0:
             print(f"{name} failed with exit code {code}", file=sys.stderr)
             return code

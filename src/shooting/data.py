@@ -122,6 +122,7 @@ def _take(d: Dataset, idx: np.ndarray) -> Dataset:
 
 def split(d: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded random holdout partition: (train, validation)."""
+    check_float(val_fraction, "val_fraction")
     if not 0.0 < val_fraction < 1.0:
         raise ValueError("val_fraction must lie in (0, 1)")
     m = d.n_rows

@@ -96,10 +96,15 @@ def shooting_start(
 
 
 def gradient_targets(z, projected, nu: float) -> np.ndarray:
-    """Column i is the loss gradient at initial vector i: z + nu*XD_i."""
-    if projected.shape[0] != z.shape[0]:
-        # a length-1 z would otherwise broadcast silently
-        raise ValueError("offset projection rows do not match z")
+    """Column i is the loss gradient at initial vector i: z + nu*XD_i, for
+    a vector z and a matrix projected with one row per entry of z."""
+    z = np.asarray(z, dtype=float)
+    projected = np.asarray(projected, dtype=float)
+    if z.ndim != 1:
+        raise ValueError("z must be a vector")
+    # a length-1 z or a vector projected would otherwise broadcast silently
+    if projected.ndim != 2 or projected.shape[0] != z.size:
+        raise ValueError(f"projected must be a matrix with {z.size} rows, one per entry of z")
     return z[:, None] + nu * projected
 
 
@@ -109,7 +114,9 @@ def fit_at_nu(
     nu: float,
 ) -> ShootingEnsemble:
     """The ensemble at this nu from a shooting_start on the same rows: one
-    tree per gradient target, all grown on one Presort of the features."""
+    tree per gradient target, all grown on one Presort of the features. At
+    nu = 0 the k targets are all z, so fit_tree grows one tree and the
+    ensemble holds it k times."""
     linear, offsets, z = start
     targets = gradient_targets(z, offsets.projected, nu)
     presort = Presort(train.features)
@@ -162,8 +169,14 @@ def fit_shooting(train: Dataset, config: SRConfig = SRConfig()) -> ShootingEnsem
 
 
 def initial_vectors(ensemble: ShootingEnsemble, features) -> np.ndarray:
-    """Per-estimator linear predictions X(B + nu*D_i) on arbitrary features."""
-    x = augment(features)
+    """Per-estimator linear predictions X(B + nu*D_i) on arbitrary features,
+    checked as every predict checks them."""
+    return _initial(ensemble, check_features(features, ensemble.n_features))
+
+
+def _initial(ensemble: ShootingEnsemble, x: np.ndarray) -> np.ndarray:
+    """initial_vectors on checked features, such as one forest block."""
+    x = augment(x)
     # in place, so a call holds one (rows, k) matrix, not three
     initial = x @ ensemble.offsets
     initial *= ensemble.nu
@@ -178,7 +191,7 @@ def _member_blocks(ensemble: ShootingEnsemble, x: np.ndarray):
     features large enough overflow the linear predictions."""
     for rows, values in ensemble.forest.leaves(x):
         with np.errstate(over="ignore", invalid="ignore"):
-            members = initial_vectors(ensemble, x[rows])
+            members = _initial(ensemble, x[rows])
             members -= values.T
         finite = np.isfinite(members)
         if not finite.all():

@@ -34,11 +34,14 @@ def check_int(value, name: str, least: int | None = None) -> None:
 
 
 def check_float(value, name: str, least: float | None = None) -> None:
-    """ValueError unless value is a finite number of at least least: a
-    bool (numpy's too) would read as 1.0 or 0.0, and a NaN slips past a
-    plain "< least" check."""
+    """ValueError unless value is a finite real number (numpy's too) of at
+    least least: a bool would read as 1.0 or 0.0, a NaN slips past a plain
+    "< least" check, and a string or None would fail that check with a
+    TypeError that names nothing."""
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a number, not a boolean")
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value) or (least is not None and value < least):
         raise ValueError(f"{name} must be finite" + ("" if least is None else f" and >= {least}"))
 

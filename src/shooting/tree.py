@@ -31,6 +31,11 @@ rows when searched (below), and one at max_depth, such as every child of
 a depth-2 split in a depth-3 boosting stage, only takes the mean of its
 rows.
 
+A Presort also keeps the last tree grown on it, which fit_tree returns
+for the same max_depth and byte-equal targets instead of growing it
+again: at nu = 0 SR's k gradient targets are one vector, so its k trees
+are one tree grown once, and so is a boosting stage that did not move.
+
 The trees are those of a per-node stable argsort, bit for bit. A node's
 row ids are always in increasing order (the root is arange, each child a
 filter of its parent), so a stable sort of the node's values orders ties
@@ -298,7 +303,13 @@ class Presort:
     search, is made on first use. fit_tree wraps a plain matrix in one; a
     fit that grows many trees on one matrix builds one and passes it to
     every tree.
+
+    last, the one writable field, is fit_tree's memo of the last tree
+    grown here: (the targets' bytes, max_depth, tree). One slot is enough,
+    since each repeat comes right after the tree it repeats.
     """
+
+    last: tuple[bytes, int | None, RegressionTree] | None = None
 
     def __init__(self, features):
         x = np.asarray(features, dtype=float)
@@ -327,6 +338,11 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
     holds one row, sits at max_depth (None means no limit), has exactly
     constant targets, or has no two distinct values in any feature to cut
     between.
+
+    Called again on a Presort with the same max_depth and targets equal
+    byte for byte, it returns the tree it grew last time, the same object,
+    after the same input checks. Targets with -0.0 where the last held 0.0
+    grow anew.
     """
     if max_depth is not None:
         check_int(max_depth, "max_depth", 0)
@@ -341,6 +357,10 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
         # bounds every prefix-sum term of the SSE, (sum y)^2 <= m * sum y^2
         if not np.isfinite(y.size * float(np.sum(y * y))):
             raise ValueError("targets too large: squared-error sums overflow")
+    key = y.tobytes()
+    last = presort.last
+    if last is not None and last[0] == key and last[1] == max_depth:
+        return last[2]
     n = xt.shape[0]
     feature_ids = np.arange(n)[:, None]
     goes_left = np.zeros(y.size, dtype=bool)
@@ -428,21 +448,27 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
         queue.append((left_idx, left_order, depth + 1))
         queue.append((right_idx, right_order, depth + 1))
 
-    return RegressionTree(
+    tree = RegressionTree(
         np.array(feat, dtype=np.int64), np.array(thr, dtype=float), np.array(value, dtype=float), n
     )
+    presort.last = (key, max_depth, tree)
+    return tree
 
 
 def check_features(features, n_features: int) -> np.ndarray:
-    """The features as a float matrix; ValueError unless 2-D, n_features
-    columns wide and finite. Every predict calls this once: a NaN or inf
-    would otherwise route right at every node, silently."""
-    x = np.asarray(features, dtype=float)
+    """The features as a float matrix; ValueError unless real, 2-D,
+    n_features columns wide and finite. Every predict calls this once: a
+    NaN or inf would otherwise route right at every node, and a complex
+    value would lose its imaginary part, silently."""
+    x = np.asarray(features)
+    if x.dtype.kind == "c":
+        raise ValueError("features must be real numbers, not complex")
+    x = x.astype(float, copy=False)
     if x.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
     if x.shape[1] != n_features:
         raise ValueError(
-            f"feature count {x.shape[1]} does not match training dimension "
+            f"features: feature count {x.shape[1]} does not match training dimension "
             f"{n_features}"
         )
     if not np.isfinite(x).all():

@@ -166,6 +166,10 @@ def test_gbm_config_validation():
     for rate in [math.nan, math.inf]:
         with pytest.raises(ValueError, match="learning_rate must be finite"):
             GBMConfig(learning_rate=rate)
+    # None and a string raised a bare TypeError
+    for rate in [None, "0.1"]:
+        with pytest.raises(ValueError, match="^learning_rate must be a number, got "):
+            GBMConfig(learning_rate=rate)
 
 
 @pytest.mark.parametrize(

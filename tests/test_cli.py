@@ -11,6 +11,7 @@ import pytest
 
 from shooting import cli, load_auto_mpg, paired_t_test, split
 from shooting.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK
+from shooting.rng import TRIAL_STREAM, derive_seed
 
 
 def read_csv(path):
@@ -173,6 +174,30 @@ def test_benchmark_deterministic_reruns(tmp_path):
     ]
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_benchmark_trial_seeds_are_pinned(tmp_path, monkeypatch, mpg, mpg_path):
+    # trial t splits at derive_seed(seed, TRIAL_STREAM, t, 0), t counted from
+    # 1: shifting t, or the stream, moves every trial's rows and scores
+    seen = []
+
+    def recording_split(d, val_fraction, seed):
+        train, val = split(d, val_fraction, seed)
+        seen.append((seed, val))
+        return train, val
+
+    monkeypatch.setattr(cli, "split", recording_split)
+    argv = ["benchmark", "--data", str(mpg_path), "--trials", "2", "--k", "2"]
+    assert run([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    assert [seed for seed, _ in seen] == [derive_seed(0, TRIAL_STREAM, t, 0) for t in (1, 2)]
+    assert derive_seed(0, TRIAL_STREAM, 1, 0) == 5045773756283980927
+    # the dataset rows that trial 1 holds out first, each found once
+    val = seen[0][1]
+    ids = []
+    for row, y in zip(val.features[:5], val.target[:5]):
+        (found,) = np.flatnonzero((mpg.features == row).all(axis=1) & (mpg.target == y))
+        ids.append(int(found))
+    assert ids == [341, 308, 174, 242, 332]
 
 
 def test_benchmark_requires_data(tmp_path, capsys):

@@ -16,12 +16,16 @@ from hypothesis import strategies as st
 from shooting import (
     Dataset,
     DegenerateTestError,
+    GBMConfig,
     MetricError,
     ParseError,
+    SRConfig,
+    build_cache,
     fit_ols,
     load_auto_mpg,
     make_synthetic,
     mse,
+    objective,
     paired_t_test,
     r_squared,
     sample_offsets,
@@ -413,6 +417,31 @@ def test_t_p_sidedness():
     assert student_t_p(-1.7, 5, "greater") == pytest.approx(1.0 - two / 2.0, rel=1e-12)
     with pytest.raises(ValueError):
         student_t_p(1.0, 5, "less-ish")
+
+
+def small_cache():
+    _, offsets, z = shooting_start(make_synthetic(20, 2, 1.0, 0), 3, 0)
+    return build_cache(z, offsets.projected)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda v: SRConfig(nu=v), "nu"),
+        (lambda v: GBMConfig(learning_rate=v), "learning_rate"),
+        (lambda v: objective(small_cache(), v), "nu"),
+        (lambda v: objective(small_cache(), 1.0, v), "magnitude_weight"),
+        (lambda v: student_t_p(2.0, v), "df"),
+        (lambda v: student_t_p(v, 3), "t"),
+        (lambda v: make_synthetic(10, 2, v, 0), "noise_sd"),
+        (lambda v: split(make_synthetic(10, 2, 1.0, 0), v, 0), "val_fraction"),
+    ],
+)
+@pytest.mark.parametrize("value", ["1", 1j, np.array([0.5])])
+def test_float_parameters_refuse_non_numbers(call, name, value):
+    # a string failed the range check with a TypeError naming nothing
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got "):
+        call(value)
 
 
 @pytest.mark.parametrize("flag", [True, np.True_, False])

@@ -80,6 +80,13 @@ def test_targets_shape_mismatch():
     # numpy alone would broadcast a length-1 z over every row
     with pytest.raises(ValueError):
         gradient_targets(z[:1], offsets.projected, 1.0)
+    # a length-m vector passed the row check and broadcast to (m, m)
+    with pytest.raises(ValueError, match="projected must be a matrix with 40 rows"):
+        gradient_targets(z, offsets.projected[:, 0], 1.0)
+    with pytest.raises(ValueError, match="projected"):
+        gradient_targets(z, offsets.projected[None], 1.0)
+    with pytest.raises(ValueError, match="z must be a vector"):
+        gradient_targets(z[:, None], offsets.projected, 1.0)
 
 
 def test_noiseless_targets_are_pure_offset_projections():
@@ -292,6 +299,20 @@ def test_initial_vectors_match_linear_parts():
     x = augment(d.features)
     want = (x @ linear.coefficients)[:, None] + 2.0 * (x @ offsets.offsets)
     assert np.abs(initial_vectors(model, d.features) - want).max() <= 1e-12
+
+
+def test_initial_vectors_and_predicts_check_their_features():
+    d = make_synthetic(30, 3, 1.0, 21)
+    model = fit_shooting(d, SRConfig(k=3, nu=2.0, seed=21))
+    # numpy's matmul message named no argument
+    with pytest.raises(ValueError, match="^features: feature count 2 does not match"):
+        initial_vectors(model, d.features[:, :2])
+    with pytest.raises(ValueError, match="^features must be finite"):
+        initial_vectors(model, np.full((2, 3), np.nan))
+    # numpy dropped the imaginary part behind a ComplexWarning
+    for call in (initial_vectors, predict, predict_per_estimator):
+        with pytest.raises(ValueError, match="^features must be real numbers, not complex"):
+            call(model, d.features + 1j)
 
 
 # ---------------------------------------------------------- oracle_predict

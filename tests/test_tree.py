@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shooting import (
+    Dataset,
     GBMConfig,
     GradientBoosting,
     Presort,
@@ -38,6 +39,7 @@ from shooting import (
     predict_per_estimator,
     predict_rf,
     predict_tree,
+    shooting_start,
     split,
 )
 from shooting.tree import BLOCK_ROWS, LEAF, SMALL_BLOCK, SMALL_NODE, _node_sum, row_means
@@ -646,6 +648,72 @@ def test_one_presort_per_fit(mpg, monkeypatch):
         assert (presort.xt.tobytes(), presort.order.tobytes()) == presort.bytes_at_build
         assert np.array_equal(presort.xt, train.features.T)
         assert presort.lists == presort.xt.tolist()
+
+
+# ----------------------------------------------------- one-slot memo
+
+
+def test_nu_zero_grows_one_tree_held_k_times(mpg, monkeypatch):
+    # at nu = 0 every gradient target is z: fit_tree is still called once
+    # per tree, but grows only the first
+    train, _ = split(mpg, val_fraction=0.5, seed=3)
+    start = shooting_start(train, 5, 3)
+    calls = []
+
+    def recording_fit_tree(features, targets, max_depth=None):
+        calls.append(features)
+        return fit_tree(features, targets, max_depth)
+
+    monkeypatch.setattr(ensemble, "fit_tree", recording_fit_tree)
+    model = ensemble.fit_at_nu(train, start, 0.0)
+    assert len(calls) == 5
+    assert all(tree is model.trees[0] for tree in model.trees)
+    assert_same_tree(model.trees[0], fit_tree(Presort(train.features), start[2]))
+    # any other nu grows k trees
+    assert len({id(tree) for tree in ensemble.fit_at_nu(train, start, 1e-6).trees}) == 5
+
+
+def test_memo_returns_a_tree_only_for_the_same_bytes_and_depth():
+    rng = np.random.default_rng(26)
+    x = rng.integers(0, 4, size=(40, 3)).astype(float)
+    y = np.round(rng.standard_normal(40), 1)
+    y[7] = 0.0
+    presort = Presort(x)
+    first = fit_tree(presort, y)
+    assert fit_tree(presort, y.copy()) is first
+    # a strided view of the same values is the same bytes
+    assert fit_tree(presort, np.stack([y, y], axis=1)[:, 1]) is first
+    near = y.copy()
+    near[3] = np.nextafter(near[3], np.inf)
+    signed = y.copy()
+    signed[7] = -0.0
+    for targets, depth, features in [
+        (near, None, presort),  # one ulp apart
+        (signed, None, presort),  # -0.0 == 0.0, but not byte for byte
+        (y, 2, presort),
+        (y, None, Presort(x)),
+        (y, None, x),
+    ]:
+        last = fit_tree(presort, y)
+        grown = fit_tree(features, targets, depth)
+        assert grown is not last
+        assert_same_tree(grown, reference_fit_tree(x, targets, depth))
+    # one slot: the first tree was forgotten once another grew
+    again = fit_tree(presort, y)
+    assert again is not first
+    assert_same_tree(again, first)
+    # the checks run before the memo is read: True == 1, but is no depth
+    fit_tree(presort, y, 1)
+    with pytest.raises(ValueError, match="max_depth must be an integer"):
+        fit_tree(presort, y, True)
+
+
+def test_stalled_boosting_stages_are_one_tree():
+    # constant targets leave every residual at 0.0, so no stage moves the fit
+    d = Dataset(make_synthetic(30, 2, 1.0, 0).features, np.full(30, 2.5))
+    model = fit_gbm(d, GBMConfig(n_stages=4))
+    assert all(tree is model.trees[0] for tree in model.trees)
+    assert predict_gbm(model, d.features).tolist() == [2.5] * 30
 
 
 # ------------------------------------------------ packed forest vs per tree
