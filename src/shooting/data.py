@@ -7,7 +7,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .rng import SPLIT_STREAM, SYNTH_STREAM, check_float, check_int, make_rng
+from .rng import SPLIT_STREAM, SYNTH_STREAM, check_float, check_int, make_rng, real_array
 
 
 class ParseError(ValueError):
@@ -30,8 +30,8 @@ class Dataset:
     target: np.ndarray
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=float)
-        target = np.asarray(self.target, dtype=float)
+        features = real_array(self.features, "features")
+        target = real_array(self.target, "target")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "target", target)
         if features.ndim != 2:

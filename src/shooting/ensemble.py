@@ -114,12 +114,16 @@ def fit_at_nu(
     nu: float,
 ) -> ShootingEnsemble:
     """The ensemble at this nu from a shooting_start on the same rows: one
-    tree per gradient target, all grown on one Presort of the features. At
-    nu = 0 the k targets are all z, so fit_tree grows one tree and the
-    ensemble holds it k times."""
+    tree per gradient target, all grown on one Presort of the features,
+    which expects the whole target matrix. fit_tree is called once per
+    tree; with at least BATCH_MIN distinct targets the first call grows
+    them all in one batched pass and the rest take their tree from the
+    Presort's memo. At nu = 0 the k targets are all z, so fit_tree grows
+    one tree and the ensemble holds it k times."""
     linear, offsets, z = start
     targets = gradient_targets(z, offsets.projected, nu)
     presort = Presort(train.features)
+    presort.expect(targets)
     trees = tuple(fit_tree(presort, targets[:, i]) for i in range(targets.shape[1]))
     return ShootingEnsemble(linear.coefficients, offsets.offsets, nu, trees)
 
@@ -271,8 +275,11 @@ def project_trajectories(initial, terminal, target) -> PCADiagnostics:
     initial = np.asarray(initial, dtype=float)
     terminal = np.asarray(terminal, dtype=float)
     target = np.asarray(target, dtype=float)
-    if initial.shape != terminal.shape or initial.shape[0] != target.size:
-        raise ValueError("initial, terminal, and target shapes do not agree")
+    if initial.ndim != 2 or initial.shape != terminal.shape or target.shape != initial.shape[:1]:
+        raise ValueError(
+            "initial and terminal must be (m, k) matrices and target an (m,) vector; got "
+            f"{initial.shape}, {terminal.shape} and {target.shape}"
+        )
     collection = np.vstack([initial.T, terminal.T, target[None, :]])
     axis = _leading_component(collection)
     return PCADiagnostics(

@@ -46,6 +46,15 @@ def check_float(value, name: str, least: float | None = None) -> None:
         raise ValueError(f"{name} must be finite" + ("" if least is None else f" and >= {least}"))
 
 
+def real_array(values, name: str) -> np.ndarray:
+    """values as a float array; ValueError for complex values, whose
+    imaginary part numpy would drop behind a mere ComplexWarning."""
+    x = np.asarray(values)
+    if x.dtype.kind == "c":
+        raise ValueError(f"{name} must be real numbers, not complex")
+    return x.astype(float, copy=False)
+
+
 def _entropy(parts) -> list[int]:
     """Each part as 64 bits; ValueError for a bool or a non-integer part,
     which int() would otherwise truncate into another seed's stream."""

@@ -50,6 +50,15 @@ def test_dataset_rejects_nonfinite():
         Dataset(np.array([[1.0], [2.0]]), np.array([1.0, np.inf]))
 
 
+def test_dataset_rejects_complex_values():
+    # numpy dropped the imaginary part behind a ComplexWarning
+    x, y = np.array([[1.0], [2.0]]), np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match="^features must be real numbers, not complex"):
+        Dataset(x + 1j, y)
+    with pytest.raises(ValueError, match="^target must be real numbers, not complex"):
+        Dataset(x, y + 1j)
+
+
 def test_dataset_holds_no_column_names():
     # a Dataset is (features, target); load_auto_mpg's docstring names the columns
     with pytest.raises(TypeError):

@@ -362,6 +362,16 @@ def test_projection_shape_mismatch():
         project_trajectories(np.zeros((4, 3)), np.zeros((4, 2)), np.zeros(4))
 
 
+def test_projection_names_the_shapes_it_expects():
+    # 1-D inputs of one length used to fail as "collection has zero variance"
+    v = np.arange(4.0)
+    with pytest.raises(ValueError, match=r"^initial and terminal must be \(m, k\) matrices and "
+                       r"target an \(m,\) vector; got \(4,\), \(4,\) and \(4,\)"):
+        project_trajectories(v, v, v)
+    with pytest.raises(ValueError, match=r"got \(4, 3\), \(4, 3\) and \(4, 1\)"):
+        project_trajectories(np.ones((4, 3)), np.ones((4, 3)), np.ones((4, 1)))
+
+
 def test_projection_axis_aligned_collection():
     # vectors differ only in coordinate 0, so the leading axis is e_0 and
     # each projected coordinate is that first entry

@@ -8,6 +8,7 @@ import tracemalloc
 import warnings
 from collections import deque
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from shooting import (
     fit_rf,
     fit_shooting,
     fit_tree,
+    gradient_targets,
     make_synthetic,
     model_from_dict,
     model_to_dict,
@@ -42,7 +44,18 @@ from shooting import (
     shooting_start,
     split,
 )
-from shooting.tree import BLOCK_ROWS, LEAF, SMALL_BLOCK, SMALL_NODE, _node_sum, row_means
+import shooting.tree as tree_module
+from shooting.tree import (
+    BATCH_MIN,
+    BLOCK_ROWS,
+    GROW_CELLS,
+    LEAF,
+    SEARCH_CELLS,
+    SMALL_BLOCK,
+    SMALL_NODE,
+    _node_sum,
+    row_means,
+)
 
 
 def brute_force_split_set(x: np.ndarray, y: np.ndarray, tol: float = 1e-9):
@@ -252,6 +265,31 @@ def test_fit_errors():
         fit_tree(Presort(np.zeros((3, 1))), np.zeros(2))
 
 
+def test_fit_rejects_complex_values():
+    # numpy dropped the imaginary part behind a ComplexWarning and grew a tree
+    x = np.arange(8.0).reshape(4, 2)
+    y = np.array([0.0, 1.0, 0.0, 2.0])
+    for call in (lambda: Presort(x + 1j), lambda: fit_tree(x + 1j, y)):
+        with pytest.raises(ValueError, match="^features must be real numbers, not complex"):
+            call()
+    with pytest.raises(ValueError, match="^targets must be real numbers, not complex"):
+        fit_tree(x, y + 1j)
+
+
+@pytest.mark.parametrize("field", ["feature", "threshold", "value"])
+def test_tree_fields_must_be_arrays(field):
+    # a list used to fail with "'list' object has no attribute 'size'"
+    arrays = {
+        "feature": np.array([0, LEAF, LEAF]),
+        "threshold": np.array([0.5]),
+        "value": np.array([1.0, 2.0]),
+    }
+    for bad in (arrays[field].tolist(), arrays[field][None, :]):
+        with pytest.raises(ValueError, match=f"^{field} must be a 1-D numpy array"):
+            RegressionTree(**{**arrays, field: bad}, n_features=1)
+    assert RegressionTree(**arrays, n_features=1).n_nodes == 3
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_fit_rejects_nonfinite_features(bad):
     # a NaN would otherwise sort last and leave a cut at 1.5 that no
@@ -375,14 +413,18 @@ def test_tie_breaks_lowest_feature_then_threshold():
 
 
 def test_midpoint_rounding_guard():
-    lo = 1.0
-    hi = np.nextafter(1.0, 2.0)
+    # lo's last mantissa bit is odd: 1.0 and its neighbour would round to
+    # even 1.0, which needs no guard
+    lo = np.nextafter(1.0, 2.0)
+    hi = np.nextafter(lo, 2.0)
+    assert 0.5 * (lo + hi) == hi
     x = np.array([[lo], [hi]])
     y = np.array([0.0, 1.0])
     tree = fit_tree(x, y)
     # midpoint of adjacent floats rounds up to hi; the threshold must still
     # route lo left and hi right
     assert tree.n_nodes == 3
+    assert tree.threshold[0] == lo
     assert np.array_equal(predict_tree(tree, x), y)
 
 
@@ -655,9 +697,8 @@ def test_one_presort_per_fit(mpg, monkeypatch):
 
 def test_nu_zero_grows_one_tree_held_k_times(mpg, monkeypatch):
     # at nu = 0 every gradient target is z: fit_tree is still called once
-    # per tree, but grows only the first
+    # per tree, but grows only the first, below the batch minimum or not
     train, _ = split(mpg, val_fraction=0.5, seed=3)
-    start = shooting_start(train, 5, 3)
     calls = []
 
     def recording_fit_tree(features, targets, max_depth=None):
@@ -665,12 +706,42 @@ def test_nu_zero_grows_one_tree_held_k_times(mpg, monkeypatch):
         return fit_tree(features, targets, max_depth)
 
     monkeypatch.setattr(ensemble, "fit_tree", recording_fit_tree)
-    model = ensemble.fit_at_nu(train, start, 0.0)
-    assert len(calls) == 5
-    assert all(tree is model.trees[0] for tree in model.trees)
-    assert_same_tree(model.trees[0], fit_tree(Presort(train.features), start[2]))
-    # any other nu grows k trees
-    assert len({id(tree) for tree in ensemble.fit_at_nu(train, start, 1e-6).trees}) == 5
+    for k in (5, 2 * BATCH_MIN):
+        start = shooting_start(train, k, 3)
+        calls.clear()
+        model = ensemble.fit_at_nu(train, start, 0.0)
+        assert len(calls) == k
+        assert all(tree is model.trees[0] for tree in model.trees)
+        assert_same_tree(model.trees[0], fit_tree(Presort(train.features), start[2]))
+        # any other nu grows k trees
+        assert len({id(tree) for tree in ensemble.fit_at_nu(train, start, 1e-6).trees}) == k
+
+
+@pytest.mark.parametrize("k", [BATCH_MIN - 1, BATCH_MIN, BATCH_MIN + 3])
+def test_fit_at_nu_calls_fit_tree_once_per_tree(mpg, monkeypatch, k):
+    # growth is timed through these calls: from the minimum up, the first
+    # call holds the one batched pass and the others take its trees
+    train, _ = split(mpg, val_fraction=0.5, seed=3)
+    start = shooting_start(train, k, 3)
+    calls, passes = [], []
+    grow_batch = tree_module._grow_batch
+
+    def recording_fit_tree(features, targets, max_depth=None):
+        calls.append(max_depth)
+        return fit_tree(features, targets, max_depth)
+
+    def recording_grow_batch(presort, columns):
+        passes.append((len(calls), len(columns)))
+        return grow_batch(presort, columns)
+
+    monkeypatch.setattr(ensemble, "fit_tree", recording_fit_tree)
+    monkeypatch.setattr(tree_module, "_grow_batch", recording_grow_batch)
+    model = ensemble.fit_at_nu(train, start, 1.0)
+    assert calls == [None] * k
+    assert passes == ([(1, k)] if k >= BATCH_MIN else [])
+    targets = gradient_targets(start[2], start[1].projected, 1.0)
+    for tree, alone in zip(model.trees, _grown_alone(train.features, targets)):
+        assert_same_tree(tree, alone)
 
 
 def test_memo_returns_a_tree_only_for_the_same_bytes_and_depth():
@@ -714,6 +785,157 @@ def test_stalled_boosting_stages_are_one_tree():
     model = fit_gbm(d, GBMConfig(n_stages=4))
     assert all(tree is model.trees[0] for tree in model.trees)
     assert predict_gbm(model, d.features).tolist() == [2.5] * 30
+
+
+# ----------------------------------------------------- batched pass
+
+
+def _grown_alone(x, targets):
+    """Each column's tree from fit_tree on its own fresh Presort."""
+    return [fit_tree(Presort(x), column) for column in targets.T]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 40),
+    n=st.integers(0, 4),
+    extra=st.integers(0, 6),
+    decimals=st.integers(0, 2),
+    bootstrap=st.booleans(),
+    signed_zeros=st.booleans(),
+    repeats=st.booleans(),
+    group=st.sampled_from([None, 1, 3]),
+    search_cells=st.sampled_from([SEARCH_CELLS, 1, 64]),
+)
+# nodes past 128 rows search in the 256-wide bucket, past 256 in the 512
+@example(seed=5, m=130, n=3, extra=0, decimals=1, bootstrap=False, signed_zeros=False,
+         repeats=False, group=None, search_cells=SEARCH_CELLS)
+@example(seed=6, m=300, n=2, extra=2, decimals=2, bootstrap=True, signed_zeros=True,
+         repeats=True, group=None, search_cells=SEARCH_CELLS)
+@settings(max_examples=150, deadline=None)
+def test_batched_pass_matches_fit_tree_and_reference(
+    seed, m, n, extra, decimals, bootstrap, signed_zeros, repeats, group, search_cells
+):
+    # the pass against one fit_tree per column and the per-node-sort
+    # reference: ties, duplicate rows, -0.0 targets, constant and repeated
+    # columns, nodes on both sides of SMALL_NODE and of every bucket width,
+    # groups of 1 and 3 trees and search blocks of one node
+    rng = np.random.default_rng(seed)
+    k = BATCH_MIN + extra
+    x = np.round(rng.standard_normal((m, n)), decimals)
+    y = np.round(rng.standard_normal((m, k)), decimals + 1)
+    if bootstrap:
+        rows = rng.integers(0, m, size=m)
+        x, y = x[rows], y[rows]
+    if signed_zeros:
+        y[rng.random((m, k)) < 0.4] = -0.0
+    if repeats:
+        y[:, 1] = y[:, 0]
+        y[:, 2] = 2.5
+        if n > 1:
+            x[:, 1] = x[:, 0]
+    cells = GROW_CELLS if group is None else group * (n + 1) * m
+    presort = Presort(x)
+    presort.expect(y)
+    with mock.patch.multiple(tree_module, GROW_CELLS=cells, SEARCH_CELLS=search_cells):
+        trees = [fit_tree(presort, column) for column in y.T]
+    distinct = len({column.tobytes() for column in y.T})
+    # the first call grew every distinct column, or, below the minimum,
+    # each call its own
+    assert len(presort.memo) == (distinct if distinct >= BATCH_MIN else 1)
+    for i, (tree, alone) in enumerate(zip(trees, _grown_alone(x, y))):
+        assert_same_tree(tree, alone)
+        if i < 3:
+            assert_same_tree(tree, reference_fit_tree(x, y[:, i]))
+    # byte-equal columns grow once
+    assert trees[0] is trees[1] or not repeats
+
+
+@pytest.mark.parametrize("m", [4, 40])
+def test_batched_thresholds_pin_as_fit_tree_pins(m):
+    # the midpoint of adjacent floats rounds up to the upper one, and that
+    # of two values near the float max overflows: each threshold is pinned
+    # to the lower value, as fit_tree pins it
+    odd = np.nextafter(1.0, 2.0)  # 1.0 and odd would round to even 1.0
+    x = np.column_stack(
+        [np.tile([odd, np.nextafter(odd, 2.0)], m // 2), np.tile([-1.7e308, -1e308, 1e308, 1.7e308], m // 4)]
+    )
+    y = np.random.default_rng(m).standard_normal((m, BATCH_MIN))
+    presort = Presort(x)
+    presort.expect(y)
+    trees = [fit_tree(presort, column) for column in y.T]
+    for tree, alone in zip(trees, _grown_alone(x, y)):
+        assert_same_tree(tree, alone)
+    assert {odd, -1.7e308, 1e308} <= {t for tree in trees for t in tree.threshold.tolist()}
+
+
+def test_batched_trees_own_their_arrays():
+    rng = np.random.default_rng(27)
+    x = rng.standard_normal((50, 3))
+    y = rng.standard_normal((50, BATCH_MIN))
+    presort = Presort(x)
+    presort.expect(y)
+    trees = [fit_tree(presort, column) for column in y.T]
+    for tree in trees:
+        for array in (tree.feature, tree.threshold, tree.value):
+            # not a view into the pass's level-wide records
+            assert array.base is None and array.flags.c_contiguous
+        assert tree.feature.dtype == np.int64
+
+
+def test_batch_fills_the_memo_and_a_tree_grown_alone_replaces_it():
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal((30, 2))
+    y = rng.standard_normal((30, BATCH_MIN))
+    presort = Presort(x)
+    presort.expect(y)
+    first = fit_tree(presort, y[:, 3])
+    assert len(presort.memo) == BATCH_MIN and not presort.pending
+    assert all(fit_tree(presort, y[:, 3]) is first for _ in range(2))
+    # a depth-capped tree grows alone, and the memo then holds it only
+    capped = fit_tree(presort, y[:, 0], 2)
+    assert list(presort.memo.values()) == [capped]
+    assert_same_tree(fit_tree(presort, y[:, 3]), first)
+
+
+def test_expect_checks_its_matrix_and_leaves_bad_columns_to_their_call():
+    x = np.arange(12.0).reshape(6, 2)
+    presort = Presort(x)
+    for bad in (np.zeros(6), np.zeros((5, BATCH_MIN)), np.zeros((6, BATCH_MIN)) + 1j):
+        with pytest.raises(ValueError, match="targets must be"):
+            presort.expect(bad)
+    y = np.random.default_rng(29).standard_normal((6, BATCH_MIN + 1))
+    y[0, 4] = np.nan
+    presort.expect(y)
+    assert len(presort.pending) == BATCH_MIN
+    with pytest.raises(ValueError, match="targets must be finite"):
+        fit_tree(presort, y[:, 4])
+    for i in (0, 5):
+        assert_same_tree(fit_tree(presort, y[:, i]), fit_tree(Presort(x), y[:, i]))
+    assert len(presort.memo) == BATCH_MIN
+
+
+def test_batch_memory_stays_within_its_budget(mpg):
+    # 100 trees on 196 rows of 7 features grow in one group of 156,800 ids
+    train, _ = split(mpg, val_fraction=0.5, seed=3)
+    start = shooting_start(train, 100, 3)
+    targets = gradient_targets(start[2], start[1].projected, 1.0)
+    for _ in range(2):  # the first pass in a process allocates once more
+        presort = Presort(train.features)
+        presort.expect(targets)
+        tracemalloc.start()
+        try:
+            fit_tree(presort, targets[:, 0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    trees = presort.memo.values()
+    assert len(trees) == 100
+    held = sum(a.nbytes for t in trees for a in (t.feature, t.threshold, t.value))
+    # beyond the trees: a group's int32 ids and one level's copies of them,
+    # 8 bytes a cell of the budget, and one search block's float arrays,
+    # 64 bytes a value; without blocks the root alone would take 12 MB
+    assert peak - held < 8 * GROW_CELLS + 64 * SEARCH_CELLS
 
 
 # ------------------------------------------------ packed forest vs per tree
