@@ -73,8 +73,8 @@ int32 matrix of n_features + 1 rows holds every open node's rows, tree
 after tree, in each feature's stable value order and in increasing
 order. Node totals reduce the nodes of one size together along
 contiguous rows, which rounds as one np.sum per node. The search takes
-nodes in blocks of one width, the exact size up to 16 and the next power
-of two above, and runs _best_split's prefix sums and SSE expression over
+nodes in blocks of one width, the exact size up to EXACT_WIDTH and the
+next power of two above, and runs _best_split's prefix sums and SSE expression over
 them, each node padded with its last value, which no cut separates, and
 one argmin per node over its (feature, position). A split partitions
 every row of the matrix stably by prefix counts of the left rows, and a
@@ -142,7 +142,13 @@ SMALL_NODE = 16
 # expects at least this many distinct targets, and one at a time below.
 # Measured against fit_tree on auto-mpg's 196 and 294 training rows: the
 # pass costs 4 trees' growth for 1 tree and breaks even at 8-10 (near 16 on
-# 100 rows of 2 features, where a tree grows in under 2 ms)
+# 100 rows of 2 features, where a tree grows in under 2 ms). The count is
+# of targets, not of trees per group: a group of fewer than BATCH_MIN
+# trees holds at least GROW_CELLS / 2 ids, and such groups were measured
+# no slower than fit_tree (k = 100 SR fits on make_synthetic data, best of
+# 2: 12,800 rows x 7 features in groups of 2 took 13.6 s against 31.1 s
+# per tree, 300 x 100 in groups of 8 2.5 s against 4.3 s, and 500 x 300
+# in groups of 1, at k = 20, 5.1 s against 5.2 s)
 BATCH_MIN = 10
 # partition ids per group of trees grown together, (features + 1) x rows x
 # trees: a group's int32 ids and the search blocks set the pass's memory
@@ -150,6 +156,9 @@ BATCH_MIN = 10
 GROW_CELLS = 2**18
 # values per search block, nodes x features x width, unless one node is wider
 SEARCH_CELLS = 2**14
+# the batched search takes a node of at most this many rows at its exact
+# width and pads a larger one to the next power of two
+EXACT_WIDTH = 16
 # row_means sums blocks of at most this many values (rows x columns) with
 # fsum row by row, where the vector certificate's fixed cost of about
 # 30-40 us is larger. Measured break-even: about 10 rows at 100 columns and
@@ -369,8 +378,8 @@ class Presort:
             if a is not None:
                 a.flags.writeable = False
         self.memo: dict[tuple[bytes, int | None], RegressionTree] = {}
-        # the expected columns not grown yet, by their bytes
-        self.pending: dict[bytes, np.ndarray] = {}
+        # the bytes of each expected column not grown yet
+        self.pending: list[bytes] = []
 
     @cached_property
     def lists(self) -> list[list[float]]:
@@ -387,16 +396,14 @@ class Presort:
         y = real_array(targets, "targets")
         if y.ndim != 2 or y.shape[0] != self.xt.shape[1]:
             raise ValueError("targets must be a matrix with one row per feature row")
-        columns = {}
-        for column in y.T:
-            key = column.tobytes()
-            if key not in columns:
-                try:
-                    _check_targets(column)
-                except ValueError:
-                    continue  # its own fit_tree call raises
-                columns[key] = column
-        self.pending = columns if len(columns) >= BATCH_MIN else {}
+        keys = []
+        for key in dict.fromkeys(column.tobytes() for column in y.T):
+            try:
+                _check_targets(np.frombuffer(key))
+            except ValueError:
+                continue  # its own fit_tree call raises
+            keys.append(key)
+        self.pending = keys if len(keys) >= BATCH_MIN else []
 
 
 def _check_targets(y: np.ndarray) -> None:
@@ -434,8 +441,8 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
     _check_targets(y)
     key = y.tobytes()
     if max_depth is None and key in presort.pending:
-        pending, presort.pending = presort.pending, {}
-        trees = _grow_batch(presort, list(pending.values()))
+        pending, presort.pending = presort.pending, []
+        trees = _grow_batch(presort, pending)
         presort.memo = {(k, None): tree for k, tree in zip(pending, trees)}
     if (key, max_depth) in presort.memo:
         return presort.memo[key, max_depth]
@@ -533,14 +540,16 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
     return tree
 
 
-def _grow_batch(presort: Presort, columns: list[np.ndarray]) -> list[RegressionTree]:
-    """fit_tree(presort, y) for every target vector y of columns, bit for
-    bit, grown in groups of trees whose partition ids fit in GROW_CELLS."""
+def _grow_batch(presort: Presort, keys: list[bytes]) -> list[RegressionTree]:
+    """fit_tree(presort, y) for the target vector y held in each of keys'
+    bytes, bit for bit, grown in groups of trees whose partition ids fit in
+    GROW_CELLS."""
     p, m = presort.xt.shape
     group = max(1, GROW_CELLS // ((p + 1) * m))
     trees = []
-    for first in range(0, len(columns), group):
-        trees += _grow_group(presort, np.array(columns[first : first + group]))
+    for first in range(0, len(keys), group):
+        targets = np.array([np.frombuffer(key) for key in keys[first : first + group]])
+        trees += _grow_group(presort, targets)
     return trees
 
 
@@ -624,11 +633,11 @@ def _node_totals(rising: np.ndarray, start: np.ndarray, size: np.ndarray):
 def _split_level(ids, y, xt, tree, start, size, total1, total2, searched):
     """(nodes, feature, n_left, threshold) of the searched nodes that
     split, in node order. Nodes are searched by width, the exact size up
-    to 16 and the next power of two above, in blocks of at most
+    to EXACT_WIDTH and the next power of two above, in blocks of at most
     SEARCH_CELLS values."""
     p = xt.shape[0]
     # 2^e for sizes in (2^(e-1), 2^e]: frexp(size - 1) has exponent e
-    width = np.where(size <= 16, size, np.left_shift(1, np.frexp(size - 1)[1]))[searched]
+    width = np.where(size <= EXACT_WIDTH, size, np.left_shift(1, np.frexp(size - 1)[1]))[searched]
     none = np.zeros(0, dtype=np.int64)
     blocks = [(none, none, none, np.zeros(0), np.zeros(0))]
     for w in np.unique(width):
@@ -669,7 +678,7 @@ def _search_block(ids, y, xt, tree, nodes, start, size, total1, total2, width):
     nl = np.arange(1, width, dtype=float)
     t1, t2 = total1[nodes, None, None], total2[nodes, None, None]
     # past a node's last cut the right side is empty or negative
-    with np.errstate(all="ignore" if width > 16 else None):
+    with np.errstate(all="ignore" if width > EXACT_WIDTH else None):
         sse = (c2 - c1 * c1 / nl) + (t2 - c2 - (t1 - c1) ** 2 / (size - nl))
     distinct = xs[..., :-1] < xs[..., 1:]
     # the first minimum over each node's (feature, position): the lowest

@@ -898,6 +898,21 @@ def test_batch_fills_the_memo_and_a_tree_grown_alone_replaces_it():
     assert_same_tree(fit_tree(presort, y[:, 3]), first)
 
 
+def test_batch_grows_the_targets_expect_saw():
+    # a change to the caller's matrix between expect and the first call
+    # must not reach the trees filed under the expected columns
+    rng = np.random.default_rng(30)
+    x = rng.standard_normal((40, 3))
+    y = rng.standard_normal((40, BATCH_MIN))
+    seen = y.copy()
+    presort = Presort(x)
+    presort.expect(y)
+    y += 1.0
+    trees = [fit_tree(presort, column) for column in seen.T]
+    for tree, alone in zip(trees, _grown_alone(x, seen)):
+        assert_same_tree(tree, alone)
+
+
 def test_expect_checks_its_matrix_and_leaves_bad_columns_to_their_call():
     x = np.arange(12.0).reshape(6, 2)
     presort = Presort(x)
