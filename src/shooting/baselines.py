@@ -75,15 +75,22 @@ class GradientBoosting(TreeModel):
 
 
 def fit_rf(train: Dataset, config: RFConfig = RFConfig()) -> RandomForest:
-    """Bagged trees: each fits an m-row resample drawn with replacement."""
-    x = train.features
+    """Bagged trees: tree i fits the m-row resample that bootstrap stream i
+    draws with replacement, fit_tree(x[rows], y[rows]) bit for bit.
+
+    The training matrix is checked once, in one Presort, and each tree
+    grows on a resample of it (Presort.resample). fit_tree is still called
+    once per tree: from BATCH_MIN trees up the first call grows them all in
+    one batched pass and the others return theirs from their memos; below
+    it each call grows its own tree.
+    """
     y = train.target
     m = train.n_rows
-    trees = []
-    for i in range(config.n_trees):
-        idx = make_rng(config.seed, BOOTSTRAP_STREAM, i).integers(0, m, size=m)
-        trees.append(fit_tree(x[idx], y[idx]))
-    return RandomForest(tuple(trees), train.n_features)
+    rows = np.array(
+        [make_rng(config.seed, BOOTSTRAP_STREAM, i).integers(0, m, size=m) for i in range(config.n_trees)]
+    )
+    trees = tuple(fit_tree(view, y[view.rows]) for view in Presort(train.features).resample(rows, y))
+    return RandomForest(trees, train.n_features)
 
 
 def predict_rf(model: RandomForest, features) -> np.ndarray:

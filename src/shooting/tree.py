@@ -18,11 +18,13 @@ a single row. Fitting draws no random numbers.
 Growth sorts each feature once per fit, not once per tree or node: a
 Presort checks and sorts the feature matrix, and a fit that grows many
 trees on one matrix (SR's k trees, GBM's stages) passes the same one to
-each. The root holds an (n_features, m) matrix of row ids, row f in
-stable value order of feature f. A split keeps the first n_left entries
-of the chosen feature's row and filters every row of the matrix by that
-row set, so each child inherits its rows already in value order and
-every feature row has the same length. The split search then runs over
+each. A bagged fit (RF) checks its matrix once and passes each tree a
+resample of it, which is sorted once for its tree. The root holds an
+(n_features, m) matrix of row ids, row f in stable value order of
+feature f. A split keeps the first n_left entries of the chosen
+feature's row and filters every row of the matrix by that row set, so
+each child inherits its rows already in value order and every feature
+row has the same length. The split search then runs over
 all features at once: row-wise prefix sums of y and y^2, the SSE of each
 cut, infeasible cuts set to inf, and one flat argmin, whose
 first-minimum rule is the tie break above. Only a child of more than
@@ -62,30 +64,43 @@ does, the SSE expression keeps its operation order, and the first strict
 minimum in (feature, position) order wins, so the trees are the same bit
 for bit. A change to the tie rule must go into both searches.
 
-A fit that knows the targets of all its fully grown trees up front (SR's
-k gradient targets) hands them to its Presort first (expect). The first
-fit_tree call for one of them then grows every distinct column in one
-batched pass and fills the memo, so each call, the first too, returns its
-tree after its own input checks, and byte-equal columns grow once. The
-pass grows a group of trees level by level with no per-node Python, as
-XGBoost's presorted column blocks do (Chen and Guestrin, KDD 2016). An
-int32 matrix of n_features + 1 rows holds every open node's rows, tree
-after tree, in each feature's stable value order and in increasing
-order. Node totals reduce the nodes of one size together along
-contiguous rows, which rounds as one np.sum per node. The search takes
-nodes in blocks of one width, the exact size up to EXACT_WIDTH and the
-next power of two above, and runs _best_split's prefix sums and SSE expression over
-them, each node padded with its last value, which no cut separates, and
-one argmin per node over its (feature, position). A split partitions
-every row of the matrix stably by prefix counts of the left rows, and a
-stable sort of the levels' records by tree gives each tree its nodes in
-level order. The trees are fit_tree's bit for bit. Below BATCH_MIN
-distinct columns the pass costs more than it saves, and the trees grow
-one at a time. A group's matrix holds at most GROW_CELLS ids and a search
-block at most SEARCH_CELLS values (or one node), so the pass's memory
-does not grow with the number of trees: at its peak 2.8 MB for 100 trees
-on 196 rows of 7 features, against 0.8 MB for growing them one at a
-time, the trees included.
+A fit that knows all its fully grown trees up front hands them to its
+Presort first: SR its k gradient targets (expect), RF its k bootstrap
+resamples and their targets (resample, which returns one Presort per
+tree, standing for x[rows] and holding only its rows). The first
+fit_tree call for one of them then grows every expected tree in one
+batched pass and fills the memos, so each call, the first too, returns
+its tree after its own input checks. SR's memo takes every distinct
+column, so byte-equal columns grow once; a resample's takes its own tree
+only, so byte-equal targets on other rows never share one. The pass
+grows a group of trees level by level with no per-node Python, as
+XGBoost's presorted column blocks do (Chen and Guestrin, KDD 2016).
+Element t * m + r stands for row r of tree t. SR's trees share one
+matrix, so the search reads an element's features at column r of xt, the
+element less an offset of t * m. RF's trees each have their own, so a
+group stacks its resamples side by side, xt[:, rows] of shape
+(n_features, trees * m), and reads at the element itself, an offset of
+0; each tree's orders come from a stable argsort of its part of the
+stack, which breaks ties by resample position as a Presort of x[rows]
+does. An int32 matrix of n_features + 1 rows holds every open node's
+rows, tree after tree, in each feature's stable value order and in
+increasing order. Node totals reduce the nodes of one size together
+along contiguous rows, which rounds as one np.sum per node. The search
+takes nodes in blocks of one width, the exact size up to EXACT_WIDTH and
+the next power of two above, and runs _best_split's prefix sums and SSE
+expression over them, each node padded with its last value, which no cut
+separates, and one argmin per node over its (feature, position). A split
+partitions every row of the matrix stably by prefix counts of the left
+rows, and a stable sort of the levels' records by tree gives each tree
+its nodes in level order. The trees are fit_tree's bit for bit. Below
+BATCH_MIN distinct SR columns or RF trees the pass costs more than it
+saves, and the trees grow one at a time. A group holds at most
+GROW_CELLS int32 cells (its ids, and RF's stack and argsort counted in
+the same cells) and a search block at most SEARCH_CELLS values (or one
+node), so the pass's memory does not grow with the number of trees: at
+its peak, for 100 trees on 196 rows of 7 features and the trees
+included, 2.8 MB for SR (0.8 MB grown one at a time) and 3.0 MB for a
+whole RF fit (0.5 MB).
 
 Every walk takes one step rule, from _steps: node i moves on to
 step[i] + (x > threshold[i]). At the j-th internal node step is 2j + 1,
@@ -148,11 +163,21 @@ SMALL_NODE = 16
 # no slower than fit_tree (k = 100 SR fits on make_synthetic data, best of
 # 2: 12,800 rows x 7 features in groups of 2 took 13.6 s against 31.1 s
 # per tree, 300 x 100 in groups of 8 2.5 s against 4.3 s, and 500 x 300
-# in groups of 1, at k = 20, 5.1 s against 5.2 s)
+# in groups of 1, at k = 20, 5.1 s against 5.2 s). RF's bootstrap trees
+# (fit_rf, best of 5) break even at 6-8 trees on 196 and 294 rows and past
+# 16 on 100 rows of 2 features, so one minimum serves both
 BATCH_MIN = 10
-# partition ids per group of trees grown together, (features + 1) x rows x
-# trees: a group's int32 ids and the search blocks set the pass's memory
-# peak, 2.8 MB for 100 trees on 196 rows of 7 features (one group)
+# int32 cells per group of trees grown together: per tree, (features + 1)
+# x rows of partition ids, and for an RF resample (2 x features + 4) x rows
+# more, its stacked float64 features and one feature's int64 argsort and
+# its shifted copy. The
+# cells and the search blocks set the pass's memory peak: for 100 trees on
+# 196 rows of 7 features 2.8 MB for SR (one group) and 3.0 MB for RF
+# (groups of 51). RF at 2^19 instead (fit_rf, k = 100): 0.094 s against
+# 0.109 s on those rows (median of 15), and 2.73 s (groups of 6) against
+# 2.87 s (groups of 3) on 3,200 rows x 7 features (best of 2), where per
+# tree took 0.245 s and 5.10 s; a larger budget would double SR's ids past
+# 3,300 rows for as little, so one value serves both
 GROW_CELLS = 2**18
 # values per search block, nodes x features x width, unless one node is wider
 SEARCH_CELLS = 2**14
@@ -346,22 +371,32 @@ def _small_split(
     return found
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class Presort:
     """A feature matrix checked and sorted once, for every tree grown on it.
 
     Refuses a matrix that is not 2-D, has no rows or holds a complex or
     non-finite value, with fit_tree's messages. Holds, read-only, xt (one
-    row per feature) and, above SMALL_NODE rows, order: each feature's row
-    ids in stable value order. lists, xt as Python lists for the small-node
-    search, is made on first use. fit_tree wraps a plain matrix in one; a
+    row per feature) and, made on first use, order (each feature's row ids
+    in stable value order, also read-only) and lists (xt as Python lists
+    for the small-node search). fit_tree wraps a plain matrix in one; a
     fit that grows many trees on one matrix builds one and passes it to
-    every tree.
+    every tree, and a bagged fit passes each tree a resample of one.
 
     memo maps (the targets' bytes, max_depth) to a tree grown here, which
     fit_tree returns instead of growing it again. A tree grown alone
     replaces the whole memo, since each repeat comes right after the tree
-    it repeats; a batch (expect) fills it with every tree it grew.
+    it repeats; a batch fills it with every tree it grew here (expect),
+    and a resample's with that resample's tree (resample). n_rows counts
+    the rows the matrix stands for.
     """
+
+    # a resample's rows of its source; None for a matrix of its own
+    rows = None
 
     def __init__(self, features):
         x = real_array(features, "features")
@@ -372,14 +407,16 @@ class Presort:
         if not np.isfinite(x).all():
             raise ValueError("features must be finite")
         # a copy, never a view of the caller's matrix
-        self.xt = np.array(x.T, order="C")
-        self.order = np.argsort(self.xt, axis=1, kind="stable") if x.shape[0] > SMALL_NODE else None
-        for a in (self.xt, self.order):
-            if a is not None:
-                a.flags.writeable = False
+        self.xt = _read_only(np.array(x.T, order="C"))
+        self.n_rows = x.shape[0]
         self.memo: dict[tuple[bytes, int | None], RegressionTree] = {}
-        # the bytes of each expected column not grown yet
-        self.pending: list[bytes] = []
+        # (Presort, target bytes) of each expected tree not grown yet,
+        # one list shared with every resample
+        self.pending: list[tuple[Presort, bytes]] = []
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        return _read_only(np.argsort(self.xt, axis=1, kind="stable"))
 
     @cached_property
     def lists(self) -> list[list[float]]:
@@ -394,16 +431,59 @@ class Presort:
         grows its own tree.
         """
         y = real_array(targets, "targets")
-        if y.ndim != 2 or y.shape[0] != self.xt.shape[1]:
+        if y.ndim != 2 or y.shape[0] != self.n_rows:
             raise ValueError("targets must be a matrix with one row per feature row")
-        keys = []
-        for key in dict.fromkeys(column.tobytes() for column in y.T):
+        self._expect((self, key) for key in dict.fromkeys(column.tobytes() for column in y.T))
+
+    def resample(self, rows, targets) -> list[Presort]:
+        """A bagged fit's trees: one Presort of x[r] per row r of the
+        (trees, rows) integer rows, expecting the fully grown tree of
+        targets[r], where targets has one entry per feature row. Each
+        shares this matrix's checks and makes xt, order and lists on each
+        use. With at least BATCH_MIN trees whose targets pass fit_tree's
+        checks, the first fit_tree call with max_depth None for one of them
+        grows them all in one batched pass, each into its own memo; with
+        fewer, each call grows its own tree.
+        """
+        y = real_array(targets, "targets")
+        if y.shape != (self.n_rows,):
+            raise ValueError("targets must be a vector matching the feature rows")
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.dtype.kind not in "iu" or rows.shape[1] == 0 or (
+            rows.size and not 0 <= rows.min() <= rows.max() < self.n_rows
+        ):
+            raise ValueError("rows must be a (trees, rows) matrix of feature row ids, a tree one or more")
+        views = [_Resample(self, r) for r in rows]
+        self._expect((view, y[view.rows].tobytes()) for view in views)
+        return views
+
+    def _expect(self, expected) -> None:
+        """pending becomes the (Presort, target bytes) pairs whose targets
+        pass fit_tree's checks, if at least BATCH_MIN do, and empty
+        otherwise: in place, since resamples share the list."""
+        kept = []
+        for presort, key in expected:
             try:
                 _check_targets(np.frombuffer(key))
             except ValueError:
                 continue  # its own fit_tree call raises
-            keys.append(key)
-        self.pending = keys if len(keys) >= BATCH_MIN else []
+            kept.append((presort, key))
+        self.pending[:] = kept if len(kept) >= BATCH_MIN else []
+
+
+class _Resample(Presort):
+    """The rows rows of source's matrix, from Presort.resample."""
+
+    def __init__(self, source: Presort, rows: np.ndarray):
+        self.source, self.rows, self.n_rows = source, rows, rows.size
+        self.memo = {}
+        self.pending = source.pending
+
+    # made on each use, so a tree grown alone leaves nothing behind and one
+    # grown in the batched pass never makes them
+    xt = property(lambda self: _read_only(self.source.xt.take(self.rows, axis=1)))
+    order = property(lambda self: _read_only(np.argsort(self.xt, axis=1, kind="stable")))
+    lists = property(lambda self: self.xt.tolist())
 
 
 def _check_targets(y: np.ndarray) -> None:
@@ -434,18 +514,16 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
     if max_depth is not None:
         check_int(max_depth, "max_depth", 0)
     presort = features if isinstance(features, Presort) else Presort(features)
-    xt = presort.xt
     y = real_array(targets, "targets")
-    if y.ndim != 1 or y.size != xt.shape[1]:
+    if y.ndim != 1 or y.size != presort.n_rows:
         raise ValueError("targets must be a vector matching the feature rows")
     _check_targets(y)
     key = y.tobytes()
-    if max_depth is None and key in presort.pending:
-        pending, presort.pending = presort.pending, []
-        trees = _grow_batch(presort, pending)
-        presort.memo = {(k, None): tree for k, tree in zip(pending, trees)}
+    if max_depth is None and (presort, key) in presort.pending:
+        _grow_batch(presort, presort.pending)
     if (key, max_depth) in presort.memo:
         return presort.memo[key, max_depth]
+    xt = presort.xt
     n = xt.shape[0]
     feature_ids = np.arange(n)[:, None]
     goes_left = np.zeros(y.size, dtype=bool)
@@ -462,7 +540,8 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
     # is small, a list. A node of more than SMALL_NODE rows that will be
     # searched also carries, per feature, its rows in stable value order.
     # Nodes are taken first in, first out, so in level order
-    queue: deque[tuple[object, object, int]] = deque([(np.arange(y.size), presort.order, 0)])
+    root_order = presort.order if y.size > SMALL_NODE else None
+    queue: deque[tuple[object, object, int]] = deque([(np.arange(y.size), root_order, 0)])
     while queue:
         idx, order, depth = queue.popleft()
         size = len(idx)
@@ -540,46 +619,72 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
     return tree
 
 
-def _grow_batch(presort: Presort, keys: list[bytes]) -> list[RegressionTree]:
-    """fit_tree(presort, y) for the target vector y held in each of keys'
-    bytes, bit for bit, grown in groups of trees whose partition ids fit in
-    GROW_CELLS."""
-    p, m = presort.xt.shape
-    group = max(1, GROW_CELLS // ((p + 1) * m))
-    trees = []
-    for first in range(0, len(keys), group):
-        targets = np.array([np.frombuffer(key) for key in keys[first : first + group]])
-        trees += _grow_group(presort, targets)
-    return trees
+def _grow_batch(presort: Presort, pending: list[tuple[Presort, bytes]]) -> None:
+    """For each (held, bytes of y) in pending, put fit_tree(held, y), bit
+    for bit, into held's memo, and empty pending; presort is one of the
+    held. Either all are presort (SR's targets on one matrix) or each is a
+    resample of one source (RF's bootstrap trees). Trees grow in groups
+    that fit in GROW_CELLS int32 cells: per row, features + 1 for a tree's
+    partition ids, and for a resample 2 more per feature for its float64
+    features and 4 for one feature's int64 argsort and its shifted copy."""
+    batch = pending[:]
+    pending.clear()
+    resampled = presort.rows is not None
+    source = presort.source if resampled else presort
+    p, m = source.xt.shape[0], presort.n_rows
+    group = max(1, GROW_CELLS // ((p + 1 + (2 * p + 4) * resampled) * m))
+    for held, _ in batch:
+        held.memo = {}
+    for first in range(0, len(batch), group):
+        part = batch[first : first + group]
+        targets = np.array([np.frombuffer(key) for _, key in part])
+        if resampled:
+            rows = np.concatenate([held.rows for held, _ in part])
+            trees = _grow_group(source.xt.take(rows, axis=1), None, targets)
+        else:
+            trees = _grow_group(source.xt, source.order, targets)
+        for (held, key), tree in zip(part, trees):
+            held.memo[key, None] = tree
 
 
-def _grow_group(presort: Presort, targets: np.ndarray) -> list[RegressionTree]:
-    """One fully grown tree per row of the (trees, rows) targets, all
-    grown together.
+def _grow_group(x: np.ndarray, order: np.ndarray | None, targets: np.ndarray) -> list[RegressionTree]:
+    """One fully grown tree per row of the (trees, m) targets, all grown
+    together: on one (features, m) matrix x whose presort is order, or,
+    with order None, each tree on its own matrix, x holding them side by
+    side as (features, trees * m).
 
-    Element t * m + r stands for row r in tree t. The leading columns of
-    ids hold the open nodes of a level end to end, tree by tree and in
-    level order within a tree: in row f each node's elements in stable
-    feature-f order, in row p in increasing order. Each pass takes the
-    node totals, searches and partitions every node of the level at once
-    and records each node's feature and its threshold or leaf value.
+    Element t * m + r stands for row r in tree t. Its feature values lie in
+    column r of a shared x and in column t * m + r of a stacked one, so the
+    search's gather subtracts shift = m per tree from the element, or 0.
+    The leading columns of ids hold the open nodes of a level end to end,
+    tree by tree and in level order within a tree: in row f each node's
+    elements in stable feature-f order, in row p in increasing order. Each
+    pass takes the node totals, searches and partitions every node of the
+    level at once and records each node's feature and its threshold or
+    leaf value.
     """
-    xt = presort.xt
-    p, m = xt.shape
-    g = targets.shape[0]
+    p = x.shape[0]
+    g, m = targets.shape
     y = targets.ravel()
-    order = presort.order if presort.order is not None else np.argsort(xt, axis=1, kind="stable")
     start = np.arange(g) * m
     ids = np.empty((p + 1, g * m), dtype=np.int32)
-    ids[:p] = (order[:, None, :] + start[:, None]).reshape(p, g * m)
+    if order is None:
+        # a stable argsort of each tree's values breaks ties by resample
+        # position, as a Presort of the tree's own matrix does; one feature
+        # at a time, so the int64 orders take 4 cells of a row, not 4p
+        for f in range(p):
+            ids[f] = (np.argsort(x[f].reshape(g, m), axis=1, kind="stable") + start[:, None]).ravel()
+    else:
+        ids[:p] = (order[:, None, :] + start[:, None]).reshape(p, g * m)
     ids[p] = np.arange(g * m)
+    shift = 0 if order is None else m
     tree, size = np.arange(g), np.full(g, m)
     levels = []
     while True:
         value, total1, total2, constant = _node_totals(y[ids[p, : size.sum()]], start, size)
         searched = np.flatnonzero((size > 1) & ~constant) if p else np.zeros(0, dtype=np.int64)
         split, f, n_left, threshold = _split_level(
-            ids, y, xt, tree, start, size, total1, total2, searched
+            ids, y, x, shift, tree, start, size, total1, total2, searched
         )
         feat = np.full(tree.size, LEAF, dtype=np.int64)
         feat[split] = f
@@ -630,12 +735,12 @@ def _node_totals(rising: np.ndarray, start: np.ndarray, size: np.ndarray):
     return total1 / size, total1, total2, constant
 
 
-def _split_level(ids, y, xt, tree, start, size, total1, total2, searched):
+def _split_level(ids, y, x, shift, tree, start, size, total1, total2, searched):
     """(nodes, feature, n_left, threshold) of the searched nodes that
     split, in node order. Nodes are searched by width, the exact size up
     to EXACT_WIDTH and the next power of two above, in blocks of at most
     SEARCH_CELLS values."""
-    p = xt.shape[0]
+    p = x.shape[0]
     # 2^e for sizes in (2^(e-1), 2^e]: frexp(size - 1) has exponent e
     width = np.where(size <= EXACT_WIDTH, size, np.left_shift(1, np.frexp(size - 1)[1]))[searched]
     none = np.zeros(0, dtype=np.int64)
@@ -645,7 +750,7 @@ def _split_level(ids, y, xt, tree, start, size, total1, total2, searched):
         step = max(1, SEARCH_CELLS // (p * w))
         for i in range(0, bucket.size, step):
             nodes = bucket[i : i + step]
-            blocks.append(_search_block(ids, y, xt, tree, nodes, start, size, total1, total2, w))
+            blocks.append(_search_block(ids, y, x, shift, tree, nodes, start, size, total1, total2, w))
     nodes, f, pos, below, above = map(np.concatenate, zip(*blocks))
     ranked = np.argsort(nodes)
     below, above = below[ranked], above[ranked]
@@ -658,20 +763,21 @@ def _split_level(ids, y, xt, tree, start, size, total1, total2, searched):
     return nodes[ranked], f[ranked], pos[ranked] + 1, threshold
 
 
-def _search_block(ids, y, xt, tree, nodes, start, size, total1, total2, width):
+def _search_block(ids, y, x, shift, tree, nodes, start, size, total1, total2, width):
     """_best_split for each of nodes, of at most width rows: (nodes,
     feature, position, below, above) of those with a feasible cut. Each
     node's values are padded to width with its last, which no cut
     separates, so a padded position is never distinct."""
-    p, m = xt.shape
+    p, stride_x = x.shape
     n, size = nodes.size, size[nodes, None, None]
     cols = start[nodes, None] + np.minimum(np.arange(width), size[:, 0] - 1)
     # (nodes, features, width): each node's elements in each feature's order
     stride = ids.shape[1]
     elements = ids.ravel()[cols[:, None, :] + np.arange(0, p * stride, stride)[:, None]]
     ys = y[elements]
-    # element t * m + r of feature f is xt.flat[f * m + r]
-    xs = xt.ravel()[elements + (np.arange(0, p * m, m)[:, None] - tree[nodes, None, None] * m)]
+    # element e of tree t, feature f is x.flat[f * stride_x + e - t * shift]
+    offset = np.arange(0, p * stride_x, stride_x)[:, None] - tree[nodes, None, None] * shift
+    xs = x.ravel()[elements + offset]
     head = ys[..., :-1]
     c1 = np.add.accumulate(head, axis=2)
     c2 = np.add.accumulate(head * head, axis=2)

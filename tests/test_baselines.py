@@ -13,6 +13,7 @@ from shooting import (
     RandomForest,
     RFConfig,
     SRConfig,
+    baselines,
     fit_gbm,
     fit_rf,
     fit_shooting,
@@ -24,7 +25,9 @@ from shooting import (
     predict_rf,
     predict_tree,
 )
+import shooting.tree as tree_module
 from shooting.rng import BOOTSTRAP_STREAM, make_rng
+from shooting.tree import BATCH_MIN
 
 
 def small_data(seed=0, m=40, n=3):
@@ -33,15 +36,45 @@ def small_data(seed=0, m=40, n=3):
 
 def test_rf_tree_is_plain_tree_on_its_bootstrap_rows():
     # tree i is a fully grown tree on the rows of bootstrap stream i and
-    # nothing else: structures must agree node for node
+    # nothing else: structures must agree node for node, whether the trees
+    # grow one at a time or, from BATCH_MIN up, in the batched pass
     d = small_data()
-    forest = fit_rf(d, RFConfig(n_trees=3, seed=4))
+    for n_trees in (3, BATCH_MIN + 2):
+        forest = fit_rf(d, RFConfig(n_trees=n_trees, seed=4))
+        for i, tree in enumerate(forest.trees):
+            rows = make_rng(4, BOOTSTRAP_STREAM, i).integers(0, d.n_rows, size=d.n_rows)
+            plain = fit_tree(d.features[rows], d.target[rows])
+            assert np.array_equal(tree.feature, plain.feature)
+            assert np.array_equal(tree.threshold, plain.threshold, equal_nan=True)
+            assert np.array_equal(tree.value, plain.value, equal_nan=True)
+
+
+@pytest.mark.parametrize("k", [BATCH_MIN - 1, BATCH_MIN, BATCH_MIN + 3])
+def test_fit_rf_calls_fit_tree_once_per_tree(monkeypatch, k):
+    # growth is timed through these calls: from the minimum up, the first
+    # call holds the one batched pass and the others take its trees
+    d = small_data(seed=8, m=60)
+    calls, passes = [], []
+    grow_batch = tree_module._grow_batch
+
+    def recording_fit_tree(features, targets, max_depth=None):
+        calls.append(max_depth)
+        return fit_tree(features, targets, max_depth)
+
+    def recording_grow_batch(presort, pending):
+        passes.append((len(calls), len(pending)))
+        return grow_batch(presort, pending)
+
+    monkeypatch.setattr(baselines, "fit_tree", recording_fit_tree)
+    monkeypatch.setattr(tree_module, "_grow_batch", recording_grow_batch)
+    forest = fit_rf(d, RFConfig(n_trees=k, seed=5))
+    assert calls == [None] * k
+    assert passes == ([(1, k)] if k >= BATCH_MIN else [])
     for i, tree in enumerate(forest.trees):
-        rows = make_rng(4, BOOTSTRAP_STREAM, i).integers(0, d.n_rows, size=d.n_rows)
+        rows = make_rng(5, BOOTSTRAP_STREAM, i).integers(0, d.n_rows, size=d.n_rows)
         plain = fit_tree(d.features[rows], d.target[rows])
-        assert np.array_equal(tree.feature, plain.feature)
-        assert np.array_equal(tree.threshold, plain.threshold, equal_nan=True)
-        assert np.array_equal(tree.value, plain.value, equal_nan=True)
+        for name in ("feature", "threshold", "value"):
+            assert getattr(tree, name).tobytes() == getattr(plain, name).tobytes()
 
 
 def test_identical_trees_average_exactly():

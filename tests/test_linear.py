@@ -18,6 +18,7 @@ from shooting import (
     sample_offsets,
     split,
 )
+from shooting.linear import _JITTER_LADDER, _factor_covariance
 
 # ----------------------------------------------------------------- fit_ols
 
@@ -140,6 +141,20 @@ def test_factor_reconstructs_covariance(seed):
     reconstructed = model.covariance_factor @ model.covariance_factor.T
     err = np.linalg.norm(reconstructed - covariance)
     assert err <= 1e-8 * max(np.linalg.norm(covariance), 1e-30)
+
+
+def test_jitter_ladder_climbs_to_its_last_rung():
+    # an eigenvalue of -1e-7 of the trace/p scale: cholesky fails bare and
+    # at every rung to 1e-7, and factors at the last, 1e-6
+    cov = np.diag([1.0, 1.0, -1e-7])
+    scale = np.trace(cov) / 3
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov + 1e-7 * scale * np.eye(3))
+    factor, jitter = _factor_covariance(cov)
+    assert jitter == _JITTER_LADDER[-1] * scale and _JITTER_LADDER[-1] == pytest.approx(1e-6)
+    assert np.allclose(factor @ factor.T, cov + jitter * np.eye(3), rtol=0, atol=1e-15)
+    with pytest.raises(FactorizationError, match="jitter ladder"):
+        _factor_covariance(np.diag([1.0, 1.0, -1e-5]))
 
 
 # ---------------------------------------------------------- sample_offsets

@@ -148,6 +148,29 @@ def test_correlation_matches_brute_force(seed, nu):
             assert abs(corr[i, j] - direct[i, j]) <= 1e-9
 
 
+def test_correlation_that_rounds_past_one_is_clipped():
+    # z - nu * x_j = a * (z - nu * x_i) exactly, so the two columns
+    # correlate perfectly, but the cached sums round and the ratio can
+    # come out an ulp past 1
+    past_one = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        z, xi = rng.standard_normal((2, 10))
+        nu, a = 1.0 + seed % 3, 0.5 + 0.05 * seed
+        cache = build_cache(z, np.column_stack([xi, ((1 - a) / nu) * z + a * xi]))
+        # correlation_matrix's ratio before its clip
+        v = cache.c_zz - 2.0 * nu * cache.c_zi + nu * nu * np.diag(cache.c_ij)
+        num = cache.c_zz - nu * (cache.c_zi[0] + cache.c_zi[1]) + nu * nu * cache.c_ij[0, 1]
+        e = np.frexp(v.max())[1]
+        v = np.ldexp(v, -e)
+        past_one += np.ldexp(num, -e) / np.sqrt(v[0] * v[1]) > 1.0
+        corr = correlation_matrix(cache, nu)
+        assert np.all(np.abs(corr) <= 1.0)
+        assert corr[0, 1] == corr[1, 0]
+    # the cases that need the clip are there
+    assert past_one
+
+
 def test_degenerate_variance_carries_nu():
     # first offset column equals z, so the nu=1 column z - x1 is all zero
     z = np.array([1.0, -1.0, 0.0])

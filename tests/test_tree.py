@@ -45,6 +45,7 @@ from shooting import (
     split,
 )
 import shooting.tree as tree_module
+from shooting.rng import BOOTSTRAP_STREAM, make_rng
 from shooting.tree import (
     BATCH_MIN,
     BLOCK_ROWS,
@@ -660,7 +661,8 @@ def test_models_grow_reference_trees(mpg, monkeypatch):
 
 def test_one_presort_per_fit(mpg, monkeypatch):
     # every tree of one SR or GBM fit grows on the one Presort the fit
-    # builds: a per-tree argsort or list conversion must not come back
+    # builds, and every RF tree on a resample of it: a per-tree check,
+    # argsort or list conversion of the training matrix must not come back
     train, _ = split(mpg, val_fraction=0.5, seed=3)
     built, received = [], []
 
@@ -690,6 +692,24 @@ def test_one_presort_per_fit(mpg, monkeypatch):
         assert (presort.xt.tobytes(), presort.order.tobytes()) == presort.bytes_at_build
         assert np.array_equal(presort.xt, train.features.T)
         assert presort.lists == presort.xt.tolist()
+    # below the batch minimum each resample grows alone, from it up they
+    # grow in the batched pass
+    for n_trees in (5, BATCH_MIN + 2):
+        built.clear()
+        received.clear()
+        model = fit_rf(train, RFConfig(n_trees=n_trees, seed=3))
+        assert len(built) == 1
+        (presort,) = built
+        assert len(received) == len(model.trees) == n_trees
+        for i, view in enumerate(received):
+            rows = make_rng(3, BOOTSTRAP_STREAM, i).integers(0, train.n_rows, size=train.n_rows)
+            assert isinstance(view, Presort) and view.source is presort
+            assert np.array_equal(view.rows, rows)
+            assert not (view.xt.flags.writeable or view.order.flags.writeable)
+            assert np.array_equal(view.xt, train.features[rows].T)
+        assert not (presort.xt.flags.writeable or presort.order.flags.writeable)
+        assert (presort.xt.tobytes(), presort.order.tobytes()) == presort.bytes_at_build
+        assert np.array_equal(presort.xt, train.features.T)
 
 
 # ----------------------------------------------------- one-slot memo
@@ -851,6 +871,77 @@ def test_batched_pass_matches_fit_tree_and_reference(
     assert trees[0] is trees[1] or not repeats
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 40),
+    n=st.integers(0, 4),
+    extra=st.integers(0, 6),
+    decimals=st.integers(0, 2),
+    signed_zeros=st.booleans(),
+    repeats=st.booleans(),
+    group=st.sampled_from([None, 1, 3]),
+    search_cells=st.sampled_from([SEARCH_CELLS, 1, 64]),
+)
+@settings(max_examples=150, deadline=None)
+def test_batched_bootstrap_trees_match_fit_tree_on_their_rows(
+    seed, m, n, extra, decimals, signed_zeros, repeats, group, search_cells
+):
+    # resamples of one matrix grown in the pass against fit_tree on
+    # x[rows], y[rows], a fresh matrix each: duplicate rows, ties, -0.0
+    # targets, constant targets, repeated resamples and feature columns,
+    # byte-equal targets on other rows, nodes on both sides of SMALL_NODE,
+    # groups of 1 and 3 trees and search blocks of one node
+    rng = np.random.default_rng(seed)
+    k = BATCH_MIN + extra
+    x = np.round(rng.standard_normal((m, n)), decimals)
+    y = np.round(rng.standard_normal(m), decimals + 1)
+    if signed_zeros:
+        y[rng.random(m) < 0.4] = -0.0
+    rows = rng.integers(0, m, size=(k, m))
+    if repeats:
+        rows[1] = rows[0]  # the same resample twice
+        rows[2] = rows[0, 0]  # one row m times: constant targets
+        if m > 1:
+            # rows 0 and 1 share a target but not their features
+            y[1] = y[0]
+            rows[3] = np.where(rows[0] == 0, 1, rows[0])
+        if n > 1:
+            x[:, 1] = x[:, 0]
+    views = Presort(x).resample(rows, y)
+    cells = GROW_CELLS if group is None else group * (3 * n + 5) * m
+    with mock.patch.multiple(tree_module, GROW_CELLS=cells, SEARCH_CELLS=search_cells):
+        trees = [fit_tree(view, y[view.rows]) for view in views]
+    # the first call grew every tree, each into its own resample's memo
+    assert all(list(view.memo.values()) == [tree] for view, tree in zip(views, trees))
+    assert not views[0].pending
+    for i, (tree, r) in enumerate(zip(trees, rows)):
+        assert_same_tree(tree, fit_tree(x[r], y[r]))
+        if i < 3:
+            assert_same_tree(tree, reference_fit_tree(x[r], y[r]))
+    # byte-equal targets on other rows are another tree's, never shared
+    assert trees[3] is not trees[0] or not repeats
+
+
+def test_resample_checks_its_rows_and_targets():
+    x = np.arange(12.0).reshape(6, 2)
+    presort = Presort(x)
+    y = np.arange(6.0)
+    for bad in (np.zeros(5), np.zeros((6, 1)), np.zeros(6) + 1j):
+        with pytest.raises(ValueError, match="targets must be"):
+            presort.resample(np.zeros((BATCH_MIN, 6), dtype=int), bad)
+    for bad in (np.zeros(6, dtype=int), np.zeros((2, 6)), np.zeros((2, 0), dtype=int),
+                np.full((2, 6), -1), np.full((2, 6), 6)):
+        with pytest.raises(ValueError, match="rows must be"):
+            presort.resample(bad, y)
+    # fewer than BATCH_MIN trees grow one at a time, each its own
+    views = presort.resample(np.array([[0, 0, 1], [5, 4, 3]]), y)
+    assert not presort.pending and [view.n_rows for view in views] == [3, 3]
+    with pytest.raises(ValueError, match="matching the feature rows"):
+        fit_tree(views[0], y)
+    for view in views:
+        assert_same_tree(fit_tree(view, y[view.rows]), fit_tree(x[view.rows], y[view.rows]))
+
+
 @pytest.mark.parametrize("m", [4, 40])
 def test_batched_thresholds_pin_as_fit_tree_pins(m):
     # the midpoint of adjacent floats rounds up to the upper one, and that
@@ -931,26 +1022,39 @@ def test_expect_checks_its_matrix_and_leaves_bad_columns_to_their_call():
 
 
 def test_batch_memory_stays_within_its_budget(mpg):
-    # 100 trees on 196 rows of 7 features grow in one group of 156,800 ids
+    # 100 SR trees on 196 rows of 7 features grow in one group of 156,800
+    # ids; 100 RF trees, whose resamples also stack their features, in
+    # groups of 51
     train, _ = split(mpg, val_fraction=0.5, seed=3)
     start = shooting_start(train, 100, 3)
     targets = gradient_targets(start[2], start[1].projected, 1.0)
-    for _ in range(2):  # the first pass in a process allocates once more
+    rows = np.random.default_rng(3).integers(0, train.n_rows, size=(100, train.n_rows))
+
+    def sr():
         presort = Presort(train.features)
         presort.expect(targets)
-        tracemalloc.start()
-        try:
-            fit_tree(presort, targets[:, 0])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    trees = presort.memo.values()
-    assert len(trees) == 100
-    held = sum(a.nbytes for t in trees for a in (t.feature, t.threshold, t.value))
-    # beyond the trees: a group's int32 ids and one level's copies of them,
-    # 8 bytes a cell of the budget, and one search block's float arrays,
-    # 64 bytes a value; without blocks the root alone would take 12 MB
-    assert peak - held < 8 * GROW_CELLS + 64 * SEARCH_CELLS
+        return [presort], targets[:, 0]
+
+    def rf():
+        return Presort(train.features).resample(rows, train.target), train.target[rows[0]]
+
+    for expect in (sr, rf):
+        for _ in range(2):  # the first pass in a process allocates once more
+            presorts, first = expect()
+            tracemalloc.start()
+            try:
+                fit_tree(presorts[0], first)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        trees = [tree for presort in presorts for tree in presort.memo.values()]
+        assert len(trees) == 100
+        held = sum(a.nbytes for t in trees for a in (t.feature, t.threshold, t.value))
+        # beyond the trees: a group's int32 cells of the budget and one
+        # level's copies of them, 8 bytes a cell, and one search block's
+        # float arrays, 64 bytes a value; without blocks the root alone
+        # would take 12 MB
+        assert peak - held < 8 * GROW_CELLS + 64 * SEARCH_CELLS
 
 
 # ------------------------------------------------ packed forest vs per tree
