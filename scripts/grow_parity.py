@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Check that every SR and RF tree the CLI commands grow equals fit_tree's.
+"""Check every SR and RF tree the CLI commands grow against the per-node search.
 
 Runs benchmark (32 trials, k = 100), nu-curve (its default grid) and
 pca-diag at their defaults, on the bundled data, into a temporary
 directory. Every SR fit goes through fit_at_nu and every RF fit through
-fit_rf, which grow their trees in one batched pass once there are enough
-of them. Each SR tree is checked against fit_tree on a fresh Presort, and
-each RF tree against fit_tree(x[rows], y[rows]) on its bootstrap rows, a
-fresh matrix, one tree at a time; the feature, threshold and leaf-value
-arrays must be equal byte for byte. Exits 1 on the first mismatch, when a
+fit_rf, which grow their trees in one batched pass, as fit_tree grows
+every fully grown tree. The oracle is fit_tree's node-by-node search for
+capped trees, at a cap of the row count: a tree on m rows is at most
+m - 1 deep, so the cap never binds and the tree is the fully grown one,
+grown without the pass. Each SR tree is checked against
+fit_tree(presort, y, max_depth=m) on a fresh Presort, and each RF tree
+against fit_tree(x[rows], y[rows], m) on its bootstrap rows, a fresh
+matrix, one tree at a time; the feature, threshold and leaf-value arrays
+must be equal byte for byte. Exits 1 on the first mismatch, when a
 command grew no SR tree in a batched pass, or when benchmark grew no RF
 tree in one, and prints one line per command otherwise.
 
@@ -40,14 +44,16 @@ def compare(tree, alone, where: str) -> None:
 
 
 def checked(fit_at_nu, counts: dict):
-    """fit_at_nu that checks each tree of the ensemble it returns."""
+    """fit_at_nu that checks each tree of the ensemble it returns against
+    the per-node search."""
 
     def fit(train, start, nu):
         model = fit_at_nu(train, start, nu)
         targets = gradient_targets(start[2], start[1].projected, nu)
         presort = Presort(train.features)
         for i, tree in enumerate(model.trees):
-            compare(tree, fit_tree(presort, targets[:, i]), f"SR fit {counts['fits'] + 1}, tree {i}")
+            alone = fit_tree(presort, targets[:, i], max_depth=presort.n_rows)
+            compare(tree, alone, f"SR fit {counts['fits'] + 1}, tree {i}")
         counts["fits"] += 1
         counts["trees"] += len(model.trees)
         return model
@@ -56,14 +62,15 @@ def checked(fit_at_nu, counts: dict):
 
 
 def checked_rf(fit_rf, counts: dict):
-    """fit_rf that checks each tree of the forest it returns."""
+    """fit_rf that checks each tree of the forest it returns against the
+    per-node search on its bootstrap rows."""
 
     def fit(train, config):
         model = fit_rf(train, config)
         m = train.n_rows
         for i, tree in enumerate(model.trees):
             rows = make_rng(config.seed, BOOTSTRAP_STREAM, i).integers(0, m, size=m)
-            alone = fit_tree(train.features[rows], train.target[rows])
+            alone = fit_tree(train.features[rows], train.target[rows], rows.size)
             compare(tree, alone, f"RF fit {counts['rf_fits'] + 1}, tree {i}")
         counts["rf_fits"] += 1
         counts["rf_trees"] += len(model.trees)
@@ -113,13 +120,13 @@ def main() -> int:
                 print(f"{argv[0]} exited {code}")
                 return 1
             line = (
-                f"{argv[0]}: {counts['trees']} SR trees of {counts['fits']} fits equal fit_tree's, "
-                f"{counts['batched']} grown in batched passes"
+                f"{argv[0]}: {counts['trees']} SR trees of {counts['fits']} fits equal the "
+                f"per-node search's, {counts['batched']} grown in batched passes"
             )
             if counts["rf_fits"]:
                 line += (
-                    f"; {counts['rf_trees']} RF trees of {counts['rf_fits']} fits equal fit_tree's "
-                    f"on their bootstrap rows, {counts['rf_batched']} grown in batched passes"
+                    f"; {counts['rf_trees']} RF trees of {counts['rf_fits']} fits equal the per-node "
+                    f"search's on their bootstrap rows, {counts['rf_batched']} grown in batched passes"
                 )
             print(line)
             if not counts["batched"]:

@@ -80,9 +80,8 @@ def fit_rf(train: Dataset, config: RFConfig = RFConfig()) -> RandomForest:
 
     The training matrix is checked once, in one Presort, and each tree
     grows on a resample of it (Presort.resample). fit_tree is still called
-    once per tree: from BATCH_MIN trees up the first call grows them all in
-    one batched pass and the others return theirs from their memos; below
-    it each call grows its own tree.
+    once per tree: the first call grows them all in one batched pass and
+    the others return theirs from their memos.
     """
     y = train.target
     m = train.n_rows

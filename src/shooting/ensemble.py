@@ -116,10 +116,9 @@ def fit_at_nu(
     """The ensemble at this nu from a shooting_start on the same rows: one
     tree per gradient target, all grown on one Presort of the features,
     which expects the whole target matrix. fit_tree is called once per
-    tree; with at least BATCH_MIN distinct targets the first call grows
-    them all in one batched pass and the rest take their tree from the
-    Presort's memo. At nu = 0 the k targets are all z, so fit_tree grows
-    one tree and the ensemble holds it k times."""
+    tree; the first call grows them all in one batched pass and the rest
+    take their tree from the Presort's memo. At nu = 0 the k targets are
+    all z, so the pass grows one tree and the ensemble holds it k times."""
     linear, offsets, z = start
     targets = gradient_targets(z, offsets.projected, nu)
     presort = Presort(train.features)

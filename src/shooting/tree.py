@@ -19,19 +19,25 @@ Growth sorts each feature once per fit, not once per tree or node: a
 Presort checks and sorts the feature matrix, and a fit that grows many
 trees on one matrix (SR's k trees, GBM's stages) passes the same one to
 each. A bagged fit (RF) checks its matrix once and passes each tree a
-resample of it, which is sorted once for its tree. The root holds an
-(n_features, m) matrix of row ids, row f in stable value order of
-feature f. A split keeps the first n_left entries of the chosen
+resample of it, which is sorted once for its tree. The trees are those of
+a per-node stable argsort, bit for bit. A node's row ids are always in
+increasing order (the root is arange, each child a filter of its parent),
+so a stable sort of the node's values orders ties by row id, which is the
+global stable order filtered to the node. The prefix sums therefore add
+the same values in the same sequence, and node totals and leaf means are
+sums of y over the node's rows in row order.
+
+A capped tree (max_depth set, as in GBM's stages) grows node by node. The
+root holds an (n_features, m) matrix of row ids, row f in stable value
+order of feature f. A split keeps the first n_left entries of the chosen
 feature's row and filters every row of the matrix by that row set, so
 each child inherits its rows already in value order and every feature
-row has the same length. The split search then runs over
+row has the same length. The split search (_best_split) then runs over
 all features at once: row-wise prefix sums of y and y^2, the SSE of each
-cut, infeasible cuts set to inf, and one flat argmin, whose
-first-minimum rule is the tie break above. Only a child of more than
-SMALL_NODE rows that will be searched gets orders: a small one sorts its
-rows when searched (below), and one at max_depth, such as every child of
-a depth-2 split in a depth-3 boosting stage, only takes the mean of its
-rows.
+cut, infeasible cuts set to inf, and one flat argmin, whose first-minimum
+rule is the tie break above. Only a child that will be searched gets
+orders: one at max_depth, such as every child of a depth-2 split in a
+depth-3 boosting stage, only takes the mean of its rows.
 
 A Presort also keeps a memo of trees grown on it, which fit_tree returns
 for the same max_depth and byte-equal targets instead of growing them
@@ -40,42 +46,19 @@ one tree at a time keeps only its last: at nu = 0 SR's k gradient targets
 are one vector, so its k trees are one tree grown once, and so is a
 boosting stage that did not move.
 
-The trees are those of a per-node stable argsort, bit for bit. A node's
-row ids are always in increasing order (the root is arange, each child a
-filter of its parent), so a stable sort of the node's values orders ties
-by row id, which is the global stable order filtered to the node. The
-prefix sums therefore add the same values in the same sequence, and node
-totals and leaf means are sums of y over the node's rows in row order.
-
-Fully grown trees are mostly tiny nodes: in a k = 100 SR fit on
-auto-mpg, 87% of internal nodes hold 16 rows or fewer and a third hold
-2, and there the numpy search above pays dozens of calls of fixed
-dispatch cost per node. A node of at most SMALL_NODE rows that will be
-searched therefore carries only its rows, as a Python list, and is
-searched and partitioned on Python floats (x becomes lists once per
-Presort and y once per tree, the first time this happens, so shallow
-trees that never search a small node never convert). The search sorts
-the rows per feature, stably and with -0.0 tied to 0.0 as in numpy, so
-each order is the presort filtered to the node; a two-row node's one cut
-has just two SSEs, one per row first. The scalar search redoes the numpy
-arithmetic exactly: node totals round as np.sum's pairwise loop does
-(_node_sum), prefix sums run in order from the first value as cumsum
-does, the SSE expression keeps its operation order, and the first strict
-minimum in (feature, position) order wins, so the trees are the same bit
-for bit. A change to the tie rule must go into both searches.
-
-A fit that knows all its fully grown trees up front hands them to its
-Presort first: SR its k gradient targets (expect), RF its k bootstrap
-resamples and their targets (resample, which returns one Presort per
-tree, standing for x[rows] and holding only its rows). The first
-fit_tree call for one of them then grows every expected tree in one
-batched pass and fills the memos, so each call, the first too, returns
-its tree after its own input checks. SR's memo takes every distinct
-column, so byte-equal columns grow once; a resample's takes its own tree
-only, so byte-equal targets on other rows never share one. The pass
+Every fully grown tree (max_depth None) comes from one batched pass, which
 grows a group of trees level by level with no per-node Python, as
-XGBoost's presorted column blocks do (Chen and Guestrin, KDD 2016).
-Element t * m + r stands for row r of tree t. SR's trees share one
+XGBoost's presorted column blocks do (Chen and Guestrin, KDD 2016). A fit
+that knows all its fully grown trees up front hands them to its Presort
+first: SR its k gradient targets (expect), RF its k bootstrap resamples
+and their targets (resample, which returns one Presort per tree, standing
+for x[rows] and holding only its rows). The first fit_tree call for one
+of them then grows every expected tree in one pass and fills the memos,
+so each call, the first too, returns its tree after its own input checks.
+SR's memo takes every distinct column, so byte-equal columns grow once; a
+resample's takes its own tree only, so byte-equal targets on other rows
+never share one. Any other fully grown tree grows alone, as a group of
+one. Element t * m + r stands for row r of tree t. SR's trees share one
 matrix, so the search reads an element's features at column r of xt, the
 element less an offset of t * m. RF's trees each have their own, so a
 group stacks its resamples side by side, xt[:, rows] of shape
@@ -86,21 +69,21 @@ does. An int32 matrix of n_features + 1 rows holds every open node's
 rows, tree after tree, in each feature's stable value order and in
 increasing order. Node totals reduce the nodes of one size together
 along contiguous rows, which rounds as one np.sum per node. The search
-takes nodes in blocks of one width, the exact size up to EXACT_WIDTH and
-the next power of two above, and runs _best_split's prefix sums and SSE
-expression over them, each node padded with its last value, which no cut
-separates, and one argmin per node over its (feature, position). A split
-partitions every row of the matrix stably by prefix counts of the left
-rows, and a stable sort of the levels' records by tree gives each tree
-its nodes in level order. The trees are fit_tree's bit for bit. Below
-BATCH_MIN distinct SR columns or RF trees the pass costs more than it
-saves, and the trees grow one at a time. A group holds at most
-GROW_CELLS int32 cells (its ids, and RF's stack and argsort counted in
-the same cells) and a search block at most SEARCH_CELLS values (or one
-node), so the pass's memory does not grow with the number of trees: at
-its peak, for 100 trees on 196 rows of 7 features and the trees
-included, 2.8 MB for SR (0.8 MB grown one at a time) and 3.0 MB for a
-whole RF fit (0.5 MB).
+takes nodes in blocks of one width, the next power of two at or above
+their size, and runs _best_split's prefix sums, SSE expression and
+first-minimum rule over them (_search_block), each node padded with its
+last value, which no cut separates, and one argmin per node over its
+(feature, position). A change to the tie rule must go into both searches.
+A split partitions every row of the matrix stably by prefix counts of the
+left rows, and a stable sort of the levels' records by tree gives each
+tree its nodes in level order. The trees are those of the node-by-node
+growth at a cap that never binds, such as max_depth = m, bit for bit. A
+group holds at most GROW_CELLS int32 cells (its ids, and RF's stack and
+argsort counted in the same cells) and a search block at most
+SEARCH_CELLS values (or one node), so the pass's memory does not grow
+with the number of trees: at its peak, for 100 trees on 196 rows of 7
+features and the trees included, 2.8 MB for SR and 3.0 MB for a whole RF
+fit.
 
 Every walk takes one step rule, from _steps: node i moves on to
 step[i] + (x > threshold[i]). At the j-th internal node step is 2j + 1,
@@ -151,29 +134,12 @@ LEAF = -1
 # rows per block of a forest walk, so the (trees, rows) node-index matrix
 # stays small however many rows are predicted
 BLOCK_ROWS = 256
-# nodes of at most this many rows are searched on Python floats
-SMALL_NODE = 16
-# a fit's fully grown trees grow together, in one batched pass, once it
-# expects at least this many distinct targets, and one at a time below.
-# Measured against fit_tree on auto-mpg's 196 and 294 training rows: the
-# pass costs 4 trees' growth for 1 tree and breaks even at 8-10 (near 16 on
-# 100 rows of 2 features, where a tree grows in under 2 ms). The count is
-# of targets, not of trees per group: a group of fewer than BATCH_MIN
-# trees holds at least GROW_CELLS / 2 ids, and such groups were measured
-# no slower than fit_tree (k = 100 SR fits on make_synthetic data, best of
-# 2: 12,800 rows x 7 features in groups of 2 took 13.6 s against 31.1 s
-# per tree, 300 x 100 in groups of 8 2.5 s against 4.3 s, and 500 x 300
-# in groups of 1, at k = 20, 5.1 s against 5.2 s). RF's bootstrap trees
-# (fit_rf, best of 5) break even at 6-8 trees on 196 and 294 rows and past
-# 16 on 100 rows of 2 features, so one minimum serves both
-BATCH_MIN = 10
 # int32 cells per group of trees grown together: per tree, (features + 1)
 # x rows of partition ids, and for an RF resample (2 x features + 4) x rows
 # more, its stacked float64 features and one feature's int64 argsort and
-# its shifted copy. The
-# cells and the search blocks set the pass's memory peak: for 100 trees on
-# 196 rows of 7 features 2.8 MB for SR (one group) and 3.0 MB for RF
-# (groups of 51). RF at 2^19 instead (fit_rf, k = 100): 0.094 s against
+# its shifted copy. The cells and the search blocks set the pass's memory
+# peak: for 100 trees on 196 rows of 7 features 2.8 MB for SR (one group)
+# and 3.0 MB for RF (groups of 51). RF at 2^19 instead (fit_rf, k = 100): 0.094 s against
 # 0.109 s on those rows (median of 15), and 2.73 s (groups of 6) against
 # 2.87 s (groups of 3) on 3,200 rows x 7 features (best of 2), where per
 # tree took 0.245 s and 5.10 s; a larger budget would double SR's ids past
@@ -181,9 +147,6 @@ BATCH_MIN = 10
 GROW_CELLS = 2**18
 # values per search block, nodes x features x width, unless one node is wider
 SEARCH_CELLS = 2**14
-# the batched search takes a node of at most this many rows at its exact
-# width and pads a larger one to the next power of two
-EXACT_WIDTH = 16
 # row_means sums blocks of at most this many values (rows x columns) with
 # fsum row by row, where the vector certificate's fixed cost of about
 # 30-40 us is larger. Measured break-even: about 10 rows at 100 columns and
@@ -298,79 +261,6 @@ def _best_split(
     return divmod(k, m - 1)
 
 
-def _node_sum(values: list[float]) -> float:
-    """sum(values) rounded as numpy's add.reduce rounds it, for at most 16
-    values: pairwise summation's base case. Below 8 values a sequential
-    sum from 0.0; from 8 up, eight accumulators over whole blocks of 8,
-    combined in a fixed tree, then the tail in order, all added to 0.0
-    (which turns a -0.0 total into 0.0, as np.sum does)."""
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    r = values[:8]
-    whole = n - n % 8
-    for i in range(8, whole, 8):
-        for j in range(8):
-            r[j] += values[i + j]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in values[whole:]:
-        total += v
-    return 0.0 + total
-
-
-def _small_split(
-    xl: list[list[float]], yl: list[float], idx: list[int], total1: float, total2: float
-) -> tuple[int, list[int], int] | None:
-    """_best_split on Python floats for the rows idx, in increasing order,
-    each feature's order a stable sort of them: the same SSE expression in
-    the same operation order, prefix sums from the first value as cumsum's,
-    and the first strict minimum in (feature, position) order. Returns the
-    feature, the rows in its value order and the left child's size."""
-    size = len(idx)
-    best = math.inf
-    found = None
-    if size == 2:
-        # one cut, whose SSE depends only on which row comes first; nl and
-        # size - nl are 1.0
-        a, b = idx
-        sses = []
-        for c1 in (yl[a], yl[b]):
-            c2, d = c1 * c1, total1 - c1
-            sses.append((c2 - c1 * c1 / 1.0) + (total2 - c2 - d * d / 1.0))
-        sse_a, sse_b = sses
-        for f, xf in enumerate(xl):
-            if xf[a] < xf[b]:
-                if sse_a < best:
-                    best, found = sse_a, (f, idx, 1)
-            elif xf[b] < xf[a] and sse_b < best:
-                best, found = sse_b, (f, [b, a], 1)
-        return found
-    for f, xf in enumerate(xl):
-        rows = sorted(idx, key=xf.__getitem__)
-        v = yl[rows[0]]
-        c1 = v
-        c2 = v * v
-        below = xf[rows[0]]
-        nl = 1.0
-        for r in rows[1:]:
-            above = xf[r]
-            if below < above:
-                d = total1 - c1
-                sse = (c2 - c1 * c1 / nl) + (total2 - c2 - d * d / (size - nl))
-                if sse < best:
-                    best = sse
-                    found = (f, rows, int(nl))
-            v = yl[r]
-            c1 += v
-            c2 += v * v
-            below = above
-            nl += 1.0
-    return found
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -382,10 +272,9 @@ class Presort:
     Refuses a matrix that is not 2-D, has no rows or holds a complex or
     non-finite value, with fit_tree's messages. Holds, read-only, xt (one
     row per feature) and, made on first use, order (each feature's row ids
-    in stable value order, also read-only) and lists (xt as Python lists
-    for the small-node search). fit_tree wraps a plain matrix in one; a
-    fit that grows many trees on one matrix builds one and passes it to
-    every tree, and a bagged fit passes each tree a resample of one.
+    in stable value order, also read-only). fit_tree wraps a plain matrix
+    in one; a fit that grows many trees on one matrix builds one and passes
+    it to every tree, and a bagged fit passes each tree a resample of one.
 
     memo maps (the targets' bytes, max_depth) to a tree grown here, which
     fit_tree returns instead of growing it again. A tree grown alone
@@ -418,17 +307,12 @@ class Presort:
     def order(self) -> np.ndarray:
         return _read_only(np.argsort(self.xt, axis=1, kind="stable"))
 
-    @cached_property
-    def lists(self) -> list[list[float]]:
-        return self.xt.tolist()
-
     def expect(self, targets) -> None:
         """Announce the fully grown trees a fit is about to ask fit_tree for,
-        one per column of the (rows, k) targets. With at least BATCH_MIN
-        distinct columns that pass fit_tree's target checks, the first
-        fit_tree call with max_depth None for one of them grows them all in
-        one batched pass and puts them in the memo; with fewer, each call
-        grows its own tree.
+        one per column of the (rows, k) targets. The first fit_tree call
+        with max_depth None for one of the distinct columns that pass its
+        target checks grows them all in one batched pass and puts them in
+        the memo.
         """
         y = real_array(targets, "targets")
         if y.ndim != 2 or y.shape[0] != self.n_rows:
@@ -439,11 +323,10 @@ class Presort:
         """A bagged fit's trees: one Presort of x[r] per row r of the
         (trees, rows) integer rows, expecting the fully grown tree of
         targets[r], where targets has one entry per feature row. Each
-        shares this matrix's checks and makes xt, order and lists on each
-        use. With at least BATCH_MIN trees whose targets pass fit_tree's
-        checks, the first fit_tree call with max_depth None for one of them
-        grows them all in one batched pass, each into its own memo; with
-        fewer, each call grows its own tree.
+        shares this matrix's checks and makes xt and order on each use. The
+        first fit_tree call with max_depth None for one of the trees whose
+        targets pass its checks grows them all in one batched pass, each
+        into its own memo.
         """
         y = real_array(targets, "targets")
         if y.shape != (self.n_rows,):
@@ -459,8 +342,7 @@ class Presort:
 
     def _expect(self, expected) -> None:
         """pending becomes the (Presort, target bytes) pairs whose targets
-        pass fit_tree's checks, if at least BATCH_MIN do, and empty
-        otherwise: in place, since resamples share the list."""
+        pass fit_tree's checks: in place, since resamples share the list."""
         kept = []
         for presort, key in expected:
             try:
@@ -468,7 +350,7 @@ class Presort:
             except ValueError:
                 continue  # its own fit_tree call raises
             kept.append((presort, key))
-        self.pending[:] = kept if len(kept) >= BATCH_MIN else []
+        self.pending[:] = kept
 
 
 class _Resample(Presort):
@@ -479,11 +361,10 @@ class _Resample(Presort):
         self.memo = {}
         self.pending = source.pending
 
-    # made on each use, so a tree grown alone leaves nothing behind and one
-    # grown in the batched pass never makes them
+    # made on each use, so a capped tree grown here leaves nothing behind,
+    # and the batched pass never makes them
     xt = property(lambda self: _read_only(self.source.xt.take(self.rows, axis=1)))
     order = property(lambda self: _read_only(np.argsort(self.xt, axis=1, kind="stable")))
-    lists = property(lambda self: self.xt.tolist())
 
 
 def _check_targets(y: np.ndarray) -> None:
@@ -508,8 +389,10 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
     Called on a Presort whose memo holds a tree for this max_depth and
     targets equal byte for byte, it returns that tree, the same object,
     after the same input checks. Targets with -0.0 where the memo's held
-    0.0 grow anew. With max_depth None and targets that the Presort
-    expects, it first grows every expected tree in one batched pass.
+    0.0 grow anew. A fully grown tree (max_depth None) comes from the
+    batched pass: with targets that the Presort expects, every expected
+    tree grows in it first, and otherwise this tree grows alone in it. A
+    capped tree grows node by node.
     """
     if max_depth is not None:
         check_int(max_depth, "max_depth", 0)
@@ -521,86 +404,57 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
     key = y.tobytes()
     if max_depth is None and (presort, key) in presort.pending:
         _grow_batch(presort, presort.pending)
-    if (key, max_depth) in presort.memo:
-        return presort.memo[key, max_depth]
+    if (key, max_depth) not in presort.memo:
+        if max_depth is None:
+            _grow_batch(presort, [(presort, key)])
+        else:
+            presort.memo = {(key, max_depth): _grow_capped(presort, y, max_depth)}
+    return presort.memo[key, max_depth]
+
+
+def _grow_capped(presort: Presort, y: np.ndarray, max_depth: int) -> RegressionTree:
+    """fit_tree's tree at max_depth, grown node by node."""
     xt = presort.xt
     n = xt.shape[0]
     feature_ids = np.arange(n)[:, None]
     goes_left = np.zeros(y.size, dtype=bool)
-    # x and y as Python lists, taken when the first small node is searched
-    xl: list[list[float]] = []
-    yl: list[float] = []
-
     # filled in node order: a feature per node, a threshold per internal
     # node and a value per leaf
     feat: list[int] = []
     thr: list[float] = []
     value: list[float] = []
-    # a node carries its rows in increasing order, as an array or, once it
-    # is small, a list. A node of more than SMALL_NODE rows that will be
-    # searched also carries, per feature, its rows in stable value order.
+    # a node carries its rows in increasing order and, if it will be
+    # searched, per feature its rows in stable value order (None if not).
     # Nodes are taken first in, first out, so in level order
-    root_order = presort.order if y.size > SMALL_NODE else None
-    queue: deque[tuple[object, object, int]] = deque([(np.arange(y.size), root_order, 0)])
+    queue = deque([(np.arange(y.size), presort.order if max_depth else None, 0)])
     while queue:
         idx, order, depth = queue.popleft()
-        size = len(idx)
-        capped = max_depth is not None and depth >= max_depth
+        ysub = y[idx]
+        # the ufuncs that .sum(), .min() and .max() run
+        total1 = float(np.add.reduce(ysub))
         split = None
-        if size == 1:
-            # nothing to split; the mean of one value is the value, plus
-            # 0.0 because np.sum turns a lone -0.0 into 0.0
-            mean = float(y[idx[0]]) + 0.0
-        # a capped node only takes its mean, so one that still holds an
-        # array stays in numpy and a shallow tree need never convert
-        elif size <= SMALL_NODE and (not capped or type(idx) is list):
-            if not yl:
-                xl, yl = presort.lists, y.tolist()
-            if type(idx) is not list:
-                idx = idx.tolist()
-            ysub = [yl[r] for r in idx]
-            total1 = _node_sum(ysub)
-            mean = total1 / size
-            if not (capped or min(ysub) == max(ysub)):
-                split = _small_split(xl, yl, idx, total1, _node_sum([v * v for v in ysub]))
-        else:
-            ysub = y[idx]
-            # the ufuncs that .sum(), .min() and .max() run
-            total1 = float(np.add.reduce(ysub))
-            mean = total1 / size  # ysub.mean(), bit for bit
-            if not (capped or np.minimum.reduce(ysub) == np.maximum.reduce(ysub)):
-                xs = xt[feature_ids, order]
-                split = _best_split(xs, y[order], total1, float(np.add.reduce(ysub * ysub)))
+        if order is not None and np.minimum.reduce(ysub) != np.maximum.reduce(ysub):
+            xs = xt[feature_ids, order]
+            split = _best_split(xs, y[order], total1, float(np.add.reduce(ysub * ysub)))
         if split is None:
             feat.append(LEAF)
-            value.append(mean)
+            value.append(total1 / idx.size)  # ysub.mean(), bit for bit
             continue
+        f, p = split
+        n_left = p + 1
+        below, above = float(xs[f, p]), float(xs[f, n_left])
         # the cut keeps the first n_left rows of the split feature's order
+        goes_left[order[f, :n_left]] = True
         left_order = right_order = None
-        if type(idx) is list:
-            f, rows, n_left = split
-            below, above = xl[f][rows[n_left - 1]], xl[f][rows[n_left]]
-            # each child's rows back in increasing order
-            left_idx, right_idx = sorted(rows[:n_left]), sorted(rows[n_left:])
-        else:
-            f, p = split
-            n_left = p + 1
-            below, above = float(xs[f, p]), float(xs[f, n_left])
-            goes_left[order[f, :n_left]] = True
+        if depth + 1 < max_depth:
             # filtering every feature's order by the left rows keeps each in
-            # value order; only a big child that will be searched needs one
-            searched = max_depth is None or depth + 1 < max_depth
-            big_left = searched and n_left > SMALL_NODE
-            big_right = searched and size - n_left > SMALL_NODE
-            if big_left or big_right:
-                in_left = goes_left[order]
-                if big_left:
-                    left_order = order[in_left].reshape(n, n_left)
-                if big_right:
-                    right_order = order[~in_left].reshape(n, size - n_left)
-            row_left = goes_left[idx]
-            left_idx, right_idx = idx[row_left], idx[~row_left]
-            goes_left[left_idx] = False
+            # value order
+            in_left = goes_left[order]
+            left_order = order[in_left].reshape(n, n_left)
+            right_order = order[~in_left].reshape(n, idx.size - n_left)
+        row_left = goes_left[idx]
+        left_idx, right_idx = idx[row_left], idx[~row_left]
+        goes_left[left_idx] = False
         t = 0.5 * (below + above)
         if not below <= t < above:
             # the midpoint rounded up to above, or below + above overflowed;
@@ -611,18 +465,15 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
         thr.append(t)
         queue.append((left_idx, left_order, depth + 1))
         queue.append((right_idx, right_order, depth + 1))
-
-    tree = RegressionTree(
+    return RegressionTree(
         np.array(feat, dtype=np.int64), np.array(thr, dtype=float), np.array(value, dtype=float), n
     )
-    presort.memo = {(key, max_depth): tree}
-    return tree
 
 
 def _grow_batch(presort: Presort, pending: list[tuple[Presort, bytes]]) -> None:
     """For each (held, bytes of y) in pending, put fit_tree(held, y), bit
-    for bit, into held's memo, and empty pending; presort is one of the
-    held. Either all are presort (SR's targets on one matrix) or each is a
+    for bit, into held's memo, which it replaces, and empty pending;
+    presort is one of the held. Either all are presort (SR's targets on one matrix) or each is a
     resample of one source (RF's bootstrap trees). Trees grow in groups
     that fit in GROW_CELLS int32 cells: per row, features + 1 for a tree's
     partition ids, and for a resample 2 more per feature for its float64
@@ -720,7 +571,8 @@ def _node_totals(rising: np.ndarray, start: np.ndarray, size: np.ndarray):
     """(mean, sum of y, sum of y^2, constant) per node, the sums as np.sum
     adds each node's targets in increasing row order (rising, the level's
     targets in that order): nodes of one size reduce together, along
-    contiguous rows, which rounds as one np.sum per node."""
+    contiguous rows, which rounds as one np.sum per node. A one-row node,
+    never searched, gets 0.0 for its sum of y^2."""
     # plus 0.0 as np.sum turns a lone -0.0 into 0.0
     total1 = rising[start] + 0.0
     total2 = np.zeros(size.size)
@@ -737,12 +589,11 @@ def _node_totals(rising: np.ndarray, start: np.ndarray, size: np.ndarray):
 
 def _split_level(ids, y, x, shift, tree, start, size, total1, total2, searched):
     """(nodes, feature, n_left, threshold) of the searched nodes that
-    split, in node order. Nodes are searched by width, the exact size up
-    to EXACT_WIDTH and the next power of two above, in blocks of at most
-    SEARCH_CELLS values."""
+    split, in node order. Nodes are searched by width, the next power of
+    two at or above their size, in blocks of at most SEARCH_CELLS values."""
     p = x.shape[0]
     # 2^e for sizes in (2^(e-1), 2^e]: frexp(size - 1) has exponent e
-    width = np.where(size <= EXACT_WIDTH, size, np.left_shift(1, np.frexp(size - 1)[1]))[searched]
+    width = np.left_shift(1, np.frexp(size[searched] - 1)[1])
     none = np.zeros(0, dtype=np.int64)
     blocks = [(none, none, none, np.zeros(0), np.zeros(0))]
     for w in np.unique(width):
@@ -784,7 +635,7 @@ def _search_block(ids, y, x, shift, tree, nodes, start, size, total1, total2, wi
     nl = np.arange(1, width, dtype=float)
     t1, t2 = total1[nodes, None, None], total2[nodes, None, None]
     # past a node's last cut the right side is empty or negative
-    with np.errstate(all="ignore" if width > EXACT_WIDTH else None):
+    with np.errstate(all="ignore"):
         sse = (c2 - c1 * c1 / nl) + (t2 - c2 - (t1 - c1) ** 2 / (size - nl))
     distinct = xs[..., :-1] < xs[..., 1:]
     # the first minimum over each node's (feature, position): the lowest

@@ -27,7 +27,6 @@ from shooting import (
 )
 import shooting.tree as tree_module
 from shooting.rng import BOOTSTRAP_STREAM, make_rng
-from shooting.tree import BATCH_MIN
 
 
 def small_data(seed=0, m=40, n=3):
@@ -36,23 +35,23 @@ def small_data(seed=0, m=40, n=3):
 
 def test_rf_tree_is_plain_tree_on_its_bootstrap_rows():
     # tree i is a fully grown tree on the rows of bootstrap stream i and
-    # nothing else: structures must agree node for node, whether the trees
-    # grow one at a time or, from BATCH_MIN up, in the batched pass
+    # nothing else: structures must agree node for node with the per-node
+    # search, capped at the row count, which a tree on m rows never reaches
     d = small_data()
-    for n_trees in (3, BATCH_MIN + 2):
+    for n_trees in (3, 12):
         forest = fit_rf(d, RFConfig(n_trees=n_trees, seed=4))
         for i, tree in enumerate(forest.trees):
             rows = make_rng(4, BOOTSTRAP_STREAM, i).integers(0, d.n_rows, size=d.n_rows)
-            plain = fit_tree(d.features[rows], d.target[rows])
+            plain = fit_tree(d.features[rows], d.target[rows], d.n_rows)
             assert np.array_equal(tree.feature, plain.feature)
             assert np.array_equal(tree.threshold, plain.threshold, equal_nan=True)
             assert np.array_equal(tree.value, plain.value, equal_nan=True)
 
 
-@pytest.mark.parametrize("k", [BATCH_MIN - 1, BATCH_MIN, BATCH_MIN + 3])
+@pytest.mark.parametrize("k", [1, 2, 9, 10, 13])
 def test_fit_rf_calls_fit_tree_once_per_tree(monkeypatch, k):
-    # growth is timed through these calls: from the minimum up, the first
-    # call holds the one batched pass and the others take its trees
+    # growth is timed through these calls: the first call holds the one
+    # batched pass and the others take its trees
     d = small_data(seed=8, m=60)
     calls, passes = [], []
     grow_batch = tree_module._grow_batch
@@ -69,10 +68,11 @@ def test_fit_rf_calls_fit_tree_once_per_tree(monkeypatch, k):
     monkeypatch.setattr(tree_module, "_grow_batch", recording_grow_batch)
     forest = fit_rf(d, RFConfig(n_trees=k, seed=5))
     assert calls == [None] * k
-    assert passes == ([(1, k)] if k >= BATCH_MIN else [])
+    assert passes == [(1, k)]
     for i, tree in enumerate(forest.trees):
         rows = make_rng(5, BOOTSTRAP_STREAM, i).integers(0, d.n_rows, size=d.n_rows)
-        plain = fit_tree(d.features[rows], d.target[rows])
+        # the per-node search at a cap that a tree on m rows never reaches
+        plain = fit_tree(d.features[rows], d.target[rows], d.n_rows)
         for name in ("feature", "threshold", "value"):
             assert getattr(tree, name).tobytes() == getattr(plain, name).tobytes()
 

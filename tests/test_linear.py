@@ -32,6 +32,23 @@ def test_exact_fit_zero_covariance():
     assert model.jitter == 0.0
 
 
+def test_residual_above_the_exact_fit_threshold_is_kept():
+    # a residual sum of about 1e-23 of y.y: above the exact-fit threshold
+    # (1e-26 of y.y, where QR's own noise ends) and far below y.y, so it is
+    # the data's residual and must reach the covariance, not be zeroed
+    x = np.arange(8.0)
+    line = 1.0 + 2.0 * x
+    # orthogonal to the intercept and to x, so the fit is the line
+    wobble = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+    y = line + 3e-11 * wobble
+    rss = float(np.sum((y - line) ** 2))
+    assert 1e-24 < rss / float(y @ y) < 1e-22
+    model = fit_ols(Dataset(x[:, None], y))
+    assert model.coefficients == pytest.approx([1.0, 2.0], rel=1e-12)
+    # abs=0: approx would otherwise pass anything within 1e-12, 0.0 too
+    assert model.residual_variance == pytest.approx(rss / 6, rel=1e-3, abs=0.0)
+
+
 def test_duplicated_column_is_singular():
     x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     d = Dataset(x, np.array([0.0, 1.0, 2.0, 4.0]))

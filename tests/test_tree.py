@@ -47,14 +47,12 @@ from shooting import (
 import shooting.tree as tree_module
 from shooting.rng import BOOTSTRAP_STREAM, make_rng
 from shooting.tree import (
-    BATCH_MIN,
     BLOCK_ROWS,
     GROW_CELLS,
     LEAF,
     SEARCH_CELLS,
     SMALL_BLOCK,
-    SMALL_NODE,
-    _node_sum,
+    _node_totals,
     row_means,
 )
 
@@ -596,23 +594,35 @@ def test_presorted_growth_matches_per_node_sort(
     )
 
 
-def test_small_node_sum_rounds_as_numpy():
-    # small nodes total their targets on Python floats; a numpy whose sum
-    # rounds differently must fail here rather than silently move trees
+def test_node_totals_round_as_numpy():
+    # the batched pass totals nodes of one size together; a numpy whose
+    # reduction along rows rounds unlike np.sum must fail here rather than
+    # silently move trees. Nodes of every size from 1 to 40 share one call
     rng = np.random.default_rng(0)
-    for n in range(1, SMALL_NODE + 1):
-        cases = [np.full(n, -0.0), np.full(n, 0.0), rng.choice([0.0, -0.0], n)]
-        for _ in range(200):
+    for _ in range(50):
+        nodes = []
+        for n in range(1, 41):
+            nodes += [np.full(n, -0.0), np.full(n, 0.0), rng.choice([0.0, -0.0], n)]
+        for n in rng.permutation(np.repeat(np.arange(1, 41), 4)):
             values = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 150, n)
             values[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
-            cases.append(values)
-        for values in cases:
-            assert np.float64(_node_sum(values.tolist())).tobytes() == np.sum(values).tobytes()
+            nodes.append(values)
+        size = np.array([node.size for node in nodes])
+        start = np.cumsum(size) - size
+        mean, total1, total2, constant = _node_totals(np.concatenate(nodes), start, size)
+        for i, values in enumerate(nodes):
+            assert total1[i].tobytes() == np.sum(values).tobytes()
+            # a one-row node is never searched, so its sum of y^2 goes unread
+            squares = np.sum(values * values) if values.size > 1 else 0.0
+            assert total2[i].tobytes() == np.float64(squares).tobytes()
+            assert mean[i].tobytes() == values.mean().tobytes()
+            assert constant[i] == (values.min() == values.max())
 
 
 @given(
     seed=st.integers(0, 2**32 - 1),
-    m=st.integers(SMALL_NODE - 2, 40),
+    # nodes on both sides of each power-of-two search width
+    m=st.sampled_from([2**e + d for e in range(1, 6) for d in (-1, 0, 1)]),
     n=st.integers(1, 4),
     decimals=st.integers(0, 2),
     bootstrap=st.booleans(),
@@ -621,11 +631,11 @@ def test_small_node_sum_rounds_as_numpy():
     max_depth=st.sampled_from([None, 0, 1, 3]),
 )
 @settings(max_examples=200, deadline=None)
-def test_small_node_search_matches_reference_at_the_boundary(
+def test_search_matches_reference_at_the_width_boundaries(
     seed, m, n, decimals, bootstrap, signed_zeros, near_overflow, max_depth
 ):
-    # nodes on both sides of SMALL_NODE rows: the root and its first
-    # children switch between the numpy and the Python-float search
+    # the root and its first children hold 2^e - 1, 2^e or 2^e + 1 rows, so
+    # the pass searches them unpadded or padded by up to 2^e - 1 values
     rng = np.random.default_rng(seed)
     x = np.round(rng.standard_normal((m, n)), decimals)
     y = np.round(rng.standard_normal(m), decimals + 1)
@@ -638,7 +648,11 @@ def test_small_node_search_matches_reference_at_the_boundary(
     if near_overflow and np.any(y):
         # m * sum(y^2) at a quarter of the largest float
         y *= np.sqrt(0.25 * np.finfo(float).max / m) / np.sqrt(np.sum(y * y))
-    assert_same_tree(fit_tree(x, y, max_depth), reference_fit_tree(x, y, max_depth))
+    tree = fit_tree(x, y, max_depth)
+    assert_same_tree(tree, reference_fit_tree(x, y, max_depth))
+    if max_depth is None:
+        # a tree on m rows is at most m - 1 deep: a cap of m never binds
+        assert_same_tree(tree, fit_tree(x, y, m))
 
 
 def test_models_grow_reference_trees(mpg, monkeypatch):
@@ -661,10 +675,12 @@ def test_models_grow_reference_trees(mpg, monkeypatch):
 
 def test_one_presort_per_fit(mpg, monkeypatch):
     # every tree of one SR or GBM fit grows on the one Presort the fit
-    # builds, and every RF tree on a resample of it: a per-tree check,
-    # argsort or list conversion of the training matrix must not come back
+    # builds, and every RF tree on a resample of it: a per-tree check or
+    # argsort of the training matrix must not come back. SR and RF grow in
+    # one batched pass at 5 trees too, GBM's capped stages in none
     train, _ = split(mpg, val_fraction=0.5, seed=3)
-    built, received = [], []
+    built, received, passes = [], [], []
+    grow_batch = tree_module._grow_batch
 
     class CountedPresort(Presort):
         def __init__(self, features):
@@ -676,14 +692,23 @@ def test_one_presort_per_fit(mpg, monkeypatch):
         received.append(features)
         return fit_tree(features, targets, max_depth)
 
+    def recording_grow_batch(presort, pending):
+        passes.append(len(pending))
+        return grow_batch(presort, pending)
+
     for module in (ensemble, baselines):
         monkeypatch.setattr(module, "Presort", CountedPresort)
         monkeypatch.setattr(module, "fit_tree", recording_fit_tree)
-    for fit, config in [(fit_shooting, SRConfig(k=5, seed=3)), (fit_gbm, GBMConfig(n_stages=5))]:
+    monkeypatch.setattr(tree_module, "_grow_batch", recording_grow_batch)
+    for fit, config, grown in [
+        (fit_shooting, SRConfig(k=5, seed=3), [5]),
+        (fit_gbm, GBMConfig(n_stages=5), []),
+    ]:
         built.clear()
         received.clear()
+        passes.clear()
         model = fit(train, config)
-        assert len(built) == 1
+        assert len(built) == 1 and passes == grown
         (presort,) = built
         assert len(received) == len(model.trees) == 5
         assert all(features is presort for features in received)
@@ -691,14 +716,14 @@ def test_one_presort_per_fit(mpg, monkeypatch):
         assert not (presort.xt.flags.writeable or presort.order.flags.writeable)
         assert (presort.xt.tobytes(), presort.order.tobytes()) == presort.bytes_at_build
         assert np.array_equal(presort.xt, train.features.T)
-        assert presort.lists == presort.xt.tolist()
-    # below the batch minimum each resample grows alone, from it up they
-    # grow in the batched pass
-    for n_trees in (5, BATCH_MIN + 2):
+        # no Python-list copy of the matrix for a scalar search
+        assert not hasattr(presort, "lists")
+    for n_trees in (5, 12):
         built.clear()
         received.clear()
+        passes.clear()
         model = fit_rf(train, RFConfig(n_trees=n_trees, seed=3))
-        assert len(built) == 1
+        assert len(built) == 1 and passes == [n_trees]
         (presort,) = built
         assert len(received) == len(model.trees) == n_trees
         for i, view in enumerate(received):
@@ -717,7 +742,7 @@ def test_one_presort_per_fit(mpg, monkeypatch):
 
 def test_nu_zero_grows_one_tree_held_k_times(mpg, monkeypatch):
     # at nu = 0 every gradient target is z: fit_tree is still called once
-    # per tree, but grows only the first, below the batch minimum or not
+    # per tree, but the pass grows one tree, for a few trees or many
     train, _ = split(mpg, val_fraction=0.5, seed=3)
     calls = []
 
@@ -726,7 +751,7 @@ def test_nu_zero_grows_one_tree_held_k_times(mpg, monkeypatch):
         return fit_tree(features, targets, max_depth)
 
     monkeypatch.setattr(ensemble, "fit_tree", recording_fit_tree)
-    for k in (5, 2 * BATCH_MIN):
+    for k in (5, 20):
         start = shooting_start(train, k, 3)
         calls.clear()
         model = ensemble.fit_at_nu(train, start, 0.0)
@@ -737,10 +762,10 @@ def test_nu_zero_grows_one_tree_held_k_times(mpg, monkeypatch):
         assert len({id(tree) for tree in ensemble.fit_at_nu(train, start, 1e-6).trees}) == k
 
 
-@pytest.mark.parametrize("k", [BATCH_MIN - 1, BATCH_MIN, BATCH_MIN + 3])
+@pytest.mark.parametrize("k", [1, 2, 9, 10, 13])
 def test_fit_at_nu_calls_fit_tree_once_per_tree(mpg, monkeypatch, k):
-    # growth is timed through these calls: from the minimum up, the first
-    # call holds the one batched pass and the others take its trees
+    # growth is timed through these calls: the first call holds the one
+    # batched pass and the others take its trees
     train, _ = split(mpg, val_fraction=0.5, seed=3)
     start = shooting_start(train, k, 3)
     calls, passes = [], []
@@ -758,7 +783,7 @@ def test_fit_at_nu_calls_fit_tree_once_per_tree(mpg, monkeypatch, k):
     monkeypatch.setattr(tree_module, "_grow_batch", recording_grow_batch)
     model = ensemble.fit_at_nu(train, start, 1.0)
     assert calls == [None] * k
-    assert passes == ([(1, k)] if k >= BATCH_MIN else [])
+    assert passes == [(1, k)]
     targets = gradient_targets(start[2], start[1].projected, 1.0)
     for tree, alone in zip(model.trees, _grown_alone(train.features, targets)):
         assert_same_tree(tree, alone)
@@ -811,15 +836,17 @@ def test_stalled_boosting_stages_are_one_tree():
 
 
 def _grown_alone(x, targets):
-    """Each column's tree from fit_tree on its own fresh Presort."""
-    return [fit_tree(Presort(x), column) for column in targets.T]
+    """Each column's tree from the per-node search on its own fresh
+    Presort, capped at the row count: a tree on m rows is at most m - 1
+    deep, so the cap never binds and the tree is the fully grown one."""
+    return [fit_tree(Presort(x), column, x.shape[0]) for column in targets.T]
 
 
 @given(
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(1, 40),
     n=st.integers(0, 4),
-    extra=st.integers(0, 6),
+    k=st.integers(3, 16),
     decimals=st.integers(0, 2),
     bootstrap=st.booleans(),
     signed_zeros=st.booleans(),
@@ -828,20 +855,19 @@ def _grown_alone(x, targets):
     search_cells=st.sampled_from([SEARCH_CELLS, 1, 64]),
 )
 # nodes past 128 rows search in the 256-wide bucket, past 256 in the 512
-@example(seed=5, m=130, n=3, extra=0, decimals=1, bootstrap=False, signed_zeros=False,
+@example(seed=5, m=130, n=3, k=10, decimals=1, bootstrap=False, signed_zeros=False,
          repeats=False, group=None, search_cells=SEARCH_CELLS)
-@example(seed=6, m=300, n=2, extra=2, decimals=2, bootstrap=True, signed_zeros=True,
+@example(seed=6, m=300, n=2, k=12, decimals=2, bootstrap=True, signed_zeros=True,
          repeats=True, group=None, search_cells=SEARCH_CELLS)
 @settings(max_examples=150, deadline=None)
 def test_batched_pass_matches_fit_tree_and_reference(
-    seed, m, n, extra, decimals, bootstrap, signed_zeros, repeats, group, search_cells
+    seed, m, n, k, decimals, bootstrap, signed_zeros, repeats, group, search_cells
 ):
-    # the pass against one fit_tree per column and the per-node-sort
-    # reference: ties, duplicate rows, -0.0 targets, constant and repeated
-    # columns, nodes on both sides of SMALL_NODE and of every bucket width,
+    # the pass against the per-node search per column and the
+    # per-node-sort reference: ties, duplicate rows, -0.0 targets, constant
+    # and repeated columns, nodes on both sides of every bucket width,
     # groups of 1 and 3 trees and search blocks of one node
     rng = np.random.default_rng(seed)
-    k = BATCH_MIN + extra
     x = np.round(rng.standard_normal((m, n)), decimals)
     y = np.round(rng.standard_normal((m, k)), decimals + 1)
     if bootstrap:
@@ -860,9 +886,8 @@ def test_batched_pass_matches_fit_tree_and_reference(
     with mock.patch.multiple(tree_module, GROW_CELLS=cells, SEARCH_CELLS=search_cells):
         trees = [fit_tree(presort, column) for column in y.T]
     distinct = len({column.tobytes() for column in y.T})
-    # the first call grew every distinct column, or, below the minimum,
-    # each call its own
-    assert len(presort.memo) == (distinct if distinct >= BATCH_MIN else 1)
+    # the first call grew every distinct column
+    assert len(presort.memo) == distinct
     for i, (tree, alone) in enumerate(zip(trees, _grown_alone(x, y))):
         assert_same_tree(tree, alone)
         if i < 3:
@@ -875,7 +900,7 @@ def test_batched_pass_matches_fit_tree_and_reference(
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(1, 40),
     n=st.integers(0, 4),
-    extra=st.integers(0, 6),
+    k=st.integers(4, 16),
     decimals=st.integers(0, 2),
     signed_zeros=st.booleans(),
     repeats=st.booleans(),
@@ -884,15 +909,14 @@ def test_batched_pass_matches_fit_tree_and_reference(
 )
 @settings(max_examples=150, deadline=None)
 def test_batched_bootstrap_trees_match_fit_tree_on_their_rows(
-    seed, m, n, extra, decimals, signed_zeros, repeats, group, search_cells
+    seed, m, n, k, decimals, signed_zeros, repeats, group, search_cells
 ):
-    # resamples of one matrix grown in the pass against fit_tree on
-    # x[rows], y[rows], a fresh matrix each: duplicate rows, ties, -0.0
+    # resamples of one matrix grown in the pass against the per-node search
+    # on x[rows], y[rows], a fresh matrix each: duplicate rows, ties, -0.0
     # targets, constant targets, repeated resamples and feature columns,
-    # byte-equal targets on other rows, nodes on both sides of SMALL_NODE,
-    # groups of 1 and 3 trees and search blocks of one node
+    # byte-equal targets on other rows, nodes on both sides of every
+    # bucket width, groups of 1 and 3 trees and search blocks of one node
     rng = np.random.default_rng(seed)
-    k = BATCH_MIN + extra
     x = np.round(rng.standard_normal((m, n)), decimals)
     y = np.round(rng.standard_normal(m), decimals + 1)
     if signed_zeros:
@@ -915,11 +939,41 @@ def test_batched_bootstrap_trees_match_fit_tree_on_their_rows(
     assert all(list(view.memo.values()) == [tree] for view, tree in zip(views, trees))
     assert not views[0].pending
     for i, (tree, r) in enumerate(zip(trees, rows)):
-        assert_same_tree(tree, fit_tree(x[r], y[r]))
+        assert_same_tree(tree, _grown_alone(x[r], y[r, None])[0])
         if i < 3:
             assert_same_tree(tree, reference_fit_tree(x[r], y[r]))
     # byte-equal targets on other rows are another tree's, never shared
     assert trees[3] is not trees[0] or not repeats
+
+
+def test_small_fits_grow_in_one_pass(mpg, monkeypatch):
+    # a few trees take the batched pass too, not a per-tree search: one
+    # pass per fit, whose trees are the per-node-sort reference's
+    train, _ = split(mpg, val_fraction=0.5, seed=3)
+    passes = []
+    grow_batch = tree_module._grow_batch
+
+    def recording_grow_batch(presort, pending):
+        passes.append(len(pending))
+        return grow_batch(presort, pending)
+
+    monkeypatch.setattr(tree_module, "_grow_batch", recording_grow_batch)
+    for k in (1, 2, 5):
+        passes.clear()
+        # a fixed nu: one member leaves no correlations to tune it on
+        model = fit_shooting(train, SRConfig(k=k, seed=3, nu=1.0))
+        assert passes == [k]
+        start = shooting_start(train, k, 3)
+        targets = gradient_targets(start[2], start[1].projected, model.nu)
+        for i, tree in enumerate(model.trees):
+            assert_same_tree(tree, reference_fit_tree(train.features, targets[:, i]))
+    for n_trees in (1, 5):
+        passes.clear()
+        forest = fit_rf(train, RFConfig(n_trees=n_trees, seed=3))
+        assert passes == [n_trees]
+        for i, tree in enumerate(forest.trees):
+            rows = make_rng(3, BOOTSTRAP_STREAM, i).integers(0, train.n_rows, size=train.n_rows)
+            assert_same_tree(tree, reference_fit_tree(train.features[rows], train.target[rows]))
 
 
 def test_resample_checks_its_rows_and_targets():
@@ -928,18 +982,19 @@ def test_resample_checks_its_rows_and_targets():
     y = np.arange(6.0)
     for bad in (np.zeros(5), np.zeros((6, 1)), np.zeros(6) + 1j):
         with pytest.raises(ValueError, match="targets must be"):
-            presort.resample(np.zeros((BATCH_MIN, 6), dtype=int), bad)
+            presort.resample(np.zeros((10, 6), dtype=int), bad)
     for bad in (np.zeros(6, dtype=int), np.zeros((2, 6)), np.zeros((2, 0), dtype=int),
                 np.full((2, 6), -1), np.full((2, 6), 6)):
         with pytest.raises(ValueError, match="rows must be"):
             presort.resample(bad, y)
-    # fewer than BATCH_MIN trees grow one at a time, each its own
+    # two trees of three rows each, expected for one pass
     views = presort.resample(np.array([[0, 0, 1], [5, 4, 3]]), y)
-    assert not presort.pending and [view.n_rows for view in views] == [3, 3]
+    assert len(presort.pending) == 2 and [view.n_rows for view in views] == [3, 3]
     with pytest.raises(ValueError, match="matching the feature rows"):
         fit_tree(views[0], y)
     for view in views:
-        assert_same_tree(fit_tree(view, y[view.rows]), fit_tree(x[view.rows], y[view.rows]))
+        assert_same_tree(fit_tree(view, y[view.rows]), reference_fit_tree(x[view.rows], y[view.rows]))
+    assert not presort.pending
 
 
 @pytest.mark.parametrize("m", [4, 40])
@@ -951,7 +1006,7 @@ def test_batched_thresholds_pin_as_fit_tree_pins(m):
     x = np.column_stack(
         [np.tile([odd, np.nextafter(odd, 2.0)], m // 2), np.tile([-1.7e308, -1e308, 1e308, 1.7e308], m // 4)]
     )
-    y = np.random.default_rng(m).standard_normal((m, BATCH_MIN))
+    y = np.random.default_rng(m).standard_normal((m, 10))
     presort = Presort(x)
     presort.expect(y)
     trees = [fit_tree(presort, column) for column in y.T]
@@ -963,10 +1018,12 @@ def test_batched_thresholds_pin_as_fit_tree_pins(m):
 def test_batched_trees_own_their_arrays():
     rng = np.random.default_rng(27)
     x = rng.standard_normal((50, 3))
-    y = rng.standard_normal((50, BATCH_MIN))
+    y = rng.standard_normal((50, 10))
     presort = Presort(x)
     presort.expect(y)
     trees = [fit_tree(presort, column) for column in y.T]
+    # a tree grown alone comes from the pass too
+    trees.append(fit_tree(x, y[:, 0]))
     for tree in trees:
         for array in (tree.feature, tree.threshold, tree.value):
             # not a view into the pass's level-wide records
@@ -977,11 +1034,11 @@ def test_batched_trees_own_their_arrays():
 def test_batch_fills_the_memo_and_a_tree_grown_alone_replaces_it():
     rng = np.random.default_rng(28)
     x = rng.standard_normal((30, 2))
-    y = rng.standard_normal((30, BATCH_MIN))
+    y = rng.standard_normal((30, 10))
     presort = Presort(x)
     presort.expect(y)
     first = fit_tree(presort, y[:, 3])
-    assert len(presort.memo) == BATCH_MIN and not presort.pending
+    assert len(presort.memo) == 10 and not presort.pending
     assert all(fit_tree(presort, y[:, 3]) is first for _ in range(2))
     # a depth-capped tree grows alone, and the memo then holds it only
     capped = fit_tree(presort, y[:, 0], 2)
@@ -994,7 +1051,7 @@ def test_batch_grows_the_targets_expect_saw():
     # must not reach the trees filed under the expected columns
     rng = np.random.default_rng(30)
     x = rng.standard_normal((40, 3))
-    y = rng.standard_normal((40, BATCH_MIN))
+    y = rng.standard_normal((40, 10))
     seen = y.copy()
     presort = Presort(x)
     presort.expect(y)
@@ -1007,18 +1064,18 @@ def test_batch_grows_the_targets_expect_saw():
 def test_expect_checks_its_matrix_and_leaves_bad_columns_to_their_call():
     x = np.arange(12.0).reshape(6, 2)
     presort = Presort(x)
-    for bad in (np.zeros(6), np.zeros((5, BATCH_MIN)), np.zeros((6, BATCH_MIN)) + 1j):
+    for bad in (np.zeros(6), np.zeros((5, 10)), np.zeros((6, 10)) + 1j):
         with pytest.raises(ValueError, match="targets must be"):
             presort.expect(bad)
-    y = np.random.default_rng(29).standard_normal((6, BATCH_MIN + 1))
+    y = np.random.default_rng(29).standard_normal((6, 11))
     y[0, 4] = np.nan
     presort.expect(y)
-    assert len(presort.pending) == BATCH_MIN
+    assert len(presort.pending) == 10
     with pytest.raises(ValueError, match="targets must be finite"):
         fit_tree(presort, y[:, 4])
     for i in (0, 5):
-        assert_same_tree(fit_tree(presort, y[:, i]), fit_tree(Presort(x), y[:, i]))
-    assert len(presort.memo) == BATCH_MIN
+        assert_same_tree(fit_tree(presort, y[:, i]), _grown_alone(x, y[:, i, None])[0])
+    assert len(presort.memo) == 10
 
 
 def test_batch_memory_stays_within_its_budget(mpg):
