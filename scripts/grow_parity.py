@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
-"""Check every SR and RF tree the CLI commands grow against the per-node search.
+"""Check every SR and RF tree the CLI commands grow against the capped grower.
 
 Runs benchmark (32 trials, k = 100), nu-curve (its default grid) and
 pca-diag at their defaults, on the bundled data, into a temporary
 directory. Every SR fit goes through fit_at_nu and every RF fit through
 fit_rf, which grow their trees in one batched pass, as fit_tree grows
-every fully grown tree. The oracle is fit_tree's node-by-node search for
+every fully grown tree. The oracle is fit_tree's node-by-node growth of
 capped trees, at a cap of the row count: a tree on m rows is at most
 m - 1 deep, so the cap never binds and the tree is the fully grown one,
-grown without the pass. Each SR tree is checked against
-fit_tree(presort, y, max_depth=m) on a fresh Presort, and each RF tree
+grown without the pass. The two growers cut with one search
+(tree._cut_sse), so what this checks is what the pass adds around it:
+node totals, padding to the block width, the partition, RF's stacked
+resamples and the assembly of trees from level records. The independent
+check of the search is reference_fit_tree in tests/test_tree.py, which
+re-sorts every node and searches one feature at a time. Each SR tree is
+checked against fit_tree(presort, y, max_depth=m) on a fresh Presort,
+and each RF tree
 against fit_tree(x[rows], y[rows], m) on its bootstrap rows, a fresh
 matrix, one tree at a time; the feature, threshold and leaf-value arrays
 must be equal byte for byte. Exits 1 on the first mismatch, when a

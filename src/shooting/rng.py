@@ -48,10 +48,14 @@ def check_float(value, name: str, least: float | None = None) -> None:
 
 def real_array(values, name: str) -> np.ndarray:
     """values as a float array; ValueError for complex values, whose
-    imaginary part numpy would drop behind a mere ComplexWarning."""
+    imaginary part numpy would drop behind a mere ComplexWarning, and for
+    strings, which numpy would parse as numbers or refuse in a message that
+    names no argument."""
     x = np.asarray(values)
     if x.dtype.kind == "c":
         raise ValueError(f"{name} must be real numbers, not complex")
+    if x.dtype.kind in "US":
+        raise ValueError(f"{name} must be real numbers, not strings")
     return x.astype(float, copy=False)
 
 

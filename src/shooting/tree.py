@@ -32,12 +32,17 @@ root holds an (n_features, m) matrix of row ids, row f in stable value
 order of feature f. A split keeps the first n_left entries of the chosen
 feature's row and filters every row of the matrix by that row set, so
 each child inherits its rows already in value order and every feature
-row has the same length. The split search (_best_split) then runs over
-all features at once: row-wise prefix sums of y and y^2, the SSE of each
-cut, infeasible cuts set to inf, and one flat argmin, whose first-minimum
-rule is the tie break above. Only a child that will be searched gets
-orders: one at max_depth, such as every child of a depth-2 split in a
-depth-3 boosting stage, only takes the mean of its rows.
+row has the same length. Only a child that will be searched gets orders:
+one at max_depth, such as every child of a depth-2 split in a depth-3
+boosting stage, only takes the mean of its rows.
+
+Every split search, node by node or in the batched pass below, goes
+through one function, _cut_sse: on (nodes, features, width) blocks of
+values and targets in value order it takes prefix sums of y and y^2 along
+each row and returns each cut's total child SSE, inf where the cut does
+not fall between distinct values. The first minimum over a node's
+(feature, position) in row-major order is the tie break above: a capped
+node takes one flat argmin, the pass one argmin per node.
 
 A Presort also keeps a memo of trees grown on it, which fit_tree returns
 for the same max_depth and byte-equal targets instead of growing them
@@ -70,10 +75,8 @@ rows, tree after tree, in each feature's stable value order and in
 increasing order. Node totals reduce the nodes of one size together
 along contiguous rows, which rounds as one np.sum per node. The search
 takes nodes in blocks of one width, the next power of two at or above
-their size, and runs _best_split's prefix sums, SSE expression and
-first-minimum rule over them (_search_block), each node padded with its
-last value, which no cut separates, and one argmin per node over its
-(feature, position). A change to the tie rule must go into both searches.
+their size, each node padded with its last value, which no cut
+separates.
 A split partitions every row of the matrix stably by prefix counts of the
 left rows, and a stable sort of the levels' records by tree gives each
 tree its nodes in level order. The trees are those of the node-by-node
@@ -228,37 +231,6 @@ def _steps(tree: RegressionTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     value = np.zeros(internal.size)
     value[~internal] = tree.value
     return np.where(internal, 2 * np.cumsum(internal) - 1, np.arange(internal.size)), threshold, value
-
-
-def _best_split(
-    xs: np.ndarray, ys: np.ndarray, total1: float, total2: float
-) -> tuple[int, int] | None:
-    """Lowest total child SSE over every feature and cut at once.
-
-    Row f of xs/ys holds feature f's node values and targets in value
-    order. Position p cuts left = [0..p], right = [p+1..]; it is feasible
-    between distinct values, p in [0, m-1). SSE per side comes from
-    row-wise prefix sums of y and y^2. Returns (f, p) of the first minimum
-    in row-major order, so the lowest feature and then the lowest
-    threshold win ties, or None when nothing is feasible.
-    """
-    n, m = ys.shape
-    if n == 0:
-        return None
-    head = ys[:, :-1]
-    # the ufuncs that np.cumsum runs, without its Python wrapper
-    c1 = np.add.accumulate(head, axis=1)
-    c2 = np.add.accumulate(head * head, axis=1)
-    nl = np.arange(1, m, dtype=float)
-    nr = m - nl
-    sse = (c2 - c1 * c1 / nl) + (total2 - c2 - (total1 - c1) ** 2 / nr)
-    distinct = xs[:, :-1] < xs[:, 1:]
-    # fit_tree's overflow guard keeps sse free of NaN, so argmin's first
-    # minimum is the tie-break: lowest feature, then lowest position
-    k = int(np.argmin(np.where(distinct, sse, np.inf)))
-    if not distinct.flat[k]:
-        return None
-    return divmod(k, m - 1)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -424,23 +396,27 @@ def _grow_capped(presort: Presort, y: np.ndarray, max_depth: int) -> RegressionT
     thr: list[float] = []
     value: list[float] = []
     # a node carries its rows in increasing order and, if it will be
-    # searched, per feature its rows in stable value order (None if not).
-    # Nodes are taken first in, first out, so in level order
-    queue = deque([(np.arange(y.size), presort.order if max_depth else None, 0)])
+    # searched, per feature its rows in stable value order (None if not;
+    # with no feature, never). Nodes are taken first in, first out, so in
+    # level order
+    queue = deque([(np.arange(y.size), presort.order if max_depth and n else None, 0)])
     while queue:
         idx, order, depth = queue.popleft()
         ysub = y[idx]
         # the ufuncs that .sum(), .min() and .max() run
         total1 = float(np.add.reduce(ysub))
-        split = None
+        split = False
         if order is not None and np.minimum.reduce(ysub) != np.maximum.reduce(ysub):
             xs = xt[feature_ids, order]
-            split = _best_split(xs, y[order], total1, float(np.add.reduce(ysub * ysub)))
-        if split is None:
+            sse = _cut_sse(xs[None], y[order][None], total1, float(np.add.reduce(ysub * ysub)), idx.size)
+            # the first minimum of the flat (feature, position): the tie break
+            k = int(sse.argmin())
+            split = sse.flat[k] < np.inf
+        if not split:
             feat.append(LEAF)
             value.append(total1 / idx.size)  # ysub.mean(), bit for bit
             continue
-        f, p = split
+        f, p = divmod(k, idx.size - 1)
         n_left = p + 1
         below, above = float(xs[f, p]), float(xs[f, n_left])
         # the cut keeps the first n_left rows of the split feature's order
@@ -596,16 +572,18 @@ def _split_level(ids, y, x, shift, tree, start, size, total1, total2, searched):
     width = np.left_shift(1, np.frexp(size[searched] - 1)[1])
     none = np.zeros(0, dtype=np.int64)
     blocks = [(none, none, none, np.zeros(0), np.zeros(0))]
-    for w in np.unique(width):
-        bucket = searched[width == w]
-        step = max(1, SEARCH_CELLS // (p * w))
-        for i in range(0, bucket.size, step):
-            nodes = bucket[i : i + step]
-            blocks.append(_search_block(ids, y, x, shift, tree, nodes, start, size, total1, total2, w))
-    nodes, f, pos, below, above = map(np.concatenate, zip(*blocks))
-    ranked = np.argsort(nodes)
-    below, above = below[ranked], above[ranked]
-    with np.errstate(over="ignore"):
+    # past a padded node's last cut its right side is empty or negative, and
+    # below + above may overflow: _cut_sse masks the one, the pin the other
+    with np.errstate(all="ignore"):
+        for w in np.unique(width):
+            bucket = searched[width == w]
+            step = max(1, SEARCH_CELLS // (p * w))
+            for i in range(0, bucket.size, step):
+                nodes = bucket[i : i + step]
+                blocks.append(_search_block(ids, y, x, shift, tree, nodes, start, size, total1, total2, w))
+        nodes, f, pos, below, above = map(np.concatenate, zip(*blocks))
+        ranked = np.argsort(nodes)
+        below, above = below[ranked], above[ranked]
         threshold = 0.5 * (below + above)
     # the midpoint rounded up to above, or below + above overflowed; pin to
     # below so the threshold routes exactly the first n_left rows
@@ -615,36 +593,43 @@ def _split_level(ids, y, x, shift, tree, start, size, total1, total2, searched):
 
 
 def _search_block(ids, y, x, shift, tree, nodes, start, size, total1, total2, width):
-    """_best_split for each of nodes, of at most width rows: (nodes,
-    feature, position, below, above) of those with a feasible cut. Each
-    node's values are padded to width with its last, which no cut
-    separates, so a padded position is never distinct."""
+    """_cut_sse for each of nodes, of at most width rows: (nodes, feature,
+    position, below, above) of those with a feasible cut. Each node's
+    values are padded to width with its last, which no cut separates."""
     p, stride_x = x.shape
     n, size = nodes.size, size[nodes, None, None]
     cols = start[nodes, None] + np.minimum(np.arange(width), size[:, 0] - 1)
     # (nodes, features, width): each node's elements in each feature's order
     stride = ids.shape[1]
     elements = ids.ravel()[cols[:, None, :] + np.arange(0, p * stride, stride)[:, None]]
-    ys = y[elements]
     # element e of tree t, feature f is x.flat[f * stride_x + e - t * shift]
     offset = np.arange(0, p * stride_x, stride_x)[:, None] - tree[nodes, None, None] * shift
     xs = x.ravel()[elements + offset]
-    head = ys[..., :-1]
-    c1 = np.add.accumulate(head, axis=2)
-    c2 = np.add.accumulate(head * head, axis=2)
-    nl = np.arange(1, width, dtype=float)
-    t1, t2 = total1[nodes, None, None], total2[nodes, None, None]
-    # past a node's last cut the right side is empty or negative
-    with np.errstate(all="ignore"):
-        sse = (c2 - c1 * c1 / nl) + (t2 - c2 - (t1 - c1) ** 2 / (size - nl))
-    distinct = xs[..., :-1] < xs[..., 1:]
-    # the first minimum over each node's (feature, position): the lowest
-    # feature, then the lowest threshold wins a tie
-    k = np.argmin(np.where(distinct, sse, np.inf).reshape(n, -1), axis=1)
+    sse = _cut_sse(xs, y[elements], total1[nodes, None, None], total2[nodes, None, None], size)
+    sse = sse.reshape(n, -1)
+    # the first minimum over each node's (feature, position): the tie break
+    k = np.argmin(sse, axis=1)
     rows = np.arange(n)
-    ok = distinct.reshape(n, -1)[rows, k]
+    ok = sse[rows, k] < np.inf
     rows, (f, pos) = rows[ok], np.divmod(k[ok], width - 1)
     return nodes[ok], f, pos, xs[rows, f, pos], xs[rows, f, pos + 1]
+
+
+def _cut_sse(xs, ys, total1, total2, size):
+    """The total child SSE of every cut: xs and ys are (nodes, features,
+    width) blocks of values and targets in value order, and total1, total2
+    and size each node's sum of y, sum of y^2 and row count (scalars or
+    (nodes, 1, 1)). Position p cuts left = [0..p], right = [p+1..]; the
+    SSE is inf where the cut does not fall between distinct values.
+    fit_tree's overflow guard keeps every other entry finite, so the first
+    minimum below inf is the split."""
+    head = ys[..., :-1]
+    # the ufuncs that np.cumsum runs, without its Python wrapper
+    c1 = np.add.accumulate(head, axis=2)
+    c2 = np.add.accumulate(head * head, axis=2)
+    nl = np.arange(1, ys.shape[2], dtype=float)
+    sse = (c2 - c1 * c1 / nl) + (total2 - c2 - (total1 - c1) ** 2 / (size - nl))
+    return np.where(xs[..., :-1] < xs[..., 1:], sse, np.inf)
 
 
 def _partition(ids, start, size, f, n_left):

@@ -275,6 +275,29 @@ def test_fit_rejects_complex_values():
         fit_tree(x, y + 1j)
 
 
+def test_string_arrays_are_refused():
+    # numpy parsed "1" into a tree, a predict and a Dataset, and refused "a"
+    # in a message that named no argument
+    data = make_synthetic(20, 2, 1.0, 0)
+    model = fit_shooting(data, SRConfig(k=2, nu=1.0, seed=0))
+    x, y = data.features, data.target
+    for strings in (x.astype(str), x.astype(bytes), np.where(x > 0, "a", "2")):
+        for call in (
+            lambda: Presort(strings),
+            lambda: fit_tree(strings, y),
+            lambda: predict(model, strings),
+            lambda: predict_tree(model.trees[0], strings),
+            lambda: Dataset(strings, y),
+        ):
+            with pytest.raises(ValueError, match="^features must be real numbers, not strings"):
+                call()
+    for strings in (y.astype(str), y.astype(bytes)):
+        with pytest.raises(ValueError, match="^targets must be real numbers, not strings"):
+            fit_tree(x, strings)
+        with pytest.raises(ValueError, match="^target must be real numbers, not strings"):
+            Dataset(x, strings)
+
+
 @pytest.mark.parametrize("field", ["feature", "threshold", "value"])
 def test_tree_fields_must_be_arrays(field):
     # a list used to fail with "'list' object has no attribute 'size'"
@@ -656,12 +679,15 @@ def test_search_matches_reference_at_the_width_boundaries(
 
 
 def test_models_grow_reference_trees(mpg, monkeypatch):
-    # integer-valued columns tie heavily; RF resamples duplicate rows
+    # integer-valued columns tie heavily; RF resamples duplicate rows. Whole
+    # fits at the defaults' sizes: the batched pass and the capped grower
+    # share one cut search, and this is its check against a grower that
+    # re-sorts every node and searches one feature at a time
     train, _ = split(mpg, val_fraction=0.5, seed=3)
     fits = [
-        (fit_shooting, SRConfig(k=5, seed=3)),
-        (fit_rf, RFConfig(n_trees=5, seed=3)),
-        (fit_gbm, GBMConfig(n_stages=5, seed=3)),
+        (fit_shooting, SRConfig(k=100, seed=3)),
+        (fit_rf, RFConfig(n_trees=100, seed=3)),
+        (fit_gbm, GBMConfig(n_stages=100, seed=3)),
     ]
     grown = [fit(train, config).trees for fit, config in fits]
     monkeypatch.setattr(ensemble, "fit_tree", reference_fit_tree)
