@@ -1,24 +1,22 @@
 #!/usr/bin/env python3
-"""Check every SR and RF tree the CLI commands grow against the capped grower.
+"""Check every SR and RF tree the CLI commands grow against plain fit_tree.
 
 Runs benchmark (32 trials, k = 100), nu-curve (its default grid) and
 pca-diag at their defaults, on the bundled data, into a temporary
 directory. Every SR fit goes through fit_at_nu and every RF fit through
-fit_rf, which grow their trees in one batched pass, as fit_tree grows
-every fully grown tree. The oracle is fit_tree's node-by-node growth of
-capped trees, at a cap of the row count: a tree on m rows is at most
-m - 1 deep, so the cap never binds and the tree is the fully grown one,
-grown without the pass. The two growers cut with one search
+fit_rf, which announce their trees and grow them in one batched pass.
+The oracle is plain fit_tree, one tree that no fit announced: it grows
+node by node, at a cap of the row count, which never binds, since a tree
+on m rows is at most m - 1 deep. The two growers cut with one search
 (tree._cut_sse), so what this checks is what the pass adds around it:
 node totals, padding to the block width, the partition, RF's stacked
 resamples and the assembly of trees from level records. The independent
 check of the search is reference_fit_tree in tests/test_tree.py, which
 re-sorts every node and searches one feature at a time. Each SR tree is
-checked against fit_tree(presort, y, max_depth=m) on a fresh Presort,
-and each RF tree
-against fit_tree(x[rows], y[rows], m) on its bootstrap rows, a fresh
-matrix, one tree at a time; the feature, threshold and leaf-value arrays
-must be equal byte for byte. Exits 1 on the first mismatch, when a
+checked against fit_tree(presort, y) on a fresh Presort, and each RF tree
+against fit_tree(x[rows], y[rows]) on its bootstrap rows, a fresh matrix,
+one tree at a time; the feature, threshold and leaf-value arrays must be
+equal byte for byte. Exits 1 on the first mismatch, when a
 command grew no SR tree in a batched pass, or when benchmark grew no RF
 tree in one, and prints one line per command otherwise.
 
@@ -58,7 +56,7 @@ def checked(fit_at_nu, counts: dict):
         targets = gradient_targets(start[2], start[1].projected, nu)
         presort = Presort(train.features)
         for i, tree in enumerate(model.trees):
-            alone = fit_tree(presort, targets[:, i], max_depth=presort.n_rows)
+            alone = fit_tree(presort, targets[:, i])
             compare(tree, alone, f"SR fit {counts['fits'] + 1}, tree {i}")
         counts["fits"] += 1
         counts["trees"] += len(model.trees)
@@ -76,7 +74,7 @@ def checked_rf(fit_rf, counts: dict):
         m = train.n_rows
         for i, tree in enumerate(model.trees):
             rows = make_rng(config.seed, BOOTSTRAP_STREAM, i).integers(0, m, size=m)
-            alone = fit_tree(train.features[rows], train.target[rows], rows.size)
+            alone = fit_tree(train.features[rows], train.target[rows])
             compare(tree, alone, f"RF fit {counts['rf_fits'] + 1}, tree {i}")
         counts["rf_fits"] += 1
         counts["rf_trees"] += len(model.trees)

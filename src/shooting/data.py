@@ -30,23 +30,17 @@ class Dataset:
     target: np.ndarray
 
     def __post_init__(self):
-        features = real_array(self.features, "features")
-        target = real_array(self.target, "target")
+        features = real_array(self.features, "features", 2)
+        target = real_array(self.target, "target", 1)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "target", target)
-        if features.ndim != 2:
-            raise ValueError("features must be a 2-D matrix")
         m, n = features.shape
         if m < 2:
             raise ValueError(f"need at least 2 rows, got {m}")
         if n < 1:
             raise ValueError("need at least 1 feature column")
-        if target.shape != (m,):
+        if target.size != m:
             raise ValueError("target length must match the number of feature rows")
-        if not np.all(np.isfinite(features)):
-            raise ValueError("features contain non-finite values")
-        if not np.all(np.isfinite(target)):
-            raise ValueError("target contains non-finite values")
 
     @property
     def n_rows(self) -> int:
@@ -143,22 +137,19 @@ def _in_range(what: str, *sums: float) -> None:
         raise MetricError(f"{what} overflow the float range")
 
 
-def _vectors(a, b, least: int) -> tuple[np.ndarray, np.ndarray]:
-    """a and b as float vectors of one length, at least least; ValueError
-    otherwise, or for a NaN or inf entry, before any arithmetic could turn
-    it into a NaN result."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape or a.size < least:
-        raise ValueError(f"need two equal-length vectors, at least {least} long")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("inputs must be finite")
+def _vectors(least: int, **pair) -> tuple[np.ndarray, np.ndarray]:
+    """The two keyword arguments as real_array vectors of one length, at
+    least least long, checked before any arithmetic could turn a bad entry
+    into a NaN result."""
+    a, b = (real_array(values, name, 1) for name, values in pair.items())
+    if a.size != b.size or a.size < least:
+        raise ValueError(f"{' and '.join(pair)} must be equal-length vectors, at least {least} long")
     return a, b
 
 
 def r_squared(y_true, y_pred) -> float:
     """Coefficient of determination 1 - SSres/SStot."""
-    y_true, y_pred = _vectors(y_true, y_pred, 2)
+    y_true, y_pred = _vectors(2, y_true=y_true, y_pred=y_pred)
     with np.errstate(over="ignore", invalid="ignore"):
         ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
         ss_res = float(np.sum((y_true - y_pred) ** 2))
@@ -170,7 +161,7 @@ def r_squared(y_true, y_pred) -> float:
 
 def mse(y_true, y_pred) -> float:
     """Mean squared error."""
-    y_true, y_pred = _vectors(y_true, y_pred, 1)
+    y_true, y_pred = _vectors(1, y_true=y_true, y_pred=y_pred)
     with np.errstate(over="ignore"):
         value = float(np.mean((y_true - y_pred) ** 2))
     _in_range("squared errors", value)
@@ -206,7 +197,7 @@ def paired_t_test(a, b, sidedness: str = "two-sided") -> tuple[float, float]:
 
     "greater" tests the alternative mean(a) > mean(b).
     """
-    a, b = _vectors(a, b, 2)
+    a, b = _vectors(2, a=a, b=b)
     with np.errstate(over="ignore", invalid="ignore"):
         diff = a - b
         sd = float(diff.std(ddof=1))

@@ -28,7 +28,7 @@ import numpy as np
 from .data import Dataset
 from .linear import LinearModel, OffsetSet, augment, fit_ols, sample_offsets
 from .nuopt import DegenerateCorrelationError, balanced_magnitude_weight, build_cache, minimize_nu
-from .rng import check_float, check_int
+from .rng import check_float, check_int, real_array
 from .tree import Presort, RegressionTree, TreeModel, check_features, fit_tree, row_means
 
 # nu used when the correlation objective is degenerate (perfect linear fit)
@@ -64,13 +64,10 @@ class ShootingEnsemble(TreeModel):
     trees: tuple[RegressionTree, ...]
 
     def __post_init__(self):
-        if np.ndim(self.coefficients) != 1 or not np.isfinite(self.coefficients).all():
-            raise ValueError("coefficients must be a finite vector")
-        p = self.coefficients.size
+        p = real_array(self.coefficients, "coefficients", 1).size
         if np.shape(self.offsets) != (p, self.k):
             raise ValueError(f"offsets must have shape ({p}, {self.k})")
-        if not np.isfinite(self.offsets).all():
-            raise ValueError("offsets must be finite")
+        real_array(self.offsets, "offsets", 2)
         if not 0.0 <= self.nu < math.inf:
             raise ValueError("nu must be finite and >= 0")
         super().__post_init__()
@@ -98,14 +95,12 @@ def shooting_start(
 def gradient_targets(z, projected, nu: float) -> np.ndarray:
     """Column i is the loss gradient at initial vector i: z + nu*XD_i, for
     a vector z and a matrix projected with one row per entry of z."""
-    z = np.asarray(z, dtype=float)
-    projected = np.asarray(projected, dtype=float)
-    if z.ndim != 1:
-        raise ValueError("z must be a vector")
+    z = real_array(z, "z", 1)
     # a length-1 z or a vector projected would otherwise broadcast silently
-    if projected.ndim != 2 or projected.shape[0] != z.size:
+    shape = np.shape(projected)
+    if len(shape) != 2 or shape[0] != z.size:
         raise ValueError(f"projected must be a matrix with {z.size} rows, one per entry of z")
-    return z[:, None] + nu * projected
+    return z[:, None] + nu * real_array(projected, "projected", 2)
 
 
 def fit_at_nu(
@@ -232,10 +227,15 @@ def predict(ensemble: ShootingEnsemble, features) -> np.ndarray:
 def oracle_predict(initial, target) -> tuple[np.ndarray, np.ndarray]:
     """Replace every tree with the exact gradient; all estimates collapse to Y.
 
-    initial holds the (m, k) initial vectors on the rows of target.
-    Returns (per_estimator, aggregate). The subtraction is carried out
-    rather than shortcut to Y so the identity is demonstrated, not assumed.
+    initial holds the (m, k) initial vectors on the rows of the (m,)
+    target. Returns (per_estimator, aggregate). The subtraction is carried
+    out rather than shortcut to Y so the identity is demonstrated, not
+    assumed.
     """
+    initial = real_array(initial, "initial", 2)
+    target = real_array(target, "target", 1)
+    if target.size != initial.shape[0]:
+        raise ValueError(f"target must have {initial.shape[0]} entries, one per row of initial")
     exact_gradient = initial - target[:, None]
     per_estimator = initial - exact_gradient
     return per_estimator, row_means(per_estimator)
@@ -271,14 +271,15 @@ def project_trajectories(initial, terminal, target) -> PCADiagnostics:
     The principal axis comes from the centered collection; the reported
     coordinates are the uncentered dot products with that axis.
     """
-    initial = np.asarray(initial, dtype=float)
-    terminal = np.asarray(terminal, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if initial.ndim != 2 or initial.shape != terminal.shape or target.shape != initial.shape[:1]:
+    shapes = [np.shape(a) for a in (initial, terminal, target)]
+    if len(shapes[0]) != 2 or shapes[1] != shapes[0] or shapes[2] != shapes[0][:1]:
         raise ValueError(
             "initial and terminal must be (m, k) matrices and target an (m,) vector; got "
-            f"{initial.shape}, {terminal.shape} and {target.shape}"
+            "{}, {} and {}".format(*shapes)
         )
+    initial = real_array(initial, "initial", 2)
+    terminal = real_array(terminal, "terminal", 2)
+    target = real_array(target, "target", 1)
     collection = np.vstack([initial.T, terminal.T, target[None, :]])
     axis = _leading_component(collection)
     return PCADiagnostics(

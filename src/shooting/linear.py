@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .rng import OFFSET_STREAM, check_int, make_rng
+from .rng import OFFSET_STREAM, check_int, make_rng, real_array
 
 
 class SingularDesignError(ValueError):
@@ -34,10 +34,8 @@ _JITTER_LADDER = [1e-12 * 10**i for i in range(7)]
 
 
 def augment(features) -> np.ndarray:
-    """Prepend an intercept column of ones to a feature matrix."""
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2:
-        raise ValueError("features must be a 2-D matrix")
+    """Prepend an intercept column of ones to a real, finite 2-D feature matrix."""
+    features = real_array(features, "features", 2)
     return np.hstack([np.ones((features.shape[0], 1)), features])
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import check_float
+from .rng import check_float, real_array
 
 # Above this nu a constant offset column makes the correlation limit
 # meaningless, so flagged columns turn the evaluation degenerate.
@@ -93,10 +93,10 @@ def build_cache(z, projected_offsets) -> NuCache:
     ignore it, and objective reports the magnitude term in the caller's
     units.
     """
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(projected_offsets, dtype=float)
-    if z.ndim != 1 or x.ndim != 2 or x.shape[0] != z.size:
-        raise ValueError("need z of length m and offsets of shape (m, k)")
+    z = real_array(z, "z", 1)
+    x = real_array(projected_offsets, "projected_offsets", 2)
+    if x.shape[0] != z.size:
+        raise ValueError("projected_offsets must have one row per entry of z")
     m, k = x.shape
     if m < 2:
         raise ValueError("need at least 2 rows")

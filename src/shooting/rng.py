@@ -46,17 +46,27 @@ def check_float(value, name: str, least: float | None = None) -> None:
         raise ValueError(f"{name} must be finite" + ("" if least is None else f" and >= {least}"))
 
 
-def real_array(values, name: str) -> np.ndarray:
+def real_array(values, name: str, ndim: int | None = None) -> np.ndarray:
     """values as a float array; ValueError for complex values, whose
     imaginary part numpy would drop behind a mere ComplexWarning, and for
-    strings, which numpy would parse as numbers or refuse in a message that
-    names no argument."""
+    strings, alone or in an object array, which numpy would parse as
+    numbers or refuse in a message that names no argument. Numeric objects
+    such as Fraction pass. With ndim (1 or 2) given, also ValueError for
+    any other rank and for a NaN or an infinity, which would otherwise come
+    out of the arithmetic as a NaN result."""
     x = np.asarray(values)
-    if x.dtype.kind == "c":
+    kind = x.dtype.kind
+    if kind == "c":
         raise ValueError(f"{name} must be real numbers, not complex")
-    if x.dtype.kind in "US":
+    if kind in "US" or (kind == "O" and any(isinstance(v, (str, bytes)) for v in x.flat)):
         raise ValueError(f"{name} must be real numbers, not strings")
-    return x.astype(float, copy=False)
+    x = x.astype(float, copy=False)
+    if ndim is not None:
+        if x.ndim != ndim:
+            raise ValueError(f"{name} must be " + ("a vector" if ndim == 1 else "a 2-D matrix"))
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} must be finite")
+    return x
 
 
 def _entropy(parts) -> list[int]:

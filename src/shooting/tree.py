@@ -27,7 +27,9 @@ global stable order filtered to the node. The prefix sums therefore add
 the same values in the same sequence, and node totals and leaf means are
 sums of y over the node's rows in row order.
 
-A capped tree (max_depth set, as in GBM's stages) grows node by node. The
+A capped tree (max_depth set, as in GBM's stages) grows node by node, and
+so does a fully grown tree that no fit announced (below), at a cap of its
+row count m, which never binds: a tree on m rows is at most m - 1 deep. The
 root holds an (n_features, m) matrix of row ids, row f in stable value
 order of feature f. A split keeps the first n_left entries of the chosen
 feature's row and filters every row of the matrix by that row set, so
@@ -51,38 +53,36 @@ one tree at a time keeps only its last: at nu = 0 SR's k gradient targets
 are one vector, so its k trees are one tree grown once, and so is a
 boosting stage that did not move.
 
-Every fully grown tree (max_depth None) comes from one batched pass, which
-grows a group of trees level by level with no per-node Python, as
-XGBoost's presorted column blocks do (Chen and Guestrin, KDD 2016). A fit
-that knows all its fully grown trees up front hands them to its Presort
-first: SR its k gradient targets (expect), RF its k bootstrap resamples
-and their targets (resample, which returns one Presort per tree, standing
-for x[rows] and holding only its rows). The first fit_tree call for one
-of them then grows every expected tree in one pass and fills the memos,
-so each call, the first too, returns its tree after its own input checks.
-SR's memo takes every distinct column, so byte-equal columns grow once; a
-resample's takes its own tree only, so byte-equal targets on other rows
-never share one. Any other fully grown tree grows alone, as a group of
-one. Element t * m + r stands for row r of tree t. SR's trees share one
-matrix, so the search reads an element's features at column r of xt, the
-element less an offset of t * m. RF's trees each have their own, so a
-group stacks its resamples side by side, xt[:, rows] of shape
-(n_features, trees * m), and reads at the element itself, an offset of
-0; each tree's orders come from a stable argsort of its part of the
-stack, which breaks ties by resample position as a Presort of x[rows]
-does. An int32 matrix of n_features + 1 rows holds every open node's
-rows, tree after tree, in each feature's stable value order and in
-increasing order. Node totals reduce the nodes of one size together
-along contiguous rows, which rounds as one np.sum per node. The search
-takes nodes in blocks of one width, the next power of two at or above
-their size, each node padded with its last value, which no cut
-separates.
-A split partitions every row of the matrix stably by prefix counts of the
-left rows, and a stable sort of the levels' records by tree gives each
-tree its nodes in level order. The trees are those of the node-by-node
-growth at a cap that never binds, such as max_depth = m, bit for bit. A
-group holds at most GROW_CELLS int32 cells (its ids, and RF's stack and
-argsort counted in the same cells) and a search block at most
+The fully grown trees (max_depth None) that a fit announces come from one
+batched pass, which grows a group of trees level by level with no
+per-node Python, as XGBoost's presorted column blocks do (Chen and
+Guestrin, KDD 2016). A fit that knows all its fully grown trees up front
+hands them to its Presort first: SR its k gradient targets (expect), RF
+its k bootstrap resamples and their targets (resample, which returns one
+Presort per tree, standing for x[rows] and holding only its rows). The
+first fit_tree call for one of them then grows every expected tree in one
+pass and fills the memos, so each call, the first too, returns its tree
+after its own input checks. SR's memo takes every distinct column, so
+byte-equal columns grow once; a resample's takes its own tree only, so
+byte-equal targets on other rows never share one. Element t * m + r
+stands for row r of tree t. SR's trees share one matrix, so the search
+reads an element's features at column r of xt, the element less an offset
+of t * m. RF's trees each have their own, so a group stacks its resamples
+side by side, xt[:, rows] of shape (n_features, trees * m), and reads at
+the element itself, an offset of 0; each tree's orders come from a stable
+argsort of its part of the stack, which breaks ties by resample position
+as a Presort of x[rows] does. An int32 matrix of n_features + 1 rows
+holds every open node's rows, tree after tree, in each feature's stable
+value order and in increasing order. Node totals reduce the nodes of one
+size together along contiguous rows, which rounds as one np.sum per node.
+The search takes nodes in blocks of one width, the next power of two at
+or above their size, each node padded with its last value, which no cut
+separates. A split partitions every row of the matrix stably by prefix
+counts of the left rows, and a stable sort of the levels' records by tree
+gives each tree its nodes in level order. The trees are those of the
+node-by-node growth at a cap that never binds, such as max_depth = m, bit
+for bit. A group holds at most GROW_CELLS int32 cells (its ids, and RF's
+stack and argsort counted in the same cells) and a search block at most
 SEARCH_CELLS values (or one node), so the pass's memory does not grow
 with the number of trees: at its peak, for 100 trees on 196 rows of 7
 features and the trees included, 2.8 MB for SR and 3.0 MB for a whole RF
@@ -190,8 +190,7 @@ class RegressionTree:
         if self.threshold.shape != (i,) or self.value.shape != (i + 1,):
             raise ValueError("expected one threshold per internal node and one value per leaf")
         for name in ("threshold", "value"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must be finite")
+            real_array(getattr(self, name), name, 1)
 
     @property
     def n_nodes(self) -> int:
@@ -260,13 +259,9 @@ class Presort:
     rows = None
 
     def __init__(self, features):
-        x = real_array(features, "features")
-        if x.ndim != 2:
-            raise ValueError("features must be a 2-D matrix")
+        x = real_array(features, "features", 2)
         if x.shape[0] == 0:
             raise ValueError("cannot fit a tree on zero rows")
-        if not np.isfinite(x).all():
-            raise ValueError("features must be finite")
         # a copy, never a view of the caller's matrix
         self.xt = _read_only(np.array(x.T, order="C"))
         self.n_rows = x.shape[0]
@@ -318,7 +313,7 @@ class Presort:
         kept = []
         for presort, key in expected:
             try:
-                _check_targets(np.frombuffer(key))
+                _check_targets(real_array(np.frombuffer(key), "targets", 1))
             except ValueError:
                 continue  # its own fit_tree call raises
             kept.append((presort, key))
@@ -340,10 +335,8 @@ class _Resample(Presort):
 
 
 def _check_targets(y: np.ndarray) -> None:
-    """fit_tree's checks on a target vector: finite, with squared-error
-    sums that cannot overflow."""
-    if not np.all(np.isfinite(y)):
-        raise ValueError("targets must be finite")
+    """fit_tree's check on a finite target vector: squared-error sums that
+    cannot overflow."""
     with np.errstate(over="ignore"):
         # bounds every prefix-sum term of the SSE, (sum y)^2 <= m * sum y^2
         if not np.isfinite(y.size * float(np.sum(y * y))):
@@ -361,26 +354,25 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
     Called on a Presort whose memo holds a tree for this max_depth and
     targets equal byte for byte, it returns that tree, the same object,
     after the same input checks. Targets with -0.0 where the memo's held
-    0.0 grow anew. A fully grown tree (max_depth None) comes from the
-    batched pass: with targets that the Presort expects, every expected
-    tree grows in it first, and otherwise this tree grows alone in it. A
-    capped tree grows node by node.
+    0.0 grow anew. A fully grown tree (max_depth None) with targets that
+    the Presort expects comes from the batched pass, which grows every
+    expected tree first. Any other tree grows node by node, a fully grown
+    one at a cap of the row count, which never binds.
     """
     if max_depth is not None:
         check_int(max_depth, "max_depth", 0)
     presort = features if isinstance(features, Presort) else Presort(features)
-    y = real_array(targets, "targets")
-    if y.ndim != 1 or y.size != presort.n_rows:
+    y = real_array(targets, "targets", 1)
+    if y.size != presort.n_rows:
         raise ValueError("targets must be a vector matching the feature rows")
     _check_targets(y)
     key = y.tobytes()
     if max_depth is None and (presort, key) in presort.pending:
         _grow_batch(presort, presort.pending)
     if (key, max_depth) not in presort.memo:
-        if max_depth is None:
-            _grow_batch(presort, [(presort, key)])
-        else:
-            presort.memo = {(key, max_depth): _grow_capped(presort, y, max_depth)}
+        # a tree on m rows is at most m - 1 deep, so a cap of m never binds
+        cap = presort.n_rows if max_depth is None else max_depth
+        presort.memo = {(key, max_depth): _grow_capped(presort, y, cap)}
     return presort.memo[key, max_depth]
 
 
@@ -667,17 +659,13 @@ def check_features(features, n_features: int) -> np.ndarray:
     n_features columns wide and finite. Every predict calls this once: a
     NaN or inf would otherwise route right at every node, and a complex
     value would lose its imaginary part, silently."""
-    x = real_array(features, "features")
-    if x.ndim != 2:
-        raise ValueError("features must be a 2-D matrix")
-    if x.shape[1] != n_features:
+    # the width first: a wrong-width matrix says so, finite or not
+    shape = np.shape(features)
+    if len(shape) == 2 and shape[1] != n_features:
         raise ValueError(
-            f"features: feature count {x.shape[1]} does not match training dimension "
-            f"{n_features}"
+            f"features: feature count {shape[1]} does not match training dimension {n_features}"
         )
-    if not np.isfinite(x).all():
-        raise ValueError("features must be finite")
-    return x
+    return real_array(features, "features", 2)
 
 
 def row_means(columns: np.ndarray) -> np.ndarray:

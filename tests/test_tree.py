@@ -1072,6 +1072,24 @@ def test_batch_fills_the_memo_and_a_tree_grown_alone_replaces_it():
     assert_same_tree(fit_tree(presort, y[:, 3]), first)
 
 
+def test_a_lone_fully_grown_tree_grows_node_by_node(monkeypatch):
+    # a tree no fit announced takes the capped grower at a cap of the row
+    # count, not the batched pass as a group of one
+    def no_pass(presort, pending):
+        raise AssertionError("a lone tree entered the batched pass")
+
+    monkeypatch.setattr(tree_module, "_grow_batch", no_pass)
+    rng = np.random.default_rng(31)
+    x = np.round(rng.standard_normal((40, 3)), 1)
+    y = rng.standard_normal(40)
+    presort = Presort(x)
+    lone = fit_tree(presort, y)
+    assert list(presort.memo) == [(y.tobytes(), None)]
+    assert fit_tree(presort, y) is lone
+    assert_same_tree(lone, reference_fit_tree(x, y))
+    assert_same_tree(lone, fit_tree(x, y, max_depth=x.shape[0]))
+
+
 def test_batch_grows_the_targets_expect_saw():
     # a change to the caller's matrix between expect and the first call
     # must not reach the trees filed under the expected columns
