@@ -67,10 +67,10 @@ class GradientBoosting(TreeModel):
     n_features: int
 
     def __post_init__(self):
+        check_float(self.learning_rate, "learning_rate")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
-        if not np.isfinite(self.base_value):
-            raise ValueError("base_value must be finite")
+        check_float(self.base_value, "base_value")
         super().__post_init__()
 
 

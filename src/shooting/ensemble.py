@@ -17,7 +17,6 @@ block, just as a one-row predict may differ from a batch in the last bits.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 import warnings
@@ -68,8 +67,7 @@ class ShootingEnsemble(TreeModel):
         if np.shape(self.offsets) != (p, self.k):
             raise ValueError(f"offsets must have shape ({p}, {self.k})")
         real_array(self.offsets, "offsets", 2)
-        if not 0.0 <= self.nu < math.inf:
-            raise ValueError("nu must be finite and >= 0")
+        check_float(self.nu, "nu", 0)
         super().__post_init__()
 
     @property
@@ -143,8 +141,6 @@ def tune_nu(start: tuple[LinearModel, OffsetSet, np.ndarray]):
     (FALLBACK_NU, None)."""
     linear, offsets, z = start
     try:
-        if offsets.offsets.shape[1] < 2:
-            raise DegenerateCorrelationError("correlations need at least 2 estimators")
         if linear.residual_variance == 0.0:
             # exact linear fit: offsets are all zero and z is machine
             # noise, so the correlation surface carries no signal

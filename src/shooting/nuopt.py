@@ -40,7 +40,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class DegenerateCorrelationError(ValueError):
-    """A correlation variance term vanished; carries the offending nu."""
+    """Fewer than 2 offset columns, a constant z or a vanished correlation
+    variance term; carries the offending nu."""
 
     def __init__(self, message: str, nu: float | None = None):
         super().__init__(message)
@@ -101,7 +102,7 @@ def build_cache(z, projected_offsets) -> NuCache:
     if m < 2:
         raise ValueError("need at least 2 rows")
     if k < 2:
-        raise ValueError("need at least 2 offset columns")
+        raise DegenerateCorrelationError("need at least 2 offset columns")
     if np.ptp(z) == 0.0:
         raise DegenerateCorrelationError("z is constant; correlations undefined")
     scale = math.frexp(max(np.abs(z).max(), np.abs(x).max()))[1]

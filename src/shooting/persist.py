@@ -26,18 +26,19 @@ stream, and bad base64 or zlib.
 
 This module checks only what JSON itself can get wrong: exactly the
 kind's dataclass fields, each read by the one decoder of that field
-name, number types, booleans in number lists, node counts that are
-positive odd integers, a feature width of 1, 2, 4 or 8 bytes, and the
-blobs. Each value is checked by the class
-that holds it, for a loaded model as for one built in code: each tree is
-built through RegressionTree at the model's width, which checks the one
-structural rule (n = 2I + 1 nodes for I internal ones, the j-th at an id
-<= 2j, so every node's parent comes before it), feature indices in
-[0, n_features), the counts, finite floats and an int64 width; the
-model's constructor checks its own fields, then a tuple of trees as wide
-as the model. So no model that save_model could be given fails to load,
-a loaded model never indexes outside its arrays or stops on an internal
-node, and a document that fails a check raises PersistError.
+name, number types, node counts that are positive odd integers, a
+feature width of 1, 2, 4 or 8 bytes, and the blobs. A JSON true in a
+number list stays a bool, which rng.real_array refuses. Each value is
+checked by the class that holds it, for a loaded model as for one built
+in code: each tree is built through RegressionTree at the model's width,
+which checks the one structural rule (n = 2I + 1 nodes for I internal
+ones, the j-th at an id <= 2j, so every node's parent comes before it),
+integer feature indices in [0, n_features), the counts, finite floats
+and an int64 width; the model's constructor checks its own fields, then
+a tuple of trees as wide as the model. So no model that save_model could
+be given fails to load, a loaded model never indexes outside its arrays
+or stops on an internal node, and a document that fails a check raises
+PersistError.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ import numpy as np
 
 from .baselines import GradientBoosting, RandomForest
 from .ensemble import ShootingEnsemble
+from .rng import real_array
 from .tree import RegressionTree
 
 FORMAT_NAME = "shooting-model"
@@ -78,19 +80,6 @@ _BLOBS = {"feature": "i8", "threshold": "f8", "value": "f8"}
 
 class PersistError(ValueError):
     """Unrecognized or malformed model document."""
-
-
-def _floats(values) -> np.ndarray:
-    """values as a float array, unless a JSON true or false sits in them
-    (also in nested lists): numpy would read it as 1 or 0 and the model
-    would load."""
-    types = set(map(type, values)) if isinstance(values, list) else set()
-    if bool in types:
-        raise PersistError("expected numbers, got a boolean")
-    if list in types:
-        for row in values:
-            _floats(row)
-    return np.array(values, dtype=float)
 
 
 def _number(value) -> float:
@@ -153,8 +142,9 @@ _KINDS = {"shooting": ShootingEnsemble, "rf": RandomForest, "gbm": GradientBoost
 # format_version and the model's width are known, and RegressionTree
 # checks that width
 _DECODERS = {
-    "coefficients": _floats,
-    "offsets": _floats,
+    # as objects, so a JSON true stays a bool for real_array to refuse
+    "coefficients": lambda v: real_array(np.array(v, dtype=object), "coefficients"),
+    "offsets": lambda v: real_array(np.array(v, dtype=object), "offsets"),
     "nu": _number,
     "base_value": _number,
     "learning_rate": _number,

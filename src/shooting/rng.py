@@ -49,17 +49,20 @@ def check_float(value, name: str, least: float | None = None) -> None:
 def real_array(values, name: str, ndim: int | None = None) -> np.ndarray:
     """values as a float array; ValueError for complex values, whose
     imaginary part numpy would drop behind a mere ComplexWarning, and for
-    strings, alone or in an object array, which numpy would parse as
-    numbers or refuse in a message that names no argument. Numeric objects
-    such as Fraction pass. With ndim (1 or 2) given, also ValueError for
-    any other rank and for a NaN or an infinity, which would otherwise come
-    out of the arithmetic as a NaN result."""
+    strings and booleans, alone or in an object array (np.str_ and
+    np.bool_ too), which numpy would parse as numbers or read as 0 and 1.
+    Numeric objects such as Fraction pass. With ndim (1 or 2) given, also
+    ValueError for any other rank and for a NaN or an infinity, which
+    would otherwise come out of the arithmetic as a NaN result."""
     x = np.asarray(values)
     kind = x.dtype.kind
     if kind == "c":
         raise ValueError(f"{name} must be real numbers, not complex")
-    if kind in "US" or (kind == "O" and any(isinstance(v, (str, bytes)) for v in x.flat)):
+    types = set(map(type, x.flat)) if kind == "O" else ()
+    if kind in "US" or any(issubclass(t, (str, bytes)) for t in types):
         raise ValueError(f"{name} must be real numbers, not strings")
+    if kind == "b" or any(issubclass(t, (bool, np.bool_)) for t in types):
+        raise ValueError(f"{name} must be real numbers, not booleans")
     x = x.astype(float, copy=False)
     if ndim is not None:
         if x.ndim != ndim:

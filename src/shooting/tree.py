@@ -126,7 +126,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -163,8 +163,8 @@ class RegressionTree:
     entry per node (LEAF at leaves), threshold one per internal node and
     value one per leaf, each in node order, as 1-D numpy arrays. The
     constructor checks the one level-order rule, from which the links and
-    the depth follow, the feature range and counts, finite floats and an
-    int64 width.
+    the depth follow, integer feature ids in range, the counts, finite
+    floats and an int64 width.
     """
 
     feature: np.ndarray
@@ -177,6 +177,8 @@ class RegressionTree:
             array = getattr(self, name)
             if not isinstance(array, np.ndarray) or array.ndim != 1:
                 raise ValueError(f"{name} must be a 1-D numpy array")
+        if not np.issubdtype(self.feature.dtype, np.integer):
+            raise ValueError(f"feature must be integer ids, got dtype {self.feature.dtype}")
         check_int(self.n_features, "n_features", 0)
         if self.n_features >= 2**63:
             raise ValueError(f"n_features must be an int64 count, got {self.n_features}")
@@ -798,11 +800,11 @@ def pack_forest(trees) -> Forest:
 
 class TreeModel:
     """What the SR, RF and GBM models share: a tuple of at least one tree,
-    each as wide as the model, no boolean in any other field, and the
-    trees packed for predict. Each model is a frozen dataclass over this
-    base that declares trees among its own fields, so its field list is
-    exactly what its saved document holds, and its __post_init__ checks
-    its own fields before calling this one."""
+    each as wide as the model, and the trees packed for predict. Each
+    model is a frozen dataclass over this base that declares trees among
+    its own fields, so its field list is exactly what its saved document
+    holds, and its __post_init__ checks its own fields, booleans refused
+    by rng's checks, before calling this one."""
 
     def __post_init__(self):
         if type(self.trees) is not tuple or not all(isinstance(t, RegressionTree) for t in self.trees):
@@ -812,11 +814,6 @@ class TreeModel:
         check_int(self.n_features, "n_features")
         if any(tree.n_features != self.n_features for tree in self.trees):
             raise ValueError(f"trees must be n_features = {self.n_features} wide")
-        for field in fields(self):
-            # True passes every range check as 1 and saves as JSON true,
-            # which the loader refuses
-            if field.name != "trees" and np.asarray(getattr(self, field.name)).dtype == bool:
-                raise ValueError(f"{field.name} must hold numbers, not booleans")
 
     @cached_property
     def forest(self) -> Forest:

@@ -237,7 +237,7 @@ def test_fixed_nu_skips_tuning():
 
 def test_k_one_falls_back_with_warning():
     d = make_synthetic(30, 2, 1.0, 6)
-    with pytest.warns(RuntimeWarning, match="at least 2"):
+    with pytest.warns(RuntimeWarning, match=r"\(need at least 2 offset columns\)"):
         model = fit_shooting(d, SRConfig(k=1, seed=6))
     assert model.nu == 1.0
     assert model.k == 1

@@ -74,7 +74,8 @@ def test_cache_shape_validation():
     z = np.array([1.0, -1.0])
     with pytest.raises(ValueError):
         build_cache(z, np.zeros((3, 2)))
-    with pytest.raises(ValueError):
+    # the search's k >= 2 rule lives here, and tune_nu falls back on it
+    with pytest.raises(DegenerateCorrelationError, match="^need at least 2 offset columns$"):
         build_cache(z, np.zeros((2, 1)))
 
 

@@ -255,7 +255,7 @@ def test_no_model_load_would_refuse_can_be_built(models):
         (sr, "coefficients", sr.coefficients.astype(bool)),
         (sr, "offsets", sr.offsets.astype(bool)),
     ]:
-        with pytest.raises(ValueError, match=f"^{name} must hold numbers"):
+        with pytest.raises(ValueError, match=f"^{name} must be (a number|real numbers), not (a )?boolean"):
             replace(model, **{name: bad})
 
 
@@ -407,8 +407,8 @@ def test_reject_node_before_its_parent(saved):
 
 
 def test_reject_deeply_nested_document(saved):
-    # a document built in memory can nest deeper than the boolean check
-    # recurses; json.load never returns one this deep
+    # a document built in memory can nest a list deeper than json.load
+    # ever returns; it is still no number
     doc = copy.deepcopy(saved["shooting"][0])
     nested = [1.0]
     for _ in range(5000):

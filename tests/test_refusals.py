@@ -71,7 +71,14 @@ ARRAY_ARGUMENTS = {
     "predict_gbm": ("features",),
 }
 
-BAD_VALUES = ["nan", "inf", "-inf", "complex", "str", "object str", "wrong rank"]
+BAD_VALUES = [
+    "nan", "inf", "-inf", "complex", "str", "object str", "object np.str_",
+    "bool", "object True", "object np.True_", "wrong rank",
+]
+# the entry each object kind puts in place of the first value
+OBJECT_ENTRIES = {
+    "object str": "1", "object np.str_": np.str_("1"), "object True": True, "object np.True_": np.True_,
+}
 
 # project_trajectories names its three shapes in one sentence, which tests
 # of its own read; any other refusal starts with the argument's name
@@ -116,16 +123,20 @@ def good_calls():
 
 def _bad(kind: str, good: np.ndarray):
     """good with kind's defect: one NaN or infinite entry, an imaginary
-    part, every entry as a string, one entry as a string in an object
-    array, or one axis more."""
+    part, every entry as a string or a bool, one entry as a string or a
+    bool in an object array, or one axis more."""
     if kind == "wrong rank":
         return good[..., None]
     if kind == "complex":
         return good + 1j
-    if kind == "str":
-        return good.astype(str)
-    out = good.astype(object if kind == "object str" else float)
-    out.flat[0] = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}.get(kind, "1")
+    if kind in ("str", "bool"):
+        return good.astype(kind)
+    if kind in OBJECT_ENTRIES:
+        out = good.astype(object)
+        out.flat[0] = OBJECT_ENTRIES[kind]
+        return out
+    out = good.astype(float)
+    out.flat[0] = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}[kind]
     return out
 
 
@@ -150,8 +161,8 @@ def test_every_array_argument_refuses_malformed_values(good_calls, entry, argume
 
 
 def test_numeric_object_arrays_pass():
-    # only strings are refused in an object array: Fraction entries are
-    # real numbers, read as the floats they round to
+    # only strings and booleans are refused in an object array: Fraction
+    # entries are real numbers, read as the floats they round to
     x = np.arange(8.0).reshape(4, 2)
     y = np.array([0.5, 1.0, 0.0, 2.0])
     fractions = np.array([Fraction(1, 2), 1, Fraction(0), 2.0], dtype=object)

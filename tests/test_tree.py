@@ -312,6 +312,17 @@ def test_tree_fields_must_be_arrays(field):
     assert RegressionTree(**arrays, n_features=1).n_nodes == 3
 
 
+@pytest.mark.parametrize("dtype", [float, bool, object])
+def test_tree_feature_ids_must_be_integers(dtype):
+    # a float id built, then failed predict with numpy's IndexError, while
+    # save_model truncated 0.5 to feature 0
+    feature = np.array([0.5, LEAF, LEAF], dtype=dtype)
+    with pytest.raises(ValueError, match="^feature must be integer ids"):
+        RegressionTree(feature, np.array([1.0]), np.array([1.0, 2.0]), 1)
+    for ids in (np.array([0, LEAF, LEAF], dtype=np.int8), np.array([0, LEAF, LEAF])):
+        assert RegressionTree(ids, np.array([1.0]), np.array([1.0, 2.0]), 1).n_nodes == 3
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_fit_rejects_nonfinite_features(bad):
     # a NaN would otherwise sort last and leave a cut at 1.5 that no
