@@ -4,11 +4,12 @@
 Runs benchmark (32 trials, k = 100), nu-curve (its default grid) and
 pca-diag at their defaults, on the bundled data, into a temporary
 directory. Every SR fit goes through fit_at_nu and every RF fit through
-fit_rf, which announce their trees and grow them in one batched pass.
-The oracle is plain fit_tree, one tree that no fit announced: it grows
-node by node, at a cap of the row count, which never binds, since a tree
-on m rows is at most m - 1 deep. The two growers cut with one search
-(tree._cut_sse), so what this checks is what the pass adds around it:
+fit_rf, which hand their trees to tree.grow_trees, and it grows them in
+one batched pass (tree._grow_batch). The oracle is plain fit_tree, one
+tree at a time: it grows node by node, at a cap of the row count, which
+never binds, since a tree on m rows is at most m - 1 deep. The two
+growers cut with one search (tree._cut_sse), so what this checks is what
+the pass adds around it: the dedupe of byte-equal targets, the groups,
 node totals, padding to the block width, the partition, RF's stacked
 resamples and the assembly of trees from level records. The independent
 check of the search is reference_fit_tree in tests/test_tree.py, which
@@ -16,9 +17,11 @@ re-sorts every node and searches one feature at a time. Each SR tree is
 checked against fit_tree(presort, y) on a fresh Presort, and each RF tree
 against fit_tree(x[rows], y[rows]) on its bootstrap rows, a fresh matrix,
 one tree at a time; the feature, threshold and leaf-value arrays must be
-equal byte for byte. Exits 1 on the first mismatch, when a
-command grew no SR tree in a batched pass, or when benchmark grew no RF
-tree in one, and prints one line per command otherwise.
+equal byte for byte. Exits 1 on the first mismatch, when a command grew
+no SR tree in a batched pass, or when benchmark grew no RF tree in one,
+and prints one line per command otherwise, with the number of distinct
+trees the passes grew (byte-equal SR targets of one fit, as at nu = 0,
+grow once).
 
     python scripts/grow_parity.py [--data PATH]
 """
@@ -84,11 +87,12 @@ def checked_rf(fit_rf, counts: dict):
 
 
 def counted(grow_batch, counts: dict):
-    """tree._grow_batch that counts the SR and RF trees it grows."""
+    """tree._grow_batch that counts the distinct SR and RF trees it grows."""
 
-    def grow(presort, pending):
-        counts["rf_batched" if presort.rows is not None else "batched"] += len(pending)
-        return grow_batch(presort, pending)
+    def grow(presort, columns, rows):
+        trees = grow_batch(presort, columns, rows)
+        counts["batched" if rows is None else "rf_batched"] += len({id(tree) for tree in trees})
+        return trees
 
     return grow
 
@@ -125,12 +129,12 @@ def main() -> int:
                 return 1
             line = (
                 f"{argv[0]}: {counts['trees']} SR trees of {counts['fits']} fits equal the "
-                f"per-node search's, {counts['batched']} grown in batched passes"
+                f"per-node search's, {counts['batched']} distinct grown in batched passes"
             )
             if counts["rf_fits"]:
                 line += (
                     f"; {counts['rf_trees']} RF trees of {counts['rf_fits']} fits equal the per-node "
-                    f"search's on their bootstrap rows, {counts['rf_batched']} grown in batched passes"
+                    f"search's on their bootstrap rows, {counts['rf_batched']} distinct grown in batched passes"
                 )
             print(line)
             if not counts["batched"]:

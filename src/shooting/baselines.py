@@ -14,6 +14,7 @@ from .tree import (
     TreeModel,
     check_features,
     fit_tree,
+    grow_trees,
     predict_tree,
     row_means,
 )
@@ -76,20 +77,14 @@ class GradientBoosting(TreeModel):
 
 def fit_rf(train: Dataset, config: RFConfig = RFConfig()) -> RandomForest:
     """Bagged trees: tree i fits the m-row resample that bootstrap stream i
-    draws with replacement, fit_tree(x[rows], y[rows]) bit for bit.
-
-    The training matrix is checked once, in one Presort, and each tree
-    grows on a resample of it (Presort.resample). fit_tree is still called
-    once per tree: the first call grows them all in one batched pass and
-    the others return theirs from their memos.
-    """
-    y = train.target
+    draws with replacement, fit_tree(x[rows], y[rows]) bit for bit. The
+    training matrix is checked once, in one Presort, and grow_trees grows
+    every tree on its rows of it."""
     m = train.n_rows
     rows = np.array(
         [make_rng(config.seed, BOOTSTRAP_STREAM, i).integers(0, m, size=m) for i in range(config.n_trees)]
     )
-    trees = tuple(fit_tree(view, y[view.rows]) for view in Presort(train.features).resample(rows, y))
-    return RandomForest(trees, train.n_features)
+    return RandomForest(grow_trees(Presort(train.features), train.target, rows), train.n_features)
 
 
 def predict_rf(model: RandomForest, features) -> np.ndarray:

@@ -28,7 +28,8 @@ from .data import Dataset
 from .linear import LinearModel, OffsetSet, augment, fit_ols, sample_offsets
 from .nuopt import DegenerateCorrelationError, balanced_magnitude_weight, build_cache, minimize_nu
 from .rng import check_float, check_int, real_array
-from .tree import Presort, RegressionTree, TreeModel, check_features, fit_tree, row_means
+from .tree import Presort, RegressionTree, TreeModel, check_features, grow_trees, row_means
+from .tree import fit_tree  # noqa: F401, bound only for bench/test_bench.py's span test
 
 # nu used when the correlation objective is degenerate (perfect linear fit)
 FALLBACK_NU = 1.0
@@ -63,10 +64,12 @@ class ShootingEnsemble(TreeModel):
     trees: tuple[RegressionTree, ...]
 
     def __post_init__(self):
-        p = real_array(self.coefficients, "coefficients", 1).size
+        coefficients = real_array(self.coefficients, "coefficients", 1)
+        p = coefficients.size
         if np.shape(self.offsets) != (p, self.k):
             raise ValueError(f"offsets must have shape ({p}, {self.k})")
-        real_array(self.offsets, "offsets", 2)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "offsets", real_array(self.offsets, "offsets", 2))
         check_float(self.nu, "nu", 0)
         super().__post_init__()
 
@@ -107,16 +110,11 @@ def fit_at_nu(
     nu: float,
 ) -> ShootingEnsemble:
     """The ensemble at this nu from a shooting_start on the same rows: one
-    tree per gradient target, all grown on one Presort of the features,
-    which expects the whole target matrix. fit_tree is called once per
-    tree; the first call grows them all in one batched pass and the rest
-    take their tree from the Presort's memo. At nu = 0 the k targets are
-    all z, so the pass grows one tree and the ensemble holds it k times."""
+    tree per gradient target, all grown by grow_trees on one Presort of the
+    features. At nu = 0 the k targets are all z, so the pass grows one tree
+    and the ensemble holds it k times."""
     linear, offsets, z = start
-    targets = gradient_targets(z, offsets.projected, nu)
-    presort = Presort(train.features)
-    presort.expect(targets)
-    trees = tuple(fit_tree(presort, targets[:, i]) for i in range(targets.shape[1]))
+    trees = grow_trees(Presort(train.features), gradient_targets(z, offsets.projected, nu))
     return ShootingEnsemble(linear.coefficients, offsets.offsets, nu, trees)
 
 

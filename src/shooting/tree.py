@@ -18,8 +18,8 @@ a single row. Fitting draws no random numbers.
 Growth sorts each feature once per fit, not once per tree or node: a
 Presort checks and sorts the feature matrix, and a fit that grows many
 trees on one matrix (SR's k trees, GBM's stages) passes the same one to
-each. A bagged fit (RF) checks its matrix once and passes each tree a
-resample of it, which is sorted once for its tree. The trees are those of
+each. A bagged fit (RF) checks its matrix once and grows each tree on its
+resample's rows of it, sorted once for its tree. The trees are those of
 a per-node stable argsort, bit for bit. A node's row ids are always in
 increasing order (the root is arange, each child a filter of its parent),
 so a stable sort of the node's values orders ties by row id, which is the
@@ -27,9 +27,9 @@ global stable order filtered to the node. The prefix sums therefore add
 the same values in the same sequence, and node totals and leaf means are
 sums of y over the node's rows in row order.
 
-A capped tree (max_depth set, as in GBM's stages) grows node by node, and
-so does a fully grown tree that no fit announced (below), at a cap of its
-row count m, which never binds: a tree on m rows is at most m - 1 deep. The
+fit_tree grows one tree node by node: a capped tree (max_depth set, as in
+GBM's stages) at its cap, a fully grown one at a cap of its row count m,
+which never binds: a tree on m rows is at most m - 1 deep. The
 root holds an (n_features, m) matrix of row ids, row f in stable value
 order of feature f. A split keeps the first n_left entries of the chosen
 feature's row and filters every row of the matrix by that row set, so
@@ -46,47 +46,39 @@ not fall between distinct values. The first minimum over a node's
 (feature, position) in row-major order is the tie break above: a capped
 node takes one flat argmin, the pass one argmin per node.
 
-A Presort also keeps a memo of trees grown on it, which fit_tree returns
-for the same max_depth and byte-equal targets instead of growing them
-again. A tree grown alone replaces the whole memo, so a fit that grows
-one tree at a time keeps only its last: at nu = 0 SR's k gradient targets
-are one vector, so its k trees are one tree grown once, and so is a
-boosting stage that did not move.
-
-The fully grown trees (max_depth None) that a fit announces come from one
+A fit's fully grown trees come from one call, grow_trees, and one
 batched pass, which grows a group of trees level by level with no
 per-node Python, as XGBoost's presorted column blocks do (Chen and
-Guestrin, KDD 2016). A fit that knows all its fully grown trees up front
-hands them to its Presort first: SR its k gradient targets (expect), RF
-its k bootstrap resamples and their targets (resample, which returns one
-Presort per tree, standing for x[rows] and holding only its rows). The
-first fit_tree call for one of them then grows every expected tree in one
-pass and fills the memos, so each call, the first too, returns its tree
-after its own input checks. SR's memo takes every distinct column, so
-byte-equal columns grow once; a resample's takes its own tree only, so
-byte-equal targets on other rows never share one. Element t * m + r
-stands for row r of tree t. SR's trees share one matrix, so the search
-reads an element's features at column r of xt, the element less an offset
-of t * m. RF's trees each have their own, so a group stacks its resamples
-side by side, xt[:, rows] of shape (n_features, trees * m), and reads at
-the element itself, an offset of 0; each tree's orders come from a stable
-argsort of its part of the stack, which breaks ties by resample position
-as a Presort of x[rows] does. An int32 matrix of n_features + 1 rows
-holds every open node's rows, tree after tree, in each feature's stable
-value order and in increasing order. Node totals reduce the nodes of one
-size together along contiguous rows, which rounds as one np.sum per node.
-The search takes nodes in blocks of one width, the next power of two at
-or above their size, each node padded with its last value, which no cut
+Guestrin, KDD 2016): SR's k trees, one per gradient target on one
+matrix, and RF's k trees, one per bootstrap resample of one. grow_trees
+checks every tree's targets, then calls fit_tree once per tree with a
+private _Slot in place of its features; the first call grows every tree
+in the pass, and each call returns its own. Byte-equal SR targets grow
+once, as one tree object: at nu = 0 SR's k gradient targets are one
+vector, so its k trees are one tree grown once. Byte-equal targets on
+other rows (RF) never share one. Element t * m + r stands for row r of
+tree t. SR's trees share one matrix, so the search reads an element's
+features at column r of xt, the element less an offset of t * m. RF's
+trees each have their own, so a group stacks its resamples side by side,
+xt[:, rows] of shape (n_features, trees * m), and reads at the element
+itself, an offset of 0; each tree's orders come from a stable argsort of
+its part of the stack, which breaks ties by resample position as a
+Presort of x[rows] does. An int32 matrix of n_features + 1 rows holds
+every open node's rows, tree after tree, in each feature's stable value
+order and in increasing order. Node totals reduce the nodes of one size
+together along contiguous rows, which rounds as one np.sum per node. The
+search takes nodes in blocks of one width, the next power of two at or
+above their size, each node padded with its last value, which no cut
 separates. A split partitions every row of the matrix stably by prefix
-counts of the left rows, and a stable sort of the levels' records by tree
-gives each tree its nodes in level order. The trees are those of the
-node-by-node growth at a cap that never binds, such as max_depth = m, bit
-for bit. A group holds at most GROW_CELLS int32 cells (its ids, and RF's
-stack and argsort counted in the same cells) and a search block at most
-SEARCH_CELLS values (or one node), so the pass's memory does not grow
-with the number of trees: at its peak, for 100 trees on 196 rows of 7
-features and the trees included, 2.8 MB for SR and 3.0 MB for a whole RF
-fit.
+counts of the left rows, and a stable sort of the levels' records by
+tree gives each tree its nodes in level order. The trees are those of
+the node-by-node growth at a cap that never binds, such as max_depth =
+m, bit for bit. A group holds at most GROW_CELLS int32 cells (its ids,
+and RF's stack and argsort counted in the same cells) and a search block
+at most SEARCH_CELLS values (or one node), so the pass's memory does not
+grow with the number of trees: at its peak, for 100 trees on 196 rows of
+7 features and the trees included, 2.8 MB for SR and 2.9 MB for a whole
+RF fit.
 
 Every walk takes one step rule, from _steps: node i moves on to
 step[i] + (x > threshold[i]). At the j-th internal node step is 2j + 1,
@@ -126,8 +118,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -142,7 +135,7 @@ BLOCK_ROWS = 256
 # more, its stacked float64 features and one feature's int64 argsort and
 # its shifted copy. The cells and the search blocks set the pass's memory
 # peak: for 100 trees on 196 rows of 7 features 2.8 MB for SR (one group)
-# and 3.0 MB for RF (groups of 51). RF at 2^19 instead (fit_rf, k = 100): 0.094 s against
+# and 2.9 MB for RF (groups of 51). RF at 2^19 instead (fit_rf, k = 100): 0.094 s against
 # 0.109 s on those rows (median of 15), and 2.73 s (groups of 6) against
 # 2.87 s (groups of 3) on 3,200 rows x 7 features (best of 2), where per
 # tree took 0.245 s and 5.10 s; a larger budget would double SR's ids past
@@ -245,20 +238,10 @@ class Presort:
     Refuses a matrix that is not 2-D, has no rows or holds a complex or
     non-finite value, with fit_tree's messages. Holds, read-only, xt (one
     row per feature) and, made on first use, order (each feature's row ids
-    in stable value order, also read-only). fit_tree wraps a plain matrix
-    in one; a fit that grows many trees on one matrix builds one and passes
-    it to every tree, and a bagged fit passes each tree a resample of one.
-
-    memo maps (the targets' bytes, max_depth) to a tree grown here, which
-    fit_tree returns instead of growing it again. A tree grown alone
-    replaces the whole memo, since each repeat comes right after the tree
-    it repeats; a batch fills it with every tree it grew here (expect),
-    and a resample's with that resample's tree (resample). n_rows counts
-    the rows the matrix stands for.
+    in stable value order, also read-only), and n_rows, the matrix's row
+    count. fit_tree wraps a plain matrix in one; a fit that grows many
+    trees on one matrix builds one and passes it to every tree.
     """
-
-    # a resample's rows of its source; None for a matrix of its own
-    rows = None
 
     def __init__(self, features):
         x = real_array(features, "features", 2)
@@ -267,73 +250,19 @@ class Presort:
         # a copy, never a view of the caller's matrix
         self.xt = _read_only(np.array(x.T, order="C"))
         self.n_rows = x.shape[0]
-        self.memo: dict[tuple[bytes, int | None], RegressionTree] = {}
-        # (Presort, target bytes) of each expected tree not grown yet,
-        # one list shared with every resample
-        self.pending: list[tuple[Presort, bytes]] = []
 
     @cached_property
     def order(self) -> np.ndarray:
         return _read_only(np.argsort(self.xt, axis=1, kind="stable"))
 
-    def expect(self, targets) -> None:
-        """Announce the fully grown trees a fit is about to ask fit_tree for,
-        one per column of the (rows, k) targets. The first fit_tree call
-        with max_depth None for one of the distinct columns that pass its
-        target checks grows them all in one batched pass and puts them in
-        the memo.
-        """
-        y = real_array(targets, "targets")
-        if y.ndim != 2 or y.shape[0] != self.n_rows:
-            raise ValueError("targets must be a matrix with one row per feature row")
-        self._expect((self, key) for key in dict.fromkeys(column.tobytes() for column in y.T))
 
-    def resample(self, rows, targets) -> list[Presort]:
-        """A bagged fit's trees: one Presort of x[r] per row r of the
-        (trees, rows) integer rows, expecting the fully grown tree of
-        targets[r], where targets has one entry per feature row. Each
-        shares this matrix's checks and makes xt and order on each use. The
-        first fit_tree call with max_depth None for one of the trees whose
-        targets pass its checks grows them all in one batched pass, each
-        into its own memo.
-        """
-        y = real_array(targets, "targets")
-        if y.shape != (self.n_rows,):
-            raise ValueError("targets must be a vector matching the feature rows")
-        rows = np.asarray(rows)
-        if rows.ndim != 2 or rows.dtype.kind not in "iu" or rows.shape[1] == 0 or (
-            rows.size and not 0 <= rows.min() <= rows.max() < self.n_rows
-        ):
-            raise ValueError("rows must be a (trees, rows) matrix of feature row ids, a tree one or more")
-        views = [_Resample(self, r) for r in rows]
-        self._expect((view, y[view.rows].tobytes()) for view in views)
-        return views
+@dataclass(frozen=True)
+class _Slot:
+    """fit_tree's features in grow_trees' calls: tree i of the trees that
+    batch returns, which grows them all on its first call."""
 
-    def _expect(self, expected) -> None:
-        """pending becomes the (Presort, target bytes) pairs whose targets
-        pass fit_tree's checks: in place, since resamples share the list."""
-        kept = []
-        for presort, key in expected:
-            try:
-                _check_targets(real_array(np.frombuffer(key), "targets", 1))
-            except ValueError:
-                continue  # its own fit_tree call raises
-            kept.append((presort, key))
-        self.pending[:] = kept
-
-
-class _Resample(Presort):
-    """The rows rows of source's matrix, from Presort.resample."""
-
-    def __init__(self, source: Presort, rows: np.ndarray):
-        self.source, self.rows, self.n_rows = source, rows, rows.size
-        self.memo = {}
-        self.pending = source.pending
-
-    # made on each use, so a capped tree grown here leaves nothing behind,
-    # and the batched pass never makes them
-    xt = property(lambda self: _read_only(self.source.xt.take(self.rows, axis=1)))
-    order = property(lambda self: _read_only(np.argsort(self.xt, axis=1, kind="stable")))
+    batch: Callable[[], list[RegressionTree]]
+    i: int
 
 
 def _check_targets(y: np.ndarray) -> None:
@@ -346,21 +275,18 @@ def _check_targets(y: np.ndarray) -> None:
 
 
 def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
-    """Grow a tree top-down; every leaf predicts the mean of its rows.
+    """Grow a tree top-down, node by node; every leaf predicts the mean of
+    its rows.
 
     features is a matrix or a Presort of one. A node stays a leaf when it
     holds one row, sits at max_depth (None means no limit), has exactly
     constant targets, or has no two distinct values in any feature to cut
-    between.
-
-    Called on a Presort whose memo holds a tree for this max_depth and
-    targets equal byte for byte, it returns that tree, the same object,
-    after the same input checks. Targets with -0.0 where the memo's held
-    0.0 grow anew. A fully grown tree (max_depth None) with targets that
-    the Presort expects comes from the batched pass, which grows every
-    expected tree first. Any other tree grows node by node, a fully grown
-    one at a cap of the row count, which never binds.
+    between. A fully grown tree grows at a cap of the row count, which
+    never binds. In grow_trees' calls features is a _Slot, and fit_tree
+    returns the slot's tree of grow_trees' batched pass.
     """
+    if isinstance(features, _Slot):
+        return features.batch()[features.i]
     if max_depth is not None:
         check_int(max_depth, "max_depth", 0)
     presort = features if isinstance(features, Presort) else Presort(features)
@@ -368,14 +294,42 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
     if y.size != presort.n_rows:
         raise ValueError("targets must be a vector matching the feature rows")
     _check_targets(y)
-    key = y.tobytes()
-    if max_depth is None and (presort, key) in presort.pending:
-        _grow_batch(presort, presort.pending)
-    if (key, max_depth) not in presort.memo:
-        # a tree on m rows is at most m - 1 deep, so a cap of m never binds
-        cap = presort.n_rows if max_depth is None else max_depth
-        presort.memo = {(key, max_depth): _grow_capped(presort, y, cap)}
-    return presort.memo[key, max_depth]
+    # a tree on m rows is at most m - 1 deep, so a cap of m never binds
+    return _grow_capped(presort, y, presort.n_rows if max_depth is None else max_depth)
+
+
+def grow_trees(presort: Presort, targets, rows=None) -> tuple[RegressionTree, ...]:
+    """A fit's fully grown trees, all from one batched pass: one per column
+    of the (m, k) targets, on the m rows of presort's matrix, or, given
+    rows, one per row r of the (trees, rows) integer matrix rows, on the
+    matrix's rows r with targets[r] of the m-vector targets. Each is the
+    tree that fit_tree grows on the same matrix and targets, bit for bit,
+    and byte-equal columns of a matrix give one tree object.
+
+    Refuses malformed targets ("targets must be ...") or rows ("rows must
+    be ..."), and any tree's targets whose squared-error sums overflow,
+    before any tree grows. Then it calls fit_tree once per tree, so a
+    fit's calls and their time are per tree; the first call grows every
+    tree.
+    """
+    shape = np.shape(targets)
+    if rows is None:
+        if len(shape) != 2 or shape[0] != presort.n_rows:
+            raise ValueError("targets must be a matrix with one row per feature row")
+        columns = real_array(targets, "targets", 2).T
+    else:
+        if shape != (presort.n_rows,):
+            raise ValueError("targets must be a vector matching the feature rows")
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.dtype.kind not in "iu" or rows.shape[1] == 0 or (
+            rows.size and not 0 <= rows.min() <= rows.max() < presort.n_rows
+        ):
+            raise ValueError("rows must be a (trees, rows) matrix of feature row ids, a tree one or more")
+        columns = real_array(targets, "targets", 1)[rows]
+    for column in columns:
+        _check_targets(column)
+    batch = cache(lambda: _grow_batch(presort, columns, rows))
+    return tuple(fit_tree(_Slot(batch, i), None) for i in range(len(columns)))
 
 
 def _grow_capped(presort: Presort, y: np.ndarray, max_depth: int) -> RegressionTree:
@@ -440,32 +394,32 @@ def _grow_capped(presort: Presort, y: np.ndarray, max_depth: int) -> RegressionT
     )
 
 
-def _grow_batch(presort: Presort, pending: list[tuple[Presort, bytes]]) -> None:
-    """For each (held, bytes of y) in pending, put fit_tree(held, y), bit
-    for bit, into held's memo, which it replaces, and empty pending;
-    presort is one of the held. Either all are presort (SR's targets on one matrix) or each is a
-    resample of one source (RF's bootstrap trees). Trees grow in groups
-    that fit in GROW_CELLS int32 cells: per row, features + 1 for a tree's
-    partition ids, and for a resample 2 more per feature for its float64
-    features and 4 for one feature's int64 argsort and its shifted copy."""
-    batch = pending[:]
-    pending.clear()
-    resampled = presort.rows is not None
-    source = presort.source if resampled else presort
-    p, m = source.xt.shape[0], presort.n_rows
-    group = max(1, GROW_CELLS // ((p + 1 + (2 * p + 4) * resampled) * m))
-    for held, _ in batch:
-        held.memo = {}
-    for first in range(0, len(batch), group):
-        part = batch[first : first + group]
-        targets = np.array([np.frombuffer(key) for _, key in part])
-        if resampled:
-            rows = np.concatenate([held.rows for held, _ in part])
-            trees = _grow_group(source.xt.take(rows, axis=1), None, targets)
+def _grow_batch(presort: Presort, columns: np.ndarray, rows: np.ndarray | None) -> list[RegressionTree]:
+    """grow_trees' trees for its (trees, m) columns, one per row of
+    columns: on presort's matrix, or each on its rows of it (RF's bootstrap
+    trees). Byte-equal columns on one matrix grow once, as one tree
+    object. Trees grow in groups that fit in GROW_CELLS int32 cells: per
+    row, features + 1 for a tree's partition ids, and for a resample 2
+    more per feature for its float64 features and 4 for one feature's
+    int64 argsort and its shifted copy."""
+    tree_of = range(len(columns))
+    if rows is None:
+        # tree_of[i] numbers column i's tree, byte-equal columns sharing
+        # one, in order of first appearance; the keys go before the pass
+        keys: dict[bytes, int] = {}
+        tree_of = [keys.setdefault(column.tobytes(), len(keys)) for column in columns]
+        del keys
+    grown = np.unique(tree_of, return_index=True)[1]
+    p, m = presort.xt.shape[0], columns.shape[1]
+    group = max(1, GROW_CELLS // ((p + 1 + (2 * p + 4) * (rows is not None)) * m))
+    trees: list[RegressionTree] = []
+    for first in range(0, grown.size, group):
+        part = grown[first : first + group]
+        if rows is None:
+            trees += _grow_group(presort.xt, presort.order, columns[part])
         else:
-            trees = _grow_group(source.xt, source.order, targets)
-        for (held, key), tree in zip(part, trees):
-            held.memo[key, None] = tree
+            trees += _grow_group(presort.xt.take(rows[part].ravel(), axis=1), None, columns[part])
+    return [trees[t] for t in tree_of]
 
 
 def _grow_group(x: np.ndarray, order: np.ndarray | None, targets: np.ndarray) -> list[RegressionTree]:

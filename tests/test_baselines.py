@@ -13,7 +13,6 @@ from shooting import (
     RandomForest,
     RFConfig,
     SRConfig,
-    baselines,
     fit_gbm,
     fit_rf,
     fit_shooting,
@@ -60,11 +59,11 @@ def test_fit_rf_calls_fit_tree_once_per_tree(monkeypatch, k):
         calls.append(max_depth)
         return fit_tree(features, targets, max_depth)
 
-    def recording_grow_batch(presort, pending):
-        passes.append((len(calls), len(pending)))
-        return grow_batch(presort, pending)
+    def recording_grow_batch(presort, columns, rows):
+        passes.append((len(calls), len(columns)))
+        return grow_batch(presort, columns, rows)
 
-    monkeypatch.setattr(baselines, "fit_tree", recording_fit_tree)
+    monkeypatch.setattr(tree_module, "fit_tree", recording_fit_tree)
     monkeypatch.setattr(tree_module, "_grow_batch", recording_grow_batch)
     forest = fit_rf(d, RFConfig(n_trees=k, seed=5))
     assert calls == [None] * k

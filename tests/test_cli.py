@@ -529,7 +529,7 @@ def test_nu_curve_minimizer_is_the_fitted_nu(tmp_path, capsys, data, k, noise):
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         # one-leaf trees: only the tuning is under test
-        patch.setattr(ensemble, "fit_tree", lambda x, y: fit_tree(x, y, max_depth=0))
+        patch.setattr(ensemble, "grow_trees", lambda presort, y: tuple(fit_tree(presort, c, 0) for c in y.T))
         assert run(argv) == EXIT_OK
         model = fit_shooting(train, SRConfig(k=k, seed=0))
     printed = capsys.readouterr().out.split("minimizer: nu=")[1].split()[0]

@@ -158,7 +158,7 @@ def test_tuned_nu_ignores_the_target(mpg, split_seed, y_seed, log_scale, shift):
     noise = Dataset(train.features, y + shift)
     with pytest.MonkeyPatch.context() as patch:
         # one-leaf trees: only the tuning is under test, and it precedes them
-        patch.setattr(ensemble, "fit_tree", lambda x, y: fit_tree(x, y, max_depth=0))
+        patch.setattr(ensemble, "grow_trees", lambda presort, y: tuple(fit_tree(presort, c, 0) for c in y.T))
         assert fit_shooting(noise, config).nu == fit_shooting(train, config).nu
 
 
@@ -166,7 +166,7 @@ def tuned_nu(train: Dataset) -> float:
     """nu as fit_shooting tunes it (k = 20, seed 1), with one-leaf trees:
     the tuning precedes them."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ensemble, "fit_tree", lambda x, y: fit_tree(x, y, max_depth=0))
+        patch.setattr(ensemble, "grow_trees", lambda presort, y: tuple(fit_tree(presort, c, 0) for c in y.T))
         return fit_shooting(train, SRConfig(k=20, seed=1)).nu
 
 

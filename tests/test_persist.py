@@ -191,6 +191,19 @@ def test_reject_unserializable_object():
         model_to_dict({"not": "a model"})
 
 
+def test_list_valued_shooting_arrays_build_the_same_model(models, query, tmp_path):
+    # B and D given as lists are stored as the arrays they are checked as:
+    # the model predicts and saves bit for bit as the fitted one
+    sr = models["shooting"][0]
+    listed = replace(sr, coefficients=sr.coefficients.tolist(), offsets=sr.offsets.tolist())
+    for name in ("coefficients", "offsets"):
+        assert isinstance(getattr(listed, name), np.ndarray)
+    assert np.array_equal(predict(listed, query), predict(sr, query))
+    for name, model in [("sr", sr), ("listed", listed)]:
+        save_model(model, str(tmp_path / f"{name}.json"))
+    assert (tmp_path / "listed.json").read_bytes() == (tmp_path / "sr.json").read_bytes()
+
+
 def test_no_model_load_would_refuse_can_be_built(models):
     # each tree and model checks its own fields when built, so save_model
     # is never given one that the loader would refuse

@@ -4,7 +4,8 @@ Every public function or input class in shooting.__all__ that takes an
 array gets each bad value below in place of each of its array arguments,
 and must refuse it with a ValueError whose message starts with the
 argument's name, before any arithmetic could turn it into a NaN result or
-parse it into a number. Model containers (RegressionTree and the fitted
+parse it into a number. grow_trees is swept in both its forms, the
+targets matrix and the bagged targets vector with its rows. Model containers (RegressionTree and the fitted
 models) hold arrays that a fit or a saved file made, and the persist
 tests cover them; scalars, configs and the CLI are outside this sweep.
 """
@@ -33,6 +34,7 @@ from shooting import (
     fit_shooting,
     fit_tree,
     gradient_targets,
+    grow_trees,
     initial_vectors,
     make_synthetic,
     mse,
@@ -54,6 +56,8 @@ ARRAY_ARGUMENTS = {
     "Dataset": ("features", "target"),
     "Presort": ("features",),
     "fit_tree": ("features", "targets"),
+    "grow_trees": ("targets",),
+    "grow_trees, bagged": ("targets", "rows"),
     "predict_tree": ("features",),
     "augment": ("features",),
     "sample_offsets": ("features",),
@@ -100,6 +104,11 @@ def good_calls():
         "Dataset": (Dataset, dict(features=x, target=y)),
         "Presort": (Presort, dict(features=x)),
         "fit_tree": (fit_tree, dict(features=x, targets=y)),
+        "grow_trees": (grow_trees, dict(presort=Presort(x), targets=np.column_stack([y, 2 * y]))),
+        "grow_trees, bagged": (
+            grow_trees,
+            dict(presort=Presort(x), targets=y, rows=np.random.default_rng(5).integers(0, 12, size=(2, 12))),
+        ),
         "predict_tree": (predict_tree, dict(tree=one_tree, features=x)),
         "augment": (augment, dict(features=x)),
         "sample_offsets": (sample_offsets, dict(model=fit_ols(d), features=x, k=2, seed=0)),
@@ -141,7 +150,8 @@ def _bad(kind: str, good: np.ndarray):
 
 
 def test_the_table_names_public_entries():
-    assert set(ARRAY_ARGUMENTS) <= set(shooting.__all__)
+    # an entry's name, before any ", form"
+    assert {entry.split(",")[0] for entry in ARRAY_ARGUMENTS} <= set(shooting.__all__)
 
 
 @pytest.mark.parametrize("kind", BAD_VALUES)

@@ -33,6 +33,7 @@ from shooting import (
     fit_shooting,
     fit_tree,
     gradient_targets,
+    grow_trees,
     make_synthetic,
     model_from_dict,
     model_to_dict,
@@ -689,6 +690,14 @@ def test_search_matches_reference_at_the_width_boundaries(
         assert_same_tree(tree, fit_tree(x, y, m))
 
 
+def reference_grow_trees(presort, targets, rows=None):
+    """grow_trees by reference_fit_tree, one tree at a time."""
+    x = presort.xt.T
+    if rows is None:
+        return tuple(reference_fit_tree(x, column) for column in np.asarray(targets).T)
+    return tuple(reference_fit_tree(x[r], targets[r]) for r in rows)
+
+
 def test_models_grow_reference_trees(mpg, monkeypatch):
     # integer-valued columns tie heavily; RF resamples duplicate rows. Whole
     # fits at the defaults' sizes: the batched pass and the capped grower
@@ -701,7 +710,8 @@ def test_models_grow_reference_trees(mpg, monkeypatch):
         (fit_gbm, GBMConfig(n_stages=100, seed=3)),
     ]
     grown = [fit(train, config).trees for fit, config in fits]
-    monkeypatch.setattr(ensemble, "fit_tree", reference_fit_tree)
+    monkeypatch.setattr(ensemble, "grow_trees", reference_grow_trees)
+    monkeypatch.setattr(baselines, "grow_trees", reference_grow_trees)
     monkeypatch.setattr(baselines, "fit_tree", reference_fit_tree)
     for (fit, config), trees in zip(fits, grown):
         reference = fit(train, config).trees
@@ -711,10 +721,10 @@ def test_models_grow_reference_trees(mpg, monkeypatch):
 
 
 def test_one_presort_per_fit(mpg, monkeypatch):
-    # every tree of one SR or GBM fit grows on the one Presort the fit
-    # builds, and every RF tree on a resample of it: a per-tree check or
-    # argsort of the training matrix must not come back. SR and RF grow in
-    # one batched pass at 5 trees too, GBM's capped stages in none
+    # every tree of one SR, RF or GBM fit grows on the one Presort the fit
+    # builds: a per-tree check or argsort of the training matrix must not
+    # come back. SR and RF grow in one batched pass on it at 5 trees too,
+    # GBM's capped stages in none
     train, _ = split(mpg, val_fraction=0.5, seed=3)
     built, received, passes = [], [], []
     grow_batch = tree_module._grow_batch
@@ -729,74 +739,82 @@ def test_one_presort_per_fit(mpg, monkeypatch):
         received.append(features)
         return fit_tree(features, targets, max_depth)
 
-    def recording_grow_batch(presort, pending):
-        passes.append(len(pending))
-        return grow_batch(presort, pending)
+    def recording_grow_batch(presort, columns, rows):
+        passes.append(presort)
+        return grow_batch(presort, columns, rows)
 
     for module in (ensemble, baselines):
         monkeypatch.setattr(module, "Presort", CountedPresort)
-        monkeypatch.setattr(module, "fit_tree", recording_fit_tree)
+    monkeypatch.setattr(baselines, "fit_tree", recording_fit_tree)
     monkeypatch.setattr(tree_module, "_grow_batch", recording_grow_batch)
-    for fit, config, grown in [
-        (fit_shooting, SRConfig(k=5, seed=3), [5]),
-        (fit_gbm, GBMConfig(n_stages=5), []),
+    for fit, config, n_passes in [
+        (fit_shooting, SRConfig(k=5, seed=3), 1),
+        (fit_rf, RFConfig(n_trees=5, seed=3), 1),
+        (fit_gbm, GBMConfig(n_stages=5), 0),
     ]:
         built.clear()
         received.clear()
         passes.clear()
         model = fit(train, config)
-        assert len(built) == 1 and passes == grown
+        assert len(built) == 1 and len(model.trees) == 5
         (presort,) = built
-        assert len(received) == len(model.trees) == 5
-        assert all(features is presort for features in received)
+        assert passes == [presort] * n_passes
+        assert received == ([] if n_passes else [presort] * 5)
         # the shared arrays are read-only and unchanged by every tree
         assert not (presort.xt.flags.writeable or presort.order.flags.writeable)
         assert (presort.xt.tobytes(), presort.order.tobytes()) == presort.bytes_at_build
         assert np.array_equal(presort.xt, train.features.T)
         # no Python-list copy of the matrix for a scalar search
         assert not hasattr(presort, "lists")
-    for n_trees in (5, 12):
-        built.clear()
-        received.clear()
-        passes.clear()
-        model = fit_rf(train, RFConfig(n_trees=n_trees, seed=3))
-        assert len(built) == 1 and passes == [n_trees]
-        (presort,) = built
-        assert len(received) == len(model.trees) == n_trees
-        for i, view in enumerate(received):
-            rows = make_rng(3, BOOTSTRAP_STREAM, i).integers(0, train.n_rows, size=train.n_rows)
-            assert isinstance(view, Presort) and view.source is presort
-            assert np.array_equal(view.rows, rows)
-            assert not (view.xt.flags.writeable or view.order.flags.writeable)
-            assert np.array_equal(view.xt, train.features[rows].T)
-        assert not (presort.xt.flags.writeable or presort.order.flags.writeable)
-        assert (presort.xt.tobytes(), presort.order.tobytes()) == presort.bytes_at_build
-        assert np.array_equal(presort.xt, train.features.T)
 
 
-# ----------------------------------------------------- one-slot memo
+# ----------------------------------------------------- one call per tree
 
 
-def test_nu_zero_grows_one_tree_held_k_times(mpg, monkeypatch):
-    # at nu = 0 every gradient target is z: fit_tree is still called once
-    # per tree, but the pass grows one tree, for a few trees or many
+def test_each_fit_calls_fit_tree_once_per_tree_around_one_pass(mpg, monkeypatch):
+    # the benchmark times and counts growth through tree.fit_tree: an SR
+    # or RF fit of k trees makes k calls, the one batched pass runs inside
+    # the first, and at nu = 0 the k calls return one tree object, grown
+    # once, for a few trees or many
     train, _ = split(mpg, val_fraction=0.5, seed=3)
-    calls = []
+    events, returned, passes = [], [], []
+    grow_batch = tree_module._grow_batch
 
     def recording_fit_tree(features, targets, max_depth=None):
-        calls.append(features)
-        return fit_tree(features, targets, max_depth)
+        events.append("call")
+        returned.append(fit_tree(features, targets, max_depth))
+        return returned[-1]
 
-    monkeypatch.setattr(ensemble, "fit_tree", recording_fit_tree)
+    def recording_grow_batch(presort, columns, rows):
+        events.append("pass")
+        trees = grow_batch(presort, columns, rows)
+        passes.append(len({id(tree) for tree in trees}))
+        return trees
+
+    monkeypatch.setattr(tree_module, "fit_tree", recording_fit_tree)
+    monkeypatch.setattr(tree_module, "_grow_batch", recording_grow_batch)
+
+    def fit(run, k, grown):
+        """run's model, after checking its calls: k of them, the one pass
+        inside the first, growing grown distinct trees."""
+        events.clear()
+        returned.clear()
+        passes.clear()
+        model = run()
+        assert events == ["call", "pass"] + ["call"] * (k - 1) and passes == [grown]
+        assert list(map(id, returned)) == list(map(id, model.trees))
+        return model
+
+    start = shooting_start(train, 5, 3)
+    fit(lambda: ensemble.fit_at_nu(train, start, 1.0), 5, 5)
+    fit(lambda: fit_rf(train, RFConfig(n_trees=5, seed=3)), 5, 5)
     for k in (5, 20):
         start = shooting_start(train, k, 3)
-        calls.clear()
-        model = ensemble.fit_at_nu(train, start, 0.0)
-        assert len(calls) == k
+        model = fit(lambda: ensemble.fit_at_nu(train, start, 0.0), k, 1)
         assert all(tree is model.trees[0] for tree in model.trees)
         assert_same_tree(model.trees[0], fit_tree(Presort(train.features), start[2]))
         # any other nu grows k trees
-        assert len({id(tree) for tree in ensemble.fit_at_nu(train, start, 1e-6).trees}) == k
+        fit(lambda: ensemble.fit_at_nu(train, start, 1e-6), k, k)
 
 
 @pytest.mark.parametrize("k", [1, 2, 9, 10, 13])
@@ -812,11 +830,11 @@ def test_fit_at_nu_calls_fit_tree_once_per_tree(mpg, monkeypatch, k):
         calls.append(max_depth)
         return fit_tree(features, targets, max_depth)
 
-    def recording_grow_batch(presort, columns):
+    def recording_grow_batch(presort, columns, rows):
         passes.append((len(calls), len(columns)))
-        return grow_batch(presort, columns)
+        return grow_batch(presort, columns, rows)
 
-    monkeypatch.setattr(ensemble, "fit_tree", recording_fit_tree)
+    monkeypatch.setattr(tree_module, "fit_tree", recording_fit_tree)
     monkeypatch.setattr(tree_module, "_grow_batch", recording_grow_batch)
     model = ensemble.fit_at_nu(train, start, 1.0)
     assert calls == [None] * k
@@ -826,46 +844,14 @@ def test_fit_at_nu_calls_fit_tree_once_per_tree(mpg, monkeypatch, k):
         assert_same_tree(tree, alone)
 
 
-def test_memo_returns_a_tree_only_for_the_same_bytes_and_depth():
-    rng = np.random.default_rng(26)
-    x = rng.integers(0, 4, size=(40, 3)).astype(float)
-    y = np.round(rng.standard_normal(40), 1)
-    y[7] = 0.0
-    presort = Presort(x)
-    first = fit_tree(presort, y)
-    assert fit_tree(presort, y.copy()) is first
-    # a strided view of the same values is the same bytes
-    assert fit_tree(presort, np.stack([y, y], axis=1)[:, 1]) is first
-    near = y.copy()
-    near[3] = np.nextafter(near[3], np.inf)
-    signed = y.copy()
-    signed[7] = -0.0
-    for targets, depth, features in [
-        (near, None, presort),  # one ulp apart
-        (signed, None, presort),  # -0.0 == 0.0, but not byte for byte
-        (y, 2, presort),
-        (y, None, Presort(x)),
-        (y, None, x),
-    ]:
-        last = fit_tree(presort, y)
-        grown = fit_tree(features, targets, depth)
-        assert grown is not last
-        assert_same_tree(grown, reference_fit_tree(x, targets, depth))
-    # one slot: the first tree was forgotten once another grew
-    again = fit_tree(presort, y)
-    assert again is not first
-    assert_same_tree(again, first)
-    # the checks run before the memo is read: True == 1, but is no depth
-    fit_tree(presort, y, 1)
-    with pytest.raises(ValueError, match="max_depth must be an integer"):
-        fit_tree(presort, y, True)
-
-
 def test_stalled_boosting_stages_are_one_tree():
-    # constant targets leave every residual at 0.0, so no stage moves the fit
+    # constant targets leave every residual at 0.0, so no stage moves the
+    # fit: each stage grows the same one-leaf tree
     d = Dataset(make_synthetic(30, 2, 1.0, 0).features, np.full(30, 2.5))
     model = fit_gbm(d, GBMConfig(n_stages=4))
-    assert all(tree is model.trees[0] for tree in model.trees)
+    assert model.trees[0].n_nodes == 1
+    for tree in model.trees:
+        assert_same_tree(tree, model.trees[0])
     assert predict_gbm(model, d.features).tolist() == [2.5] * 30
 
 
@@ -918,18 +904,15 @@ def test_batched_pass_matches_fit_tree_and_reference(
         if n > 1:
             x[:, 1] = x[:, 0]
     cells = GROW_CELLS if group is None else group * (n + 1) * m
-    presort = Presort(x)
-    presort.expect(y)
     with mock.patch.multiple(tree_module, GROW_CELLS=cells, SEARCH_CELLS=search_cells):
-        trees = [fit_tree(presort, column) for column in y.T]
+        trees = grow_trees(Presort(x), y)
+    # every distinct column grew once: byte-equal columns share one tree
     distinct = len({column.tobytes() for column in y.T})
-    # the first call grew every distinct column
-    assert len(presort.memo) == distinct
+    assert len({id(tree) for tree in trees}) == distinct
     for i, (tree, alone) in enumerate(zip(trees, _grown_alone(x, y))):
         assert_same_tree(tree, alone)
         if i < 3:
             assert_same_tree(tree, reference_fit_tree(x, y[:, i]))
-    # byte-equal columns grow once
     assert trees[0] is trees[1] or not repeats
 
 
@@ -968,19 +951,15 @@ def test_batched_bootstrap_trees_match_fit_tree_on_their_rows(
             rows[3] = np.where(rows[0] == 0, 1, rows[0])
         if n > 1:
             x[:, 1] = x[:, 0]
-    views = Presort(x).resample(rows, y)
     cells = GROW_CELLS if group is None else group * (3 * n + 5) * m
     with mock.patch.multiple(tree_module, GROW_CELLS=cells, SEARCH_CELLS=search_cells):
-        trees = [fit_tree(view, y[view.rows]) for view in views]
-    # the first call grew every tree, each into its own resample's memo
-    assert all(list(view.memo.values()) == [tree] for view, tree in zip(views, trees))
-    assert not views[0].pending
+        trees = grow_trees(Presort(x), y, rows)
+    # every resample grew its own tree, even the same rows twice
+    assert len({id(tree) for tree in trees}) == k
     for i, (tree, r) in enumerate(zip(trees, rows)):
         assert_same_tree(tree, _grown_alone(x[r], y[r, None])[0])
         if i < 3:
             assert_same_tree(tree, reference_fit_tree(x[r], y[r]))
-    # byte-equal targets on other rows are another tree's, never shared
-    assert trees[3] is not trees[0] or not repeats
 
 
 def test_small_fits_grow_in_one_pass(mpg, monkeypatch):
@@ -990,9 +969,9 @@ def test_small_fits_grow_in_one_pass(mpg, monkeypatch):
     passes = []
     grow_batch = tree_module._grow_batch
 
-    def recording_grow_batch(presort, pending):
-        passes.append(len(pending))
-        return grow_batch(presort, pending)
+    def recording_grow_batch(presort, columns, rows):
+        passes.append(len(columns))
+        return grow_batch(presort, columns, rows)
 
     monkeypatch.setattr(tree_module, "_grow_batch", recording_grow_batch)
     for k in (1, 2, 5):
@@ -1013,25 +992,51 @@ def test_small_fits_grow_in_one_pass(mpg, monkeypatch):
             assert_same_tree(tree, reference_fit_tree(train.features[rows], train.target[rows]))
 
 
-def test_resample_checks_its_rows_and_targets():
+def test_grow_trees_checks_its_targets_and_rows(monkeypatch):
+    # both forms refuse before any tree grows, a bad column or resample
+    # among good ones too
+    def no_pass(presort, columns, rows):
+        raise AssertionError("a refused batch entered the pass")
+
     x = np.arange(12.0).reshape(6, 2)
     presort = Presort(x)
-    y = np.arange(6.0)
-    for bad in (np.zeros(5), np.zeros((6, 1)), np.zeros(6) + 1j):
-        with pytest.raises(ValueError, match="targets must be"):
-            presort.resample(np.zeros((10, 6), dtype=int), bad)
-    for bad in (np.zeros(6, dtype=int), np.zeros((2, 6)), np.zeros((2, 0), dtype=int),
-                np.full((2, 6), -1), np.full((2, 6), 6)):
-        with pytest.raises(ValueError, match="rows must be"):
-            presort.resample(bad, y)
-    # two trees of three rows each, expected for one pass
-    views = presort.resample(np.array([[0, 0, 1], [5, 4, 3]]), y)
-    assert len(presort.pending) == 2 and [view.n_rows for view in views] == [3, 3]
-    with pytest.raises(ValueError, match="matching the feature rows"):
-        fit_tree(views[0], y)
-    for view in views:
-        assert_same_tree(fit_tree(view, y[view.rows]), reference_fit_tree(x[view.rows], y[view.rows]))
-    assert not presort.pending
+    y = np.random.default_rng(29).standard_normal((6, 11))
+    with monkeypatch.context() as patch:
+        patch.setattr(tree_module, "_grow_batch", no_pass)
+        for bad in (np.zeros(6), np.zeros((5, 10)), np.zeros((6, 10)) + 1j, np.zeros((6, 10, 1))):
+            with pytest.raises(ValueError, match="targets must be"):
+                grow_trees(presort, bad)
+        for i, value in [(0, np.nan), (10, np.inf)]:
+            bad = y.copy()
+            bad[0, i] = value
+            with pytest.raises(ValueError, match="targets must be finite"):
+                grow_trees(presort, bad)
+        bad = y.copy()
+        bad[:, 4] = 1e200
+        with pytest.raises(ValueError, match="targets too large"):
+            grow_trees(presort, bad)
+        vector = np.arange(6.0)
+        for bad in (np.zeros(5), np.zeros((6, 1)), np.zeros(6) + 1j, np.full(6, np.nan)):
+            with pytest.raises(ValueError, match="targets must be"):
+                grow_trees(presort, bad, np.zeros((10, 6), dtype=int))
+        for bad in (np.zeros(6, dtype=int), np.zeros((2, 6)), np.zeros((2, 0), dtype=int),
+                    np.full((2, 6), -1), np.full((2, 6), 6), np.zeros((2, 6), dtype=bool)):
+            with pytest.raises(ValueError, match="rows must be"):
+                grow_trees(presort, vector, bad)
+        # one resample's targets overflow: rows 1 and 2 hold 1e200
+        big = np.array([0.0, 1e200, 1e200, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="targets too large"):
+            grow_trees(presort, big, np.array([[0, 0, 3], [1, 2, 3]]))
+        # no trees, no pass
+        assert grow_trees(presort, y[:, :0]) == ()
+        assert grow_trees(presort, vector, np.zeros((0, 3), dtype=int)) == ()
+    # two trees of three rows each, from one pass
+    rows = np.array([[0, 0, 1], [5, 4, 3]])
+    trees = grow_trees(presort, vector, rows)
+    for tree, r in zip(trees, rows):
+        assert_same_tree(tree, reference_fit_tree(x[r], vector[r]))
+    for tree, alone in zip(grow_trees(presort, y), _grown_alone(x, y)):
+        assert_same_tree(tree, alone)
 
 
 @pytest.mark.parametrize("m", [4, 40])
@@ -1044,9 +1049,7 @@ def test_batched_thresholds_pin_as_fit_tree_pins(m):
         [np.tile([odd, np.nextafter(odd, 2.0)], m // 2), np.tile([-1.7e308, -1e308, 1e308, 1.7e308], m // 4)]
     )
     y = np.random.default_rng(m).standard_normal((m, 10))
-    presort = Presort(x)
-    presort.expect(y)
-    trees = [fit_tree(presort, column) for column in y.T]
+    trees = grow_trees(Presort(x), y)
     for tree, alone in zip(trees, _grown_alone(x, y)):
         assert_same_tree(tree, alone)
     assert {odd, -1.7e308, 1e308} <= {t for tree in trees for t in tree.threshold.tolist()}
@@ -1057,9 +1060,8 @@ def test_batched_trees_own_their_arrays():
     x = rng.standard_normal((50, 3))
     y = rng.standard_normal((50, 10))
     presort = Presort(x)
-    presort.expect(y)
-    trees = [fit_tree(presort, column) for column in y.T]
-    # a tree grown alone comes from the pass too
+    trees = [*grow_trees(presort, y), *grow_trees(presort, y[:, 0], rng.integers(0, 50, (4, 50)))]
+    # and a tree grown alone
     trees.append(fit_tree(x, y[:, 0]))
     for tree in trees:
         for array in (tree.feature, tree.threshold, tree.value):
@@ -1068,69 +1070,19 @@ def test_batched_trees_own_their_arrays():
         assert tree.feature.dtype == np.int64
 
 
-def test_batch_fills_the_memo_and_a_tree_grown_alone_replaces_it():
-    rng = np.random.default_rng(28)
-    x = rng.standard_normal((30, 2))
-    y = rng.standard_normal((30, 10))
-    presort = Presort(x)
-    presort.expect(y)
-    first = fit_tree(presort, y[:, 3])
-    assert len(presort.memo) == 10 and not presort.pending
-    assert all(fit_tree(presort, y[:, 3]) is first for _ in range(2))
-    # a depth-capped tree grows alone, and the memo then holds it only
-    capped = fit_tree(presort, y[:, 0], 2)
-    assert list(presort.memo.values()) == [capped]
-    assert_same_tree(fit_tree(presort, y[:, 3]), first)
-
-
 def test_a_lone_fully_grown_tree_grows_node_by_node(monkeypatch):
-    # a tree no fit announced takes the capped grower at a cap of the row
-    # count, not the batched pass as a group of one
-    def no_pass(presort, pending):
+    # a tree asked of fit_tree alone takes the capped grower at a cap of
+    # the row count, not the batched pass as a group of one
+    def no_pass(presort, columns, rows):
         raise AssertionError("a lone tree entered the batched pass")
 
     monkeypatch.setattr(tree_module, "_grow_batch", no_pass)
     rng = np.random.default_rng(31)
     x = np.round(rng.standard_normal((40, 3)), 1)
     y = rng.standard_normal(40)
-    presort = Presort(x)
-    lone = fit_tree(presort, y)
-    assert list(presort.memo) == [(y.tobytes(), None)]
-    assert fit_tree(presort, y) is lone
+    lone = fit_tree(Presort(x), y)
     assert_same_tree(lone, reference_fit_tree(x, y))
     assert_same_tree(lone, fit_tree(x, y, max_depth=x.shape[0]))
-
-
-def test_batch_grows_the_targets_expect_saw():
-    # a change to the caller's matrix between expect and the first call
-    # must not reach the trees filed under the expected columns
-    rng = np.random.default_rng(30)
-    x = rng.standard_normal((40, 3))
-    y = rng.standard_normal((40, 10))
-    seen = y.copy()
-    presort = Presort(x)
-    presort.expect(y)
-    y += 1.0
-    trees = [fit_tree(presort, column) for column in seen.T]
-    for tree, alone in zip(trees, _grown_alone(x, seen)):
-        assert_same_tree(tree, alone)
-
-
-def test_expect_checks_its_matrix_and_leaves_bad_columns_to_their_call():
-    x = np.arange(12.0).reshape(6, 2)
-    presort = Presort(x)
-    for bad in (np.zeros(6), np.zeros((5, 10)), np.zeros((6, 10)) + 1j):
-        with pytest.raises(ValueError, match="targets must be"):
-            presort.expect(bad)
-    y = np.random.default_rng(29).standard_normal((6, 11))
-    y[0, 4] = np.nan
-    presort.expect(y)
-    assert len(presort.pending) == 10
-    with pytest.raises(ValueError, match="targets must be finite"):
-        fit_tree(presort, y[:, 4])
-    for i in (0, 5):
-        assert_same_tree(fit_tree(presort, y[:, i]), _grown_alone(x, y[:, i, None])[0])
-    assert len(presort.memo) == 10
 
 
 def test_batch_memory_stays_within_its_budget(mpg):
@@ -1141,25 +1093,15 @@ def test_batch_memory_stays_within_its_budget(mpg):
     start = shooting_start(train, 100, 3)
     targets = gradient_targets(start[2], start[1].projected, 1.0)
     rows = np.random.default_rng(3).integers(0, train.n_rows, size=(100, train.n_rows))
-
-    def sr():
-        presort = Presort(train.features)
-        presort.expect(targets)
-        return [presort], targets[:, 0]
-
-    def rf():
-        return Presort(train.features).resample(rows, train.target), train.target[rows[0]]
-
-    for expect in (sr, rf):
+    for args in ((targets,), (train.target, rows)):
         for _ in range(2):  # the first pass in a process allocates once more
-            presorts, first = expect()
+            presort = Presort(train.features)
             tracemalloc.start()
             try:
-                fit_tree(presorts[0], first)
+                trees = grow_trees(presort, *args)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        trees = [tree for presort in presorts for tree in presort.memo.values()]
         assert len(trees) == 100
         held = sum(a.nbytes for t in trees for a in (t.feature, t.threshold, t.value))
         # beyond the trees: a group's int32 cells of the budget and one
@@ -1167,6 +1109,32 @@ def test_batch_memory_stays_within_its_budget(mpg):
         # float arrays, 64 bytes a value; without blocks the root alone
         # would take 12 MB
         assert peak - held < 8 * GROW_CELLS + 64 * SEARCH_CELLS
+
+
+def test_a_batched_fit_holds_no_keys_through_its_pass(monkeypatch):
+    # the dedupe's keys, one copy of the targets' bytes, are dropped
+    # before the pass: a fit of 100 trees on 3,200 rows peaks below two
+    # copies of its targets beyond the group and the trees
+    d = make_synthetic(3200, 7, 1.0, 0)
+    y = np.random.default_rng(32).standard_normal((3200, 100))
+    presort = Presort(d.features)
+    assert presort.order.shape == (7, 3200)  # made before tracing starts
+    peaks = []
+    grow_group = tree_module._grow_group
+
+    def recording_grow_group(x, order, targets):
+        peaks.append(tracemalloc.get_traced_memory()[0])
+        return grow_group(x, order, targets)
+
+    monkeypatch.setattr(tree_module, "_grow_group", recording_grow_group)
+    tracemalloc.start()
+    try:
+        grow_trees(presort, y)
+    finally:
+        tracemalloc.stop()
+    # at the first group's start only that group's targets copy is held
+    group = GROW_CELLS // (8 * 3200)
+    assert peaks[0] < 8 * 3200 * group + 2**16
 
 
 # ------------------------------------------------ packed forest vs per tree
