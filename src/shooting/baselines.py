@@ -7,17 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .rng import BOOTSTRAP_STREAM, check_float, check_int, make_rng
-from .tree import (
-    Presort,
-    RegressionTree,
-    TreeModel,
-    check_features,
-    fit_tree,
-    grow_trees,
-    predict_tree,
-    row_means,
-)
+from .rng import BOOTSTRAP_STREAM, check_float, check_int, make_rng, real_array
+from .tree import Presort, RegressionTree, TreeModel, fit_tree, grow_trees, predict_tree, row_means
 
 
 @dataclass(frozen=True)
@@ -77,19 +68,19 @@ class GradientBoosting(TreeModel):
 
 def fit_rf(train: Dataset, config: RFConfig = RFConfig()) -> RandomForest:
     """Bagged trees: tree i fits the m-row resample that bootstrap stream i
-    draws with replacement, fit_tree(x[rows], y[rows]) bit for bit. The
-    training matrix is checked once, in one Presort, and grow_trees grows
-    every tree on its rows of it."""
+    draws with replacement, fit_tree(x[rows], y[rows]) bit for bit. One
+    grow_trees call checks the training matrix once and grows every tree
+    on its rows of it."""
     m = train.n_rows
     rows = np.array(
         [make_rng(config.seed, BOOTSTRAP_STREAM, i).integers(0, m, size=m) for i in range(config.n_trees)]
     )
-    return RandomForest(grow_trees(Presort(train.features), train.target, rows), train.n_features)
+    return RandomForest(grow_trees(train.features, train.target, rows), train.n_features)
 
 
 def predict_rf(model: RandomForest, features) -> np.ndarray:
     """Mean of the tree outputs, exact so tree order cannot matter."""
-    x = check_features(features, model.n_features)
+    x = real_array(features, "features", (None, model.n_features))
     out = np.empty(x.shape[0])
     for rows, values in model.forest.leaves(x):
         out[rows] = row_means(values.T)
@@ -114,7 +105,7 @@ def fit_gbm(train: Dataset, config: GBMConfig = GBMConfig()) -> GradientBoosting
 
 def predict_gbm(model: GradientBoosting, features) -> np.ndarray:
     """Base value plus the learning-rate-scaled stage corrections in order."""
-    x = check_features(features, model.n_features)
+    x = real_array(features, "features", (None, model.n_features))
     out = np.empty(x.shape[0])
     for rows, values in model.forest.leaves(x):
         steps = model.learning_rate * values

@@ -30,8 +30,8 @@ class Dataset:
     target: np.ndarray
 
     def __post_init__(self):
-        features = real_array(self.features, "features", 2)
-        target = real_array(self.target, "target", 1)
+        features = real_array(self.features, "features", (None, None))
+        target = real_array(self.target, "target", features.shape[:1])
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "target", target)
         m, n = features.shape
@@ -39,8 +39,6 @@ class Dataset:
             raise ValueError(f"need at least 2 rows, got {m}")
         if n < 1:
             raise ValueError("need at least 1 feature column")
-        if target.size != m:
-            raise ValueError("target length must match the number of feature rows")
 
     @property
     def n_rows(self) -> int:
@@ -141,9 +139,11 @@ def _vectors(least: int, **pair) -> tuple[np.ndarray, np.ndarray]:
     """The two keyword arguments as real_array vectors of one length, at
     least least long, checked before any arithmetic could turn a bad entry
     into a NaN result."""
-    a, b = (real_array(values, name, 1) for name, values in pair.items())
-    if a.size != b.size or a.size < least:
-        raise ValueError(f"{' and '.join(pair)} must be equal-length vectors, at least {least} long")
+    (first, a), (second, b) = pair.items()
+    a = real_array(a, first, (None,))
+    b = real_array(b, second, a.shape)
+    if a.size < least:
+        raise ValueError(f"{' and '.join(pair)} must be at least {least} long")
     return a, b
 
 

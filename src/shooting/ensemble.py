@@ -28,7 +28,7 @@ from .data import Dataset
 from .linear import LinearModel, OffsetSet, augment, fit_ols, sample_offsets
 from .nuopt import DegenerateCorrelationError, balanced_magnitude_weight, build_cache, minimize_nu
 from .rng import check_float, check_int, real_array
-from .tree import Presort, RegressionTree, TreeModel, check_features, grow_trees, row_means
+from .tree import RegressionTree, TreeModel, grow_trees, row_means
 from .tree import fit_tree  # noqa: F401, bound only for bench/test_bench.py's span test
 
 # nu used when the correlation objective is degenerate (perfect linear fit)
@@ -64,12 +64,10 @@ class ShootingEnsemble(TreeModel):
     trees: tuple[RegressionTree, ...]
 
     def __post_init__(self):
-        coefficients = real_array(self.coefficients, "coefficients", 1)
-        p = coefficients.size
-        if np.shape(self.offsets) != (p, self.k):
-            raise ValueError(f"offsets must have shape ({p}, {self.k})")
+        coefficients = real_array(self.coefficients, "coefficients", (None,))
+        offsets = real_array(self.offsets, "offsets", (coefficients.size, self.k))
         object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "offsets", real_array(self.offsets, "offsets", 2))
+        object.__setattr__(self, "offsets", offsets)
         check_float(self.nu, "nu", 0)
         super().__post_init__()
 
@@ -96,12 +94,9 @@ def shooting_start(
 def gradient_targets(z, projected, nu: float) -> np.ndarray:
     """Column i is the loss gradient at initial vector i: z + nu*XD_i, for
     a vector z and a matrix projected with one row per entry of z."""
-    z = real_array(z, "z", 1)
+    z = real_array(z, "z", (None,))
     # a length-1 z or a vector projected would otherwise broadcast silently
-    shape = np.shape(projected)
-    if len(shape) != 2 or shape[0] != z.size:
-        raise ValueError(f"projected must be a matrix with {z.size} rows, one per entry of z")
-    return z[:, None] + nu * real_array(projected, "projected", 2)
+    return z[:, None] + nu * real_array(projected, "projected", (z.size, None))
 
 
 def fit_at_nu(
@@ -110,11 +105,11 @@ def fit_at_nu(
     nu: float,
 ) -> ShootingEnsemble:
     """The ensemble at this nu from a shooting_start on the same rows: one
-    tree per gradient target, all grown by grow_trees on one Presort of the
+    tree per gradient target, all grown by one grow_trees call on the
     features. At nu = 0 the k targets are all z, so the pass grows one tree
     and the ensemble holds it k times."""
     linear, offsets, z = start
-    trees = grow_trees(Presort(train.features), gradient_targets(z, offsets.projected, nu))
+    trees = grow_trees(train.features, gradient_targets(z, offsets.projected, nu))
     return ShootingEnsemble(linear.coefficients, offsets.offsets, nu, trees)
 
 
@@ -163,7 +158,7 @@ def fit_shooting(train: Dataset, config: SRConfig = SRConfig()) -> ShootingEnsem
 def initial_vectors(ensemble: ShootingEnsemble, features) -> np.ndarray:
     """Per-estimator linear predictions X(B + nu*D_i) on arbitrary features,
     checked as every predict checks them."""
-    return _initial(ensemble, check_features(features, ensemble.n_features))
+    return _initial(ensemble, real_array(features, "features", (None, ensemble.n_features)))
 
 
 def _initial(ensemble: ShootingEnsemble, x: np.ndarray) -> np.ndarray:
@@ -195,7 +190,7 @@ def _member_blocks(ensemble: ShootingEnsemble, x: np.ndarray):
 def predict_per_estimator(ensemble: ShootingEnsemble, features) -> np.ndarray:
     """Column i: initial vector i minus tree i's gradient estimate.
     ValueError, naming the first row, when one is not finite."""
-    x = check_features(features, ensemble.n_features)
+    x = real_array(features, "features", (None, ensemble.n_features))
     out = np.empty((x.shape[0], ensemble.k))
     for rows, members in _member_blocks(ensemble, x):
         out[rows] = members
@@ -206,7 +201,7 @@ def predict(ensemble: ShootingEnsemble, features) -> np.ndarray:
     """Mean of the per-estimator corrected predictions, block by block.
     ValueError, naming the first row, when a member estimate is not finite
     or a row's exact sum of them overflows."""
-    x = check_features(features, ensemble.n_features)
+    x = real_array(features, "features", (None, ensemble.n_features))
     out = np.empty(x.shape[0])
     for rows, members in _member_blocks(ensemble, x):
         out[rows] = row_means(members)
@@ -226,10 +221,8 @@ def oracle_predict(initial, target) -> tuple[np.ndarray, np.ndarray]:
     out rather than shortcut to Y so the identity is demonstrated, not
     assumed.
     """
-    initial = real_array(initial, "initial", 2)
-    target = real_array(target, "target", 1)
-    if target.size != initial.shape[0]:
-        raise ValueError(f"target must have {initial.shape[0]} entries, one per row of initial")
+    initial = real_array(initial, "initial", (None, None))
+    target = real_array(target, "target", initial.shape[:1])
     exact_gradient = initial - target[:, None]
     per_estimator = initial - exact_gradient
     return per_estimator, row_means(per_estimator)
@@ -265,15 +258,9 @@ def project_trajectories(initial, terminal, target) -> PCADiagnostics:
     The principal axis comes from the centered collection; the reported
     coordinates are the uncentered dot products with that axis.
     """
-    shapes = [np.shape(a) for a in (initial, terminal, target)]
-    if len(shapes[0]) != 2 or shapes[1] != shapes[0] or shapes[2] != shapes[0][:1]:
-        raise ValueError(
-            "initial and terminal must be (m, k) matrices and target an (m,) vector; got "
-            "{}, {} and {}".format(*shapes)
-        )
-    initial = real_array(initial, "initial", 2)
-    terminal = real_array(terminal, "terminal", 2)
-    target = real_array(target, "target", 1)
+    initial = real_array(initial, "initial", (None, None))
+    terminal = real_array(terminal, "terminal", initial.shape)
+    target = real_array(target, "target", initial.shape[:1])
     collection = np.vstack([initial.T, terminal.T, target[None, :]])
     axis = _leading_component(collection)
     return PCADiagnostics(

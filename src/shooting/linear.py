@@ -35,7 +35,7 @@ _JITTER_LADDER = [1e-12 * 10**i for i in range(7)]
 
 def augment(features) -> np.ndarray:
     """Prepend an intercept column of ones to a real, finite 2-D feature matrix."""
-    features = real_array(features, "features", 2)
+    features = real_array(features, "features", (None, None))
     return np.hstack([np.ones((features.shape[0], 1)), features])
 
 
@@ -141,11 +141,7 @@ def sample_offsets(model: LinearModel, features, k: int, seed: int) -> OffsetSet
     """
     check_int(k, "k", 1)
     p = model.coefficients.size
-    x = augment(features)
-    if x.shape[1] != p:
-        raise ValueError(
-            f"feature count {x.shape[1] - 1} does not match model ({p - 1})"
-        )
+    x = augment(real_array(features, "features", (None, p - 1)))
     draws = np.empty((p, k))
     for i in range(k):
         z = make_rng(seed, OFFSET_STREAM, i).standard_normal(p)

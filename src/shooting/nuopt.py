@@ -94,10 +94,8 @@ def build_cache(z, projected_offsets) -> NuCache:
     ignore it, and objective reports the magnitude term in the caller's
     units.
     """
-    z = real_array(z, "z", 1)
-    x = real_array(projected_offsets, "projected_offsets", 2)
-    if x.shape[0] != z.size:
-        raise ValueError("projected_offsets must have one row per entry of z")
+    z = real_array(z, "z", (None,))
+    x = real_array(projected_offsets, "projected_offsets", (z.size, None))
     m, k = x.shape
     if m < 2:
         raise ValueError("need at least 2 rows")

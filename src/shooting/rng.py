@@ -46,15 +46,27 @@ def check_float(value, name: str, least: float | None = None) -> None:
         raise ValueError(f"{name} must be finite" + ("" if least is None else f" and >= {least}"))
 
 
-def real_array(values, name: str, ndim: int | None = None) -> np.ndarray:
-    """values as a float array; ValueError for complex values, whose
-    imaginary part numpy would drop behind a mere ComplexWarning, and for
-    strings and booleans, alone or in an object array (np.str_ and
-    np.bool_ too), which numpy would parse as numbers or read as 0 and 1.
-    Numeric objects such as Fraction pass. With ndim (1 or 2) given, also
-    ValueError for any other rank and for a NaN or an infinity, which
-    would otherwise come out of the arithmetic as a NaN result."""
-    x = np.asarray(values)
+def regular_array(values, name: str, dtype=None) -> np.ndarray:
+    """np.asarray(values, dtype); ValueError naming name for a ragged
+    sequence, or, converted to a dtype, an object array holding a
+    sequence, which numpy refuses in a message that names no argument."""
+    try:
+        return np.asarray(values, dtype)
+    except ValueError:
+        raise ValueError(f"{name} must be a regular array, not a ragged sequence") from None
+
+
+def real_array(values, name: str, shape: tuple | None = None) -> np.ndarray:
+    """values as a float array; ValueError for a ragged sequence, for
+    complex values, whose imaginary part numpy would drop behind a mere
+    ComplexWarning, and for strings and booleans, alone or in an object
+    array (np.str_ and np.bool_ too), which numpy would parse as numbers
+    or read as 0 and 1. Numeric objects such as Fraction pass. With shape
+    (a tuple of lengths, None for a free one) given, also ValueError, in
+    this order, for any other rank, any other length and a NaN or an
+    infinity, which would otherwise come out of the arithmetic as a NaN
+    result."""
+    x = regular_array(values, name)
     kind = x.dtype.kind
     if kind == "c":
         raise ValueError(f"{name} must be real numbers, not complex")
@@ -63,10 +75,13 @@ def real_array(values, name: str, ndim: int | None = None) -> np.ndarray:
         raise ValueError(f"{name} must be real numbers, not strings")
     if kind == "b" or any(issubclass(t, (bool, np.bool_)) for t in types):
         raise ValueError(f"{name} must be real numbers, not booleans")
-    x = x.astype(float, copy=False)
-    if ndim is not None:
-        if x.ndim != ndim:
-            raise ValueError(f"{name} must be " + ("a vector" if ndim == 1 else "a 2-D matrix"))
+    x = regular_array(x, name, float)
+    if shape is not None:
+        if x.ndim != len(shape):
+            raise ValueError(f"{name} must be " + ("a vector" if len(shape) == 1 else "a 2-D matrix"))
+        if any(n not in (None, length) for n, length in zip(shape, x.shape)):
+            want = ", ".join("*" if n is None else str(n) for n in shape)
+            raise ValueError(f"{name} must be of shape ({want}{',' * (len(shape) == 1)}), got {x.shape}")
         if not np.isfinite(x).all():
             raise ValueError(f"{name} must be finite")
     return x

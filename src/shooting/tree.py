@@ -124,7 +124,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .rng import check_int, real_array
+from .rng import check_int, real_array, regular_array
 
 LEAF = -1
 # rows per block of a forest walk, so the (trees, rows) node-index matrix
@@ -182,10 +182,8 @@ class RegressionTree:
             raise ValueError("nodes are not a tree in level order: a node precedes its parent")
         if not ((0 <= self.feature[ids]) & (self.feature[ids] < self.n_features)).all():
             raise ValueError("feature index out of range")
-        if self.threshold.shape != (i,) or self.value.shape != (i + 1,):
-            raise ValueError("expected one threshold per internal node and one value per leaf")
-        for name in ("threshold", "value"):
-            real_array(getattr(self, name), name, 1)
+        real_array(self.threshold, "threshold", (i,))
+        real_array(self.value, "value", (i + 1,))
 
     @property
     def n_nodes(self) -> int:
@@ -239,12 +237,13 @@ class Presort:
     non-finite value, with fit_tree's messages. Holds, read-only, xt (one
     row per feature) and, made on first use, order (each feature's row ids
     in stable value order, also read-only), and n_rows, the matrix's row
-    count. fit_tree wraps a plain matrix in one; a fit that grows many
-    trees on one matrix builds one and passes it to every tree.
+    count. fit_tree and grow_trees wrap a plain matrix in one; a fit that
+    grows many trees on one matrix one at a time builds one and passes it
+    to every tree.
     """
 
     def __init__(self, features):
-        x = real_array(features, "features", 2)
+        x = real_array(features, "features", (None, None))
         if x.shape[0] == 0:
             raise ValueError("cannot fit a tree on zero rows")
         # a copy, never a view of the caller's matrix
@@ -290,42 +289,38 @@ def fit_tree(features, targets, max_depth: int | None = None) -> RegressionTree:
     if max_depth is not None:
         check_int(max_depth, "max_depth", 0)
     presort = features if isinstance(features, Presort) else Presort(features)
-    y = real_array(targets, "targets", 1)
-    if y.size != presort.n_rows:
-        raise ValueError("targets must be a vector matching the feature rows")
+    y = real_array(targets, "targets", (presort.n_rows,))
     _check_targets(y)
     # a tree on m rows is at most m - 1 deep, so a cap of m never binds
     return _grow_capped(presort, y, presort.n_rows if max_depth is None else max_depth)
 
 
-def grow_trees(presort: Presort, targets, rows=None) -> tuple[RegressionTree, ...]:
+def grow_trees(features, targets, rows=None) -> tuple[RegressionTree, ...]:
     """A fit's fully grown trees, all from one batched pass: one per column
-    of the (m, k) targets, on the m rows of presort's matrix, or, given
-    rows, one per row r of the (trees, rows) integer matrix rows, on the
-    matrix's rows r with targets[r] of the m-vector targets. Each is the
-    tree that fit_tree grows on the same matrix and targets, bit for bit,
-    and byte-equal columns of a matrix give one tree object.
+    of the (m, k) targets, on the m rows of features, a matrix or a
+    Presort of one, or, given rows, one per row r of the (trees, rows)
+    integer matrix rows, on the matrix's rows r with targets[r] of the
+    m-vector targets. Each is the tree that fit_tree grows on the same
+    matrix and targets, bit for bit, and byte-equal columns of a matrix
+    give one tree object.
 
-    Refuses malformed targets ("targets must be ...") or rows ("rows must
-    be ..."), and any tree's targets whose squared-error sums overflow,
-    before any tree grows. Then it calls fit_tree once per tree, so a
-    fit's calls and their time are per tree; the first call grows every
-    tree.
+    Refuses malformed features, targets ("targets must be ...") or rows
+    ("rows must be ..."), and any tree's targets whose squared-error sums
+    overflow, before any tree grows. Then it calls fit_tree once per tree,
+    so a fit's calls and their time are per tree; the first call grows
+    every tree.
     """
-    shape = np.shape(targets)
+    presort = features if isinstance(features, Presort) else Presort(features)
     if rows is None:
-        if len(shape) != 2 or shape[0] != presort.n_rows:
-            raise ValueError("targets must be a matrix with one row per feature row")
-        columns = real_array(targets, "targets", 2).T
+        columns = real_array(targets, "targets", (presort.n_rows, None)).T
     else:
-        if shape != (presort.n_rows,):
-            raise ValueError("targets must be a vector matching the feature rows")
-        rows = np.asarray(rows)
+        y = real_array(targets, "targets", (presort.n_rows,))
+        rows = regular_array(rows, "rows")
         if rows.ndim != 2 or rows.dtype.kind not in "iu" or rows.shape[1] == 0 or (
             rows.size and not 0 <= rows.min() <= rows.max() < presort.n_rows
         ):
             raise ValueError("rows must be a (trees, rows) matrix of feature row ids, a tree one or more")
-        columns = real_array(targets, "targets", 1)[rows]
+        columns = y[rows]
     for column in columns:
         _check_targets(column)
     batch = cache(lambda: _grow_batch(presort, columns, rows))
@@ -610,20 +605,6 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
 
 
-def check_features(features, n_features: int) -> np.ndarray:
-    """The features as a float matrix; ValueError unless real, 2-D,
-    n_features columns wide and finite. Every predict calls this once: a
-    NaN or inf would otherwise route right at every node, and a complex
-    value would lose its imaginary part, silently."""
-    # the width first: a wrong-width matrix says so, finite or not
-    shape = np.shape(features)
-    if len(shape) == 2 and shape[1] != n_features:
-        raise ValueError(
-            f"features: feature count {shape[1]} does not match training dimension {n_features}"
-        )
-    return real_array(features, "features", 2)
-
-
 def row_means(columns: np.ndarray) -> np.ndarray:
     """Mean of each row: the row's exact sum rounded once, which is what
     math.fsum returns, divided by the row length k, so column order cannot
@@ -781,7 +762,7 @@ def predict_tree(tree: RegressionTree, features) -> np.ndarray:
     The one tree is walked directly by the step rule, with no Forest to
     pack.
     """
-    x = check_features(features, tree.n_features)
+    x = real_array(features, "features", (None, tree.n_features))
     step, threshold, value = _steps(tree)
     feature = tree.feature
     rows = np.arange(x.shape[0])

@@ -81,7 +81,7 @@ def test_targets_shape_mismatch():
     with pytest.raises(ValueError):
         gradient_targets(z[:1], offsets.projected, 1.0)
     # a length-m vector passed the row check and broadcast to (m, m)
-    with pytest.raises(ValueError, match="projected must be a matrix with 40 rows"):
+    with pytest.raises(ValueError, match="^projected must be a 2-D matrix"):
         gradient_targets(z, offsets.projected[:, 0], 1.0)
     with pytest.raises(ValueError, match="projected"):
         gradient_targets(z, offsets.projected[None], 1.0)
@@ -305,7 +305,7 @@ def test_initial_vectors_and_predicts_check_their_features():
     d = make_synthetic(30, 3, 1.0, 21)
     model = fit_shooting(d, SRConfig(k=3, nu=2.0, seed=21))
     # numpy's matmul message named no argument
-    with pytest.raises(ValueError, match="^features: feature count 2 does not match"):
+    with pytest.raises(ValueError, match=r"^features must be of shape \(\*, 3\), got \(30, 2\)"):
         initial_vectors(model, d.features[:, :2])
     with pytest.raises(ValueError, match="^features must be finite"):
         initial_vectors(model, np.full((2, 3), np.nan))
@@ -365,10 +365,9 @@ def test_projection_shape_mismatch():
 def test_projection_names_the_shapes_it_expects():
     # 1-D inputs of one length used to fail as "collection has zero variance"
     v = np.arange(4.0)
-    with pytest.raises(ValueError, match=r"^initial and terminal must be \(m, k\) matrices and "
-                       r"target an \(m,\) vector; got \(4,\), \(4,\) and \(4,\)"):
+    with pytest.raises(ValueError, match="^initial must be a 2-D matrix"):
         project_trajectories(v, v, v)
-    with pytest.raises(ValueError, match=r"got \(4, 3\), \(4, 3\) and \(4, 1\)"):
+    with pytest.raises(ValueError, match="^target must be a vector"):
         project_trajectories(np.ones((4, 3)), np.ones((4, 3)), np.ones((4, 1)))
 
 

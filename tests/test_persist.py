@@ -707,7 +707,7 @@ def test_offsets_shape_checked(train):
     doc = model_to_dict(fit_shooting(train, SRConfig(k=3, seed=5)))
     for row in doc["model"]["offsets"]:
         row.pop()
-    with pytest.raises(PersistError, match="offsets must have shape"):
+    with pytest.raises(PersistError, match=r"offsets must be of shape \(4, 3\), got \(4, 2\)"):
         model_from_dict(doc)
 
 

@@ -5,9 +5,12 @@ array gets each bad value below in place of each of its array arguments,
 and must refuse it with a ValueError whose message starts with the
 argument's name, before any arithmetic could turn it into a NaN result or
 parse it into a number. grow_trees is swept in both its forms, the
-targets matrix and the bagged targets vector with its rows. Model containers (RegressionTree and the fitted
-models) hold arrays that a fit or a saved file made, and the persist
-tests cover them; scalars, configs and the CLI are outside this sweep.
+targets matrix and the bagged targets vector with its rows. An argument
+whose length another argument or the model fixes is also swept one entry
+short, and the refusal names the argument whose shape is checked against
+the other's. Model containers (RegressionTree and the fitted models)
+hold arrays that a fit or a saved file made, and the persist tests cover
+them; scalars, configs and the CLI are outside this sweep.
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ ARRAY_ARGUMENTS = {
     "Dataset": ("features", "target"),
     "Presort": ("features",),
     "fit_tree": ("features", "targets"),
-    "grow_trees": ("targets",),
-    "grow_trees, bagged": ("targets", "rows"),
+    "grow_trees": ("features", "targets"),
+    "grow_trees, bagged": ("features", "targets", "rows"),
     "predict_tree": ("features",),
     "augment": ("features",),
     "sample_offsets": ("features",),
@@ -77,16 +80,47 @@ ARRAY_ARGUMENTS = {
 
 BAD_VALUES = [
     "nan", "inf", "-inf", "complex", "str", "object str", "object np.str_",
-    "bool", "object True", "object np.True_", "wrong rank",
+    "bool", "object True", "object np.True_", "wrong rank", "ragged", "object list",
 ]
 # the entry each object kind puts in place of the first value
 OBJECT_ENTRIES = {
     "object str": "1", "object np.str_": np.str_("1"), "object True": True, "object np.True_": np.True_,
+    "object list": [1.0, 2.0],
 }
 
-# project_trajectories names its three shapes in one sentence, which tests
-# of its own read; any other refusal starts with the argument's name
-SHAPE_SENTENCE = r"initial and terminal must be \(m, k\) matrices and target an \(m,\) vector"
+# each argument whose length another argument or the model fixes: the
+# axis that a one-short value lacks an entry of (rows, or a model's
+# feature columns), and the argument the refusal names, the partner when
+# the partner's shape is the one checked against this one's
+SHORT = {
+    ("Dataset", "features"): (0, "target"),
+    ("Dataset", "target"): (0, "target"),
+    ("fit_tree", "features"): (0, "targets"),
+    ("fit_tree", "targets"): (0, "targets"),
+    ("grow_trees", "features"): (0, "targets"),
+    ("grow_trees", "targets"): (0, "targets"),
+    ("grow_trees, bagged", "features"): (0, "targets"),
+    ("grow_trees, bagged", "targets"): (0, "targets"),
+    ("predict_tree", "features"): (1, "features"),
+    ("sample_offsets", "features"): (1, "features"),
+    ("gradient_targets", "z"): (0, "projected"),
+    ("gradient_targets", "projected"): (0, "projected"),
+    ("build_cache", "z"): (0, "projected_offsets"),
+    ("build_cache", "projected_offsets"): (0, "projected_offsets"),
+    ("oracle_predict", "initial"): (0, "target"),
+    ("oracle_predict", "target"): (0, "target"),
+    ("project_trajectories", "initial"): (0, "terminal"),
+    ("project_trajectories", "terminal"): (0, "terminal"),
+    ("project_trajectories", "target"): (0, "target"),
+    ("mse", "y_true"): (0, "y_pred"),
+    ("mse", "y_pred"): (0, "y_pred"),
+    ("r_squared", "y_true"): (0, "y_pred"),
+    ("r_squared", "y_pred"): (0, "y_pred"),
+    ("paired_t_test", "a"): (0, "b"),
+    ("paired_t_test", "b"): (0, "b"),
+    **{(entry, "features"): (1, "features") for entry in
+       ("initial_vectors", "predict", "predict_per_estimator", "predict_rf", "predict_gbm")},
+}
 
 
 @pytest.fixture(scope="module")
@@ -104,10 +138,10 @@ def good_calls():
         "Dataset": (Dataset, dict(features=x, target=y)),
         "Presort": (Presort, dict(features=x)),
         "fit_tree": (fit_tree, dict(features=x, targets=y)),
-        "grow_trees": (grow_trees, dict(presort=Presort(x), targets=np.column_stack([y, 2 * y]))),
+        "grow_trees": (grow_trees, dict(features=x, targets=np.column_stack([y, 2 * y]))),
         "grow_trees, bagged": (
             grow_trees,
-            dict(presort=Presort(x), targets=y, rows=np.random.default_rng(5).integers(0, 12, size=(2, 12))),
+            dict(features=x, targets=y, rows=np.random.default_rng(5).integers(0, 12, size=(2, 12))),
         ),
         "predict_tree": (predict_tree, dict(tree=one_tree, features=x)),
         "augment": (augment, dict(features=x)),
@@ -132,10 +166,15 @@ def good_calls():
 
 def _bad(kind: str, good: np.ndarray):
     """good with kind's defect: one NaN or infinite entry, an imaginary
-    part, every entry as a string or a bool, one entry as a string or a
-    bool in an object array, or one axis more."""
+    part, every entry as a string or a bool, one entry as a string, a
+    bool or a list in an object array, one axis more, or, as a nested
+    list, its first entry one level deeper than the others."""
     if kind == "wrong rank":
         return good[..., None]
+    if kind == "ragged":
+        out = good.tolist()
+        out[0] = [out[0], out[0]]
+        return out
     if kind == "complex":
         return good + 1j
     if kind in ("str", "bool"):
@@ -154,19 +193,22 @@ def test_the_table_names_public_entries():
     assert {entry.split(",")[0] for entry in ARRAY_ARGUMENTS} <= set(shooting.__all__)
 
 
-@pytest.mark.parametrize("kind", BAD_VALUES)
 @pytest.mark.parametrize(
-    "entry, argument", [(e, a) for e, arguments in ARRAY_ARGUMENTS.items() for a in arguments]
+    "entry, argument, kind",
+    [(e, a, kind) for e, arguments in ARRAY_ARGUMENTS.items() for a in arguments for kind in BAD_VALUES]
+    + [(e, a, "one short") for e, a in SHORT],
 )
 def test_every_array_argument_refuses_malformed_values(good_calls, entry, argument, kind):
     call, kwargs = good_calls[entry]
     call(**kwargs)
-    kwargs = dict(kwargs, **{argument: _bad(kind, kwargs[argument])})
     expected = argument
-    if entry == "project_trajectories" and kind == "wrong rank":
-        expected = SHAPE_SENTENCE
+    if kind == "one short":
+        axis, expected = SHORT[entry, argument]
+        bad = np.delete(kwargs[argument], -1, axis)
+    else:
+        bad = _bad(kind, kwargs[argument])
     with pytest.raises(ValueError) as info:
-        call(**kwargs)
+        call(**dict(kwargs, **{argument: bad}))
     assert re.match(rf"{expected}\b", str(info.value)), str(info.value)
 
 

@@ -261,7 +261,7 @@ def test_fit_errors():
     # a Presort carries the feature checks; the targets are checked per tree
     with pytest.raises(ValueError, match="zero rows"):
         Presort(np.zeros((0, 2)))
-    with pytest.raises(ValueError, match="targets must be a vector"):
+    with pytest.raises(ValueError, match=r"^targets must be of shape \(3,\), got \(2,\)"):
         fit_tree(Presort(np.zeros((3, 1))), np.zeros(2))
 
 
@@ -378,10 +378,10 @@ def test_params_validation():
         ([0, LEAF, LEAF, 0, LEAF], [0.5, 1.5], [1.0, 2.0, 3.0], "parent"),
         ([0, LEAF], [0.5], [1.0], "parent"),
         ([], [], [], "parent"),
-        ([0, LEAF, LEAF], [0.5, 1.5], [1.0, 2.0], "one threshold"),
-        ([0, LEAF, LEAF], [], [1.0, 2.0], "one threshold"),
-        ([0, LEAF, LEAF], [0.5], [1.0, 2.0, 3.0], "one value"),
-        ([0, LEAF, LEAF], [0.5], [1.0], "one value"),
+        ([0, LEAF, LEAF], [0.5, 1.5], [1.0, 2.0], r"^threshold must be of shape \(1,\), got \(2,\)"),
+        ([0, LEAF, LEAF], [], [1.0, 2.0], r"^threshold must be of shape \(1,\), got \(0,\)"),
+        ([0, LEAF, LEAF], [0.5], [1.0, 2.0, 3.0], r"^value must be of shape \(2,\), got \(3,\)"),
+        ([0, LEAF, LEAF], [0.5], [1.0], r"^value must be of shape \(2,\), got \(1,\)"),
         ([2, LEAF, LEAF], [0.5], [1.0, 2.0], "out of range"),
         ([-2, LEAF, LEAF], [0.5], [1.0, 2.0], "out of range"),
     ],
@@ -690,9 +690,10 @@ def test_search_matches_reference_at_the_width_boundaries(
         assert_same_tree(tree, fit_tree(x, y, m))
 
 
-def reference_grow_trees(presort, targets, rows=None):
-    """grow_trees by reference_fit_tree, one tree at a time."""
-    x = presort.xt.T
+def reference_grow_trees(features, targets, rows=None):
+    """grow_trees on a feature matrix by reference_fit_tree, one tree at a
+    time."""
+    x = np.asarray(features)
     if rows is None:
         return tuple(reference_fit_tree(x, column) for column in np.asarray(targets).T)
     return tuple(reference_fit_tree(x[r], targets[r]) for r in rows)
@@ -743,7 +744,8 @@ def test_one_presort_per_fit(mpg, monkeypatch):
         passes.append(presort)
         return grow_batch(presort, columns, rows)
 
-    for module in (ensemble, baselines):
+    # SR and RF hand their matrix to grow_trees, GBM builds its own
+    for module in (tree_module, baselines):
         monkeypatch.setattr(module, "Presort", CountedPresort)
     monkeypatch.setattr(baselines, "fit_tree", recording_fit_tree)
     monkeypatch.setattr(tree_module, "_grow_batch", recording_grow_batch)
@@ -1037,6 +1039,19 @@ def test_grow_trees_checks_its_targets_and_rows(monkeypatch):
         assert_same_tree(tree, reference_fit_tree(x[r], vector[r]))
     for tree, alone in zip(grow_trees(presort, y), _grown_alone(x, y)):
         assert_same_tree(tree, alone)
+
+
+def test_grow_trees_takes_a_matrix_or_its_presort():
+    # as fit_tree does; a plain matrix failed on its missing n_rows
+    rng = np.random.default_rng(33)
+    x = np.round(rng.standard_normal((30, 3)), 1)
+    y = rng.standard_normal((30, 4))
+    rows = rng.integers(0, 30, (3, 30))
+    for args, n in (((y,), 4), ((y[:, 0], rows), 3)):
+        trees, want = grow_trees(x, *args), grow_trees(Presort(x), *args)
+        assert len(trees) == len(want) == n
+        for tree, other in zip(trees, want):
+            assert_same_tree(tree, other)
 
 
 @pytest.mark.parametrize("m", [4, 40])
