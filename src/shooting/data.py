@@ -38,7 +38,7 @@ class Dataset:
         if m < 2:
             raise ValueError(f"need at least 2 rows, got {m}")
         if n < 1:
-            raise ValueError("need at least 1 feature column")
+            raise ValueError("features must be at least 1 column wide")
 
     @property
     def n_rows(self) -> int:

@@ -65,11 +65,11 @@ class ShootingEnsemble(TreeModel):
 
     def __post_init__(self):
         coefficients = real_array(self.coefficients, "coefficients", (None,))
-        offsets = real_array(self.offsets, "offsets", (coefficients.size, self.k))
         object.__setattr__(self, "coefficients", coefficients)
+        super().__post_init__()  # the trees, before the offsets' shape reads k
+        offsets = real_array(self.offsets, "offsets", (coefficients.size, self.k))
         object.__setattr__(self, "offsets", offsets)
         check_float(self.nu, "nu", 0)
-        super().__post_init__()
 
     @property
     def k(self) -> int:

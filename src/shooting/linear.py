@@ -70,10 +70,6 @@ class OffsetSet:
 def _factor_covariance(cov: np.ndarray) -> tuple[np.ndarray, float]:
     p = cov.shape[0]
     scale = float(np.trace(cov)) / p
-    if scale == 0.0:
-        if np.any(cov):
-            raise FactorizationError("covariance has zero trace but nonzero entries")
-        return np.zeros_like(cov), 0.0
     for relative in [0.0] + _JITTER_LADDER:
         jitter = relative * scale
         try:
@@ -115,9 +111,9 @@ def fit_ols(d: Dataset) -> LinearModel:
     resid = y - x @ coef
     rss = float(resid @ resid)
     if rss <= 1e-26 * yy:
-        # QR leaves machine-noise residuals on exactly-linear data; a true
-        # zero here lets the degenerate zero-covariance path engage
-        rss = 0.0
+        # QR leaves machine-noise residuals on exactly-linear data; an exact
+        # fit has no estimation noise, so its offsets are zero in any units
+        return LinearModel(coef, 0.0, np.zeros((p, p)))
     s2 = rss / (m - p)
     r_inv = np.linalg.inv(r)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -126,7 +122,7 @@ def fit_ols(d: Dataset) -> LinearModel:
     # variance outside the float range: weight x 2^-600 on auto-mpg
     # overflows it, and weight x 2^600 leaves it below the smallest normal
     # double, where the jitter ladder would swamp it
-    if not np.isfinite(cov).all() or (s2 > 0.0 and np.diag(cov).min() < np.finfo(float).tiny):
+    if not np.isfinite(cov).all() or np.diag(cov).min() < np.finfo(float).tiny:
         raise FactorizationError("coefficient covariance leaves the float range")
     cov = 0.5 * (cov + cov.T)
     factor, jitter = _factor_covariance(cov)

@@ -98,7 +98,7 @@ def build_cache(z, projected_offsets) -> NuCache:
     x = real_array(projected_offsets, "projected_offsets", (z.size, None))
     m, k = x.shape
     if m < 2:
-        raise ValueError("need at least 2 rows")
+        raise ValueError("z must be at least 2 long")
     if k < 2:
         raise DegenerateCorrelationError("need at least 2 offset columns")
     if np.ptp(z) == 0.0:
@@ -177,6 +177,7 @@ def balanced_magnitude_weight(cache: NuCache) -> float:
     while the corr term never exceeds k, so an unweighted sum is dominated
     by whichever is larger. Equalizing at nu = 0 puts the two on one scale.
     """
+    # a guard only: sum_zz is 0 for an all-zero z, which build_cache refuses
     if cache.sum_zz <= 0.0:
         return 1.0
     return math.ldexp(math.sqrt(cache.k / cache.sum_zz), -cache.scale)

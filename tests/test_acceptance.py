@@ -1,4 +1,5 @@
-"""Primary acceptance criteria, one test per criterion.
+"""Primary acceptance criteria, one test per criterion, and the outputs
+that must not move under another BLAS kernel family.
 
 Each test prints a single `criterion N: PASS/FAIL` line on the real
 stdout (bypassing capture) before asserting, so a full run always shows
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -347,3 +349,88 @@ def test_criterion_10_benchmark_determinism(tmp_path):
         else f"differing files: {', '.join(mismatched)}",
     )
     assert ok
+
+
+# Cross-environment drift reproduced on one host: OPENBLAS_CORETYPE makes a
+# DYNAMIC_ARCH OpenBLAS run another CPU family's kernels, and
+# OPENBLAS_VERBOSE=2 makes it print the family it took ("Core: <name>";
+# Prescott reports itself as Katmai). SR's scores and the nu and PCA
+# outputs go through BLAS and LAPACK, and split ties decided by rounding
+# (ROADMAP item 1) turn their last bits into different trees
+KERNEL_FAMILIES = ("Haswell", "Prescott")
+KERNEL_DRIFT = pytest.mark.xfail(
+    strict=False,
+    reason="differs under other OpenBLAS kernel families (ROADMAP item 17) "
+    "until split ties and SR's linear algebra are fixed-order (items 1 and 20)",
+)
+KERNEL_OUTPUTS = [
+    "nu_hist.csv",
+    "score_hist_rf.csv",
+    "score_hist_gbm.csv",
+    *(
+        pytest.param(name, marks=KERNEL_DRIFT)
+        for name in (
+            "trials.csv",
+            "summary.csv",
+            "score_hist_sr.csv",
+            "nu_curve.csv",
+            "minimizer",
+            "pca_diag.csv",
+        )
+    ),
+]
+
+
+def kernel_outputs(tmp_path_factory, mpg_path, family=None):
+    """Run benchmark, nu-curve and pca-diag at small sizes, at 1 BLAS
+    thread, under the default kernels or family's. Return the family that
+    OpenBLAS's first Core line names (None without one) and each output's
+    bytes by file name, with nu-curve's minimizer line as "minimizer"."""
+    out = tmp_path_factory.mktemp(f"kernels-{family or 'default'}")
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("OPENBLAS_CORETYPE", None)
+    if family is not None:
+        env["OPENBLAS_CORETYPE"] = family
+    env["OPENBLAS_VERBOSE"] = "2"
+    data = ["--data", str(mpg_path)]
+    stdout = stderr = ""
+    for argv in (
+        ["benchmark", *data, "--trials", "3", "--k", "8"],
+        ["nu-curve", *data, "--k", "8", "--points", "5"],
+        ["pca-diag", "--k", "8"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "shooting.cli", *argv, "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        stdout, stderr = stdout + proc.stdout, stderr + proc.stderr
+    core = re.search(r"^Core: (\S+)", stderr, re.MULTILINE)
+    minimizer = re.findall(r"^minimizer: .*$", stdout, re.MULTILINE)
+    assert len(minimizer) == 1, stdout
+    outputs = {path.name: path.read_bytes() for path in out.iterdir()}
+    return core and core.group(1), dict(outputs, minimizer=minimizer[0].encode())
+
+
+@pytest.fixture(scope="module")
+def kernel_runs(tmp_path_factory, mpg_path):
+    """The default run's outputs and a list of each other family's. Skips
+    when no Core line names the family: the BLAS is then no DYNAMIC_ARCH
+    OpenBLAS."""
+    default_core, default = kernel_outputs(tmp_path_factory, mpg_path)
+    if default_core is None:
+        pytest.skip("no 'Core:' line under OPENBLAS_VERBOSE=2: not a DYNAMIC_ARCH OpenBLAS")
+    runs = [kernel_outputs(tmp_path_factory, mpg_path, family) for family in KERNEL_FAMILIES]
+    others = [outputs for core, outputs in runs if core != default_core]
+    if not others:
+        pytest.skip(f"every family tried runs the default {default_core} kernels")
+    return default, others
+
+
+@pytest.mark.parametrize("name", KERNEL_OUTPUTS)
+def test_outputs_match_under_other_blas_kernels(kernel_runs, name):
+    default, others = kernel_runs
+    assert name in default
+    assert all(run[name] == default[name] for run in others)

@@ -433,6 +433,15 @@ def test_config_wrong_type(tmp_path, capsys):
     assert "must be an integer" in capsys.readouterr().err
 
 
+def test_config_word_for_a_word_or_number_option(tmp_path, capsys):
+    # nu's default is the word "auto", so the message names both forms
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nu": "fast"}))
+    code = run(["pca-diag", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert "config key 'nu' must be 'auto' or a number" in capsys.readouterr().err
+
+
 def test_config_number_too_large_for_a_float(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"synth-noise": 1' + "0" * 400 + "}")
@@ -603,6 +612,25 @@ def test_pca_diag_fixed_nu(tmp_path):
     assert code == EXIT_OK
     _, rows = read_csv(out / "pca_diag.csv")
     assert len(rows) == 5
+
+
+def test_output_directory_under_a_file_is_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = run(["pca-diag", "--k", "4", "--out", str(blocker / "out")])
+    assert code == EXIT_CONFIG
+    assert "cannot create output directory" in capsys.readouterr().err
+
+
+def test_unwritable_csv_is_data_error(tmp_path, capsys):
+    # a directory where the CSV goes: the atomic rename fails with an
+    # OSError, which main reports with exit 3
+    out = tmp_path / "pca"
+    (out / "pca_diag.csv").mkdir(parents=True)
+    code = run(["pca-diag", "--k", "4", "--out", str(out)])
+    assert code == EXIT_DATA
+    assert "pca_diag.csv" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["pca_diag.csv"]
 
 
 def test_bad_synth_bounds(capsys):

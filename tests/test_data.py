@@ -97,6 +97,18 @@ def test_mpg_name_with_apostrophe(tmp_path):
     assert d.n_rows == 2
 
 
+def test_mpg_blank_lines_are_skipped(tmp_path):
+    f = tmp_path / "cars.data"
+    f.write_text(
+        '18.0 8 307.0 130.0 3504.0 12.0 70 1 "ok one"\n'
+        "\n"
+        " \t\n"
+        '16.0 8 304.0 150.0 3433.0 12.0 70 1 "ok two"\n'
+    )
+    d = load_auto_mpg(f)
+    assert d.target.tolist() == [18.0, 16.0]
+
+
 @pytest.mark.parametrize(
     "line",
     [

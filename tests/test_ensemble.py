@@ -468,6 +468,23 @@ def test_config_rejects_booleans(field, value):
         SRConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "trees, message",
+    [
+        (None, "^trees must be a tuple of RegressionTrees$"),
+        (3, "^trees must be a tuple of RegressionTrees$"),
+        ([], "^trees must be a tuple of RegressionTrees$"),
+        ((), "^trees: a model needs at least one tree$"),
+    ],
+    ids=["None", "int", "empty list", "empty tuple"],
+)
+def test_trees_are_checked_before_the_offsets_read_k(trees, message):
+    # the offsets' shape (p + 1, k) reads k from the trees, so a bad trees
+    # must fail on its own check, not as a TypeError or an offsets shape
+    with pytest.raises(ValueError, match=message):
+        ShootingEnsemble(np.zeros(3), np.zeros((3, 2)), 1.0, trees)
+
+
 # ------------------------------------------------- features too large
 
 

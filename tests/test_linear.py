@@ -12,9 +12,12 @@ from shooting import (
     FactorizationError,
     LinearModel,
     SingularDesignError,
+    SRConfig,
     TargetOverflowError,
     augment,
     fit_ols,
+    fit_shooting,
+    predict,
     sample_offsets,
     split,
 )
@@ -30,6 +33,27 @@ def test_exact_fit_zero_covariance():
     assert model.residual_variance == pytest.approx(0.0, abs=1e-24)
     assert np.allclose(model.covariance_factor, 0.0, atol=1e-20)
     assert model.jitter == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("j", [-520, 600])
+def test_exact_fit_in_any_feature_units_draws_zero_offsets(j):
+    # an exact fit has no estimation noise, so its offsets are zero however
+    # far one column's units put R^-1 from the float range: at 2^-520 the
+    # product s^2 * R^-1 R^-T would be 0 * inf
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((50, 3))
+    y = x @ np.array([1.0, -2.0, 0.5]) + 3.0
+    x[:, 0] = np.ldexp(x[:, 0], j)
+    d = Dataset(x, y)
+    model = fit_ols(d)
+    assert model.residual_variance == 0.0
+    assert not np.any(model.covariance_factor) and model.covariance_factor.shape == (4, 4)
+    assert model.jitter == 0.0
+    with pytest.warns(RuntimeWarning, match="perfect linear fit"):
+        ensemble = fit_shooting(d, SRConfig(k=5))
+    assert ensemble.nu == 1.0
+    assert np.abs(predict(ensemble, x) - y).max() <= 1e-15
 
 
 def test_residual_above_the_exact_fit_threshold_is_kept():

@@ -307,6 +307,21 @@ def test_balanced_weight_equalizes_at_zero():
     assert corr_term == pytest.approx(cache.k, rel=1e-12)
 
 
+def test_balanced_weight_of_a_zero_z_is_one():
+    # build_cache refuses a constant z, so only a hand-built cache reaches
+    # the guard that keeps the weight from dividing by zero
+    cache = NuCache(
+        c_zz=0.0,
+        c_zi=np.zeros(2),
+        c_ij=np.eye(2),
+        sum_zz=0.0,
+        sum_zx=0.0,
+        sum_xx=2.0,
+        constant_columns=np.zeros(2, dtype=bool),
+    )
+    assert balanced_magnitude_weight(cache) == 1.0
+
+
 # ------------------------------------------------------------- minimize_nu
 
 

@@ -344,6 +344,17 @@ def test_atomic_write_replaces_and_cleans_up(tmp_path):
     assert leftovers == []
 
 
+def test_failed_atomic_write_keeps_the_target_and_no_temp_file(tmp_path):
+    # a lone surrogate has no UTF-8 encoding, so the write fails after
+    # the temp file exists
+    path = tmp_path / "out.txt"
+    path.write_text("old")
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(str(path), "new \ud800")
+    assert path.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 def test_save_overwrites_previous_model(tmp_path, train, query):
     a = fit_rf(train, RFConfig(n_trees=1, seed=1))
     b = fit_rf(train, RFConfig(n_trees=3, seed=2))

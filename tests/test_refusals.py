@@ -222,3 +222,19 @@ def test_numeric_object_arrays_pass():
     for name in ("feature", "threshold", "value"):
         assert np.array_equal(getattr(tree, name), getattr(want, name))
     assert mse(fractions, y) == 0.0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Dataset(np.zeros((3, 0)), np.zeros(3)), r"features must be at least 1 column wide"),
+        (lambda: build_cache(np.zeros(1), np.zeros((1, 2))), r"z must be at least 2 long"),
+        (lambda: mse([], []), r"y_true and y_pred must be at least 1 long"),
+    ],
+    ids=["Dataset without columns", "build_cache on one row", "mse of nothing"],
+)
+def test_size_rules_name_their_argument(call, message):
+    # the sweep's arrays all pass these sites' size rules, which each
+    # site keeps after real_array's shape check
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
