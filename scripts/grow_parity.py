@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Check every SR and RF tree the CLI commands grow against plain fit_tree.
+"""Check every SR and RF tree the CLI commands grow against plain fit_tree,
+and every SR and RF model's packed walk against its trees' own walks.
 
 Runs benchmark (32 trials, k = 100), nu-curve (its default grid) and
 pca-diag at their defaults, on the bundled data, into a temporary
@@ -23,6 +24,14 @@ and prints one line per command otherwise, with the number of distinct
 trees the passes grew (byte-equal SR targets of one fit, as at nu = 0,
 grow once).
 
+Each of those SR and RF models is also walked: its packed forest's leaf
+values on the fit's training rows (Forest.leaves, which walks densely to
+the median leaf depth and then walks the (tree, row) pairs still inside a
+tree) must equal predict_tree's, one tree at a time, byte for byte. An SR
+leaf holds one training row, so those rows end at every leaf depth and
+every drop of finished pairs runs. The line per command ends with the
+number of models walked.
+
     python scripts/grow_parity.py [--data PATH]
 """
 
@@ -33,10 +42,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from shooting import Presort, cli, ensemble, fit_tree, gradient_targets, tree  # noqa: E402
+from shooting import Presort, cli, ensemble, fit_tree, gradient_targets, predict_tree, tree  # noqa: E402
 from shooting.rng import BOOTSTRAP_STREAM, make_rng  # noqa: E402
 
 
@@ -50,6 +61,16 @@ def compare(tree, alone, where: str) -> None:
             raise Mismatch(f"{where}: {name} differs")
 
 
+def walk(model, features, where: str, counts: dict) -> None:
+    """The packed forest's leaf values on features must be each tree's
+    own walk's, byte for byte."""
+    packed = np.hstack([values for _, values in model.forest.leaves(features)])
+    alone = np.array([predict_tree(tree, features) for tree in model.trees])
+    if packed.tobytes() != alone.tobytes():
+        raise Mismatch(f"{where}: the packed walk's leaf values differ from predict_tree's")
+    counts["walked"] += 1
+
+
 def checked(fit_at_nu, counts: dict):
     """fit_at_nu that checks each tree of the ensemble it returns against
     the per-node search."""
@@ -61,6 +82,7 @@ def checked(fit_at_nu, counts: dict):
         for i, tree in enumerate(model.trees):
             alone = fit_tree(presort, targets[:, i])
             compare(tree, alone, f"SR fit {counts['fits'] + 1}, tree {i}")
+        walk(model, train.features, f"SR fit {counts['fits'] + 1}", counts)
         counts["fits"] += 1
         counts["trees"] += len(model.trees)
         return model
@@ -79,6 +101,7 @@ def checked_rf(fit_rf, counts: dict):
             rows = make_rng(config.seed, BOOTSTRAP_STREAM, i).integers(0, m, size=m)
             alone = fit_tree(train.features[rows], train.target[rows])
             compare(tree, alone, f"RF fit {counts['rf_fits'] + 1}, tree {i}")
+        walk(model, train.features, f"RF fit {counts['rf_fits'] + 1}", counts)
         counts["rf_fits"] += 1
         counts["rf_trees"] += len(model.trees)
         return model
@@ -109,7 +132,7 @@ def main() -> int:
             ["pca-diag", "--out", f"{out}/pca_diag"],
         ]
         for argv in commands:
-            counts = dict.fromkeys(["fits", "trees", "batched", "rf_fits", "rf_trees", "rf_batched"], 0)
+            counts = dict.fromkeys(["fits", "trees", "batched", "rf_fits", "rf_trees", "rf_batched", "walked"], 0)
             # fit_shooting finds fit_at_nu in ensemble, nu-curve in cli
             ensemble.fit_at_nu = cli.fit_at_nu = checked(original, counts)
             cli.fit_rf = checked_rf(original_rf, counts)
@@ -136,6 +159,7 @@ def main() -> int:
                     f"; {counts['rf_trees']} RF trees of {counts['rf_fits']} fits equal the per-node "
                     f"search's on their bootstrap rows, {counts['rf_batched']} distinct grown in batched passes"
                 )
+            line += f"; {counts['walked']} models walk like their trees on their training rows"
             print(line)
             if not counts["batched"]:
                 print(f"{argv[0]}: no SR tree grew in a batched pass, so the pass went unchecked")

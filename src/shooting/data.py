@@ -36,7 +36,7 @@ class Dataset:
         object.__setattr__(self, "target", target)
         m, n = features.shape
         if m < 2:
-            raise ValueError(f"need at least 2 rows, got {m}")
+            raise ValueError(f"features must be at least 2 rows long, got {m}")
         if n < 1:
             raise ValueError("features must be at least 1 column wide")
 

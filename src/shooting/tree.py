@@ -87,12 +87,20 @@ step is the leaf's own id and threshold is inf, which no finite x
 exceeds, so a row that reached its leaf stays there.
 
 Prediction packs a model's trees into one Forest: the node arrays joined
-end to end, deepest tree first, the steps shifted to the packed ids. One
-walk moves a (trees, rows) node-index matrix down every tree at once, one
-step per level of the deepest tree, and level d touches only the trees
-deeper than d. Rows go through in blocks of BLOCK_ROWS, so the matrix
-stays small for any number of rows, and every predict finishes a block
-before walking the next, so its memory does not grow with the rows
+end to end, deepest tree first, the steps shifted to the packed ids, and
+the median depth of their leaves, taken from level-order boundaries. A
+walk moves a (trees, rows) node-index matrix down every tree at once,
+densely, one step per level, to that median depth, where level d touches
+only the trees deeper than d. Above it few rows have reached a leaf;
+below it more and more have, and a dense step still moves each of them
+from its leaf to itself. So the walk goes on with a list of the (tree,
+row) pairs still inside their trees and, every PAIR_LEVELS levels,
+writes the list back into the matrix and drops the pairs that reached a
+leaf, until none is left. A block of fewer than PAIR_ROWS rows, and a
+forest no deeper than its median, such as GBM's depth-3 stages, walk
+densely to the end. Rows go through in blocks of BLOCK_ROWS, so the
+matrix stays small for any number of rows, and every predict finishes a
+block before walking the next, so its memory does not grow with the rows
 either. Leaf values come back in tree order, so each model keeps its own
 reduction order and its predictions are those of one walk per tree, bit
 for bit: the exact row mean for SR and RF, and for GBM one cumsum down
@@ -148,6 +156,19 @@ SEARCH_CELLS = 2**14
 # 30-40 us is larger. Measured break-even: about 10 rows at 100 columns and
 # 64 rows at 5
 SMALL_BLOCK = 800
+# levels between a pair walk's drops of the (tree, row) pairs at a leaf.
+# Median ms of a 1,000-row predict on one benchmark trial's forests (100
+# trees on 196 rows, 26 and 15 levels deep; 2-core Xeon, one thread), dense
+# to the leaves against dropping every 1 / 2 / 3 / 4 / 6 / 8 levels: SR 13.5
+# against 12.7 / 11.9 / 11.3 / 11.1 / 10.9 / 11.1, RF 7.7 against 7.4 / 6.9
+# / 6.7 / 6.7 / 6.9 / 7.1
+PAIR_LEVELS = 4
+# a block of fewer rows walks densely to the leaves: with caches cold, as
+# after other work, the pair walk's fixed numpy calls cost RF's forest more
+# than they save up to about 10 rows (1.00-1.04 of the dense time at 1-8
+# rows, 0.97-0.99 at 12, on two trials), while SR's gained from one row
+# (0.90-0.97)
+PAIR_ROWS = 12
 
 
 @dataclass(frozen=True)
@@ -686,6 +707,10 @@ class Forest:
     another finite value of the block that its inf threshold ignores.
     active[d] counts the trees deeper than d, which are the first
     active[d] trees. slot[i] is tree i's position in the packed order.
+    median_leaf_depth is the lower median depth of all the trees' leaves:
+    a block of PAIR_ROWS rows or more walks densely to it and then as
+    (tree, row) pairs, the finished ones dropped every PAIR_LEVELS levels;
+    a smaller block walks densely to the leaves.
     """
 
     feature: np.ndarray
@@ -695,6 +720,7 @@ class Forest:
     roots: np.ndarray
     active: tuple[int, ...]
     slot: np.ndarray
+    median_leaf_depth: int
 
     def leaves(self, x: np.ndarray):
         """Yield (rows, values) for each block of BLOCK_ROWS rows of x, a
@@ -707,10 +733,29 @@ class Forest:
             row_base = np.arange(n) * p
             # node[j, r]: where row r stands in packed tree j
             node = np.repeat(self.roots[:, None], n, axis=1)
-            for a in self.active:
+            dense = len(self.active) if n < PAIR_ROWS else self.median_leaf_depth
+            for a in self.active[:dense]:
                 at = node[:a]
                 node[:a] = self.step[at] + (block[self.feature[at] + row_base] > self.threshold[at])
+            if dense < len(self.active):
+                self._walk_pairs(node[: self.active[dense]], block, row_base)
             yield slice(start, start + n), self.value[node[self.slot]]
+
+    def _walk_pairs(self, node: np.ndarray, block: np.ndarray, row_base: np.ndarray) -> None:
+        """Walk node, the (trees, rows) matrix of the trees deeper than
+        the dense walk went, to their leaves in place: one pair per entry
+        still at an internal node, every pair written back and those at a
+        leaf dropped every PAIR_LEVELS levels."""
+        flat = node.reshape(-1)
+        at = np.flatnonzero(self.feature[flat] != LEAF)
+        ids = flat[at]
+        offsets = row_base[at % node.shape[1]]
+        while at.size:
+            for _ in range(PAIR_LEVELS):
+                ids = self.step[ids] + (block[self.feature[ids] + offsets] > self.threshold[ids])
+            flat[at] = ids
+            inside = self.feature[ids] != LEAF
+            at, ids, offsets = at[inside], ids[inside], offsets[inside]
 
 
 def pack_forest(trees) -> Forest:
@@ -730,7 +775,24 @@ def pack_forest(trees) -> Forest:
         roots=roots,
         active=tuple(sum(depth > d for depth in depths) for d in range(depths[0])),
         slot=np.argsort(order),
+        median_leaf_depth=_median_leaf_depth(feature, roots),
     )
+
+
+def _median_leaf_depth(feature: np.ndarray, roots: np.ndarray) -> int:
+    """The lower median depth of the leaves of the trees packed at roots,
+    from level-order boundaries: level d + 1 of a tree ends at 1 + 2 x the
+    internal nodes before level d's end, so the nodes before a level's
+    end less the internal ones among them are the leaves down to it."""
+    ids = np.flatnonzero(feature != LEAF)
+    half = (feature.size - ids.size + 1) // 2
+    base = np.searchsorted(ids, roots)
+    depth, ends = 0, np.ones_like(roots)
+    while True:
+        internal = np.searchsorted(ids, roots + ends) - base
+        if (ends - internal).sum() >= half:
+            return depth
+        depth, ends = depth + 1, 1 + 2 * internal
 
 
 class TreeModel:

@@ -51,9 +51,11 @@ from shooting.tree import (
     BLOCK_ROWS,
     GROW_CELLS,
     LEAF,
+    PAIR_ROWS,
     SEARCH_CELLS,
     SMALL_BLOCK,
     _node_totals,
+    pack_forest,
     row_means,
 )
 
@@ -207,6 +209,19 @@ def reference_predict_gbm(model, x: np.ndarray) -> np.ndarray:
     for tree in model.trees:
         out = out + model.learning_rate * reference_predict_tree(tree, x)
     return out
+
+
+def reference_median_leaf_depth(trees) -> int:
+    """The lower median of the trees' leaf depths, each node's depth
+    carried to its children 2j + 1 and 2j + 2 one node at a time."""
+    depths = []
+    for tree in trees:
+        depth = np.zeros(tree.n_nodes, dtype=np.int64)
+        for j, i in enumerate(np.flatnonzero(tree.feature != LEAF)):
+            depth[2 * j + 1 : 2 * j + 3] = depth[i] + 1
+        depths.append(depth[tree.feature == LEAF])
+    depths = np.sort(np.concatenate(depths))
+    return int(depths[(depths.size - 1) // 2])
 
 
 def assert_same_tree(a: RegressionTree, b: RegressionTree) -> None:
@@ -1203,6 +1218,49 @@ def test_packed_forest_matches_per_tree_walk(seed, depths, m, n, n_query):
         assert np.array_equal(predict_gbm(gbm, q), gbm_out)
     for tree in trees:
         assert np.array_equal(predict_tree(tree, q), reference_predict_tree(tree, q))
+    assert pack_forest(trees).median_leaf_depth == reference_median_leaf_depth(trees)
+
+
+# ---------------------------------------------- dense walk, then pair walk
+
+
+@pytest.fixture(scope="module")
+def deep_models():
+    train = make_synthetic(400, 3, 1.0, seed=37)
+    return train, fit_shooting(train, SRConfig(k=100, seed=37)), fit_rf(train, RFConfig(n_trees=100, seed=37))
+
+
+@pytest.mark.parametrize("n_rows", [1, PAIR_ROWS - 1, PAIR_ROWS, BLOCK_ROWS + 1, 600])
+def test_deep_forests_walk_pairs_past_the_median_leaf_depth(deep_models, n_rows):
+    train, sr, rf = deep_models
+    for model in (sr, rf):
+        forest = model.forest
+        # a dense walk to the median, then a pair walk to the deepest leaf
+        assert forest.median_leaf_depth == reference_median_leaf_depth(model.trees)
+        assert 0 < forest.median_leaf_depth < len(forest.active)
+    # an SR leaf holds one training row, so training rows end at every
+    # leaf depth and every drop of finished pairs has pairs to drop; a
+    # block under PAIR_ROWS rows, such as the last of BLOCK_ROWS + 1, walks
+    # densely
+    q = train.features[np.random.default_rng(n_rows).integers(0, train.n_rows, n_rows)]
+    # block by block, since BLAS may round a product's last bit by its rows
+    starts = range(0, n_rows, BLOCK_ROWS)
+    per_estimator = np.vstack([reference_per_estimator(sr, q[s : s + BLOCK_ROWS]) for s in starts])
+    assert predict_per_estimator(sr, q).tobytes() == per_estimator.tobytes()
+    assert predict(sr, q).tobytes() == fsum_means(per_estimator).tobytes()
+    assert predict_rf(rf, q).tobytes() == reference_predict_rf(rf, q).tobytes()
+
+
+def test_shallow_forests_walk_densely_to_their_leaves():
+    train = make_synthetic(60, 3, 1.0, seed=38)
+    q = np.random.default_rng(38).standard_normal((BLOCK_ROWS + 1, 3))
+    stumps = RandomForest(tuple(fit_tree(train.features, train.target + i, 0) for i in range(5)), 3)
+    assert (stumps.forest.median_leaf_depth, stumps.forest.active) == (0, ())
+    assert predict_rf(stumps, q).tobytes() == reference_predict_rf(stumps, q).tobytes()
+    # half the leaves of these depth-3 stages sit at depth 3: no pair walk
+    gbm = fit_gbm(train, GBMConfig(n_stages=20, seed=38))
+    assert gbm.forest.median_leaf_depth == len(gbm.forest.active) == 3
+    assert predict_gbm(gbm, q).tobytes() == reference_predict_gbm(gbm, q).tobytes()
 
 
 # ------------------------------------------------------ streamed row blocks
